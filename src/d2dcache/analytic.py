@@ -153,13 +153,6 @@ def rician_pdf(u, v, sigma):
     return out
 
 
-def _sir_kernel(u, t_gamma, alpha):
-    """t_gamma / (u^alpha + t_gamma), guarded against overflow of u^alpha."""
-    with np.errstate(over="ignore"):
-        ua = np.asarray(u, dtype=float) ** alpha
-    return np.where(np.isinf(ua), 0.0, t_gamma / (ua + t_gamma))
-
-
 def _panel_rule(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes and weights over consecutive panels."""
     x, w = leggauss(order)
@@ -188,16 +181,33 @@ def _window_halfwidth(cfg: NetworkConfig, quad: QuadratureSpec) -> float:
     return (quad.v_max_sigma_mult + 3.0) * cfg.sigma
 
 
-def _zeta_values(v, t_gamma, cfg, half_width, order):
-    """Vectorized zeta(v, t_gamma) over a 1-D array of center distances v."""
-    v = np.asarray(v, dtype=float)
-    lo = np.maximum(v - half_width, 0.0)
-    span = v + half_width - lo
-    s_nodes, s_weights = _u_template(order)
-    u = lo[:, None] + span[:, None] * s_nodes[None, :]
-    wu = span[:, None] * s_weights[None, :]
-    integrand = _sir_kernel(u, t_gamma, cfg.alpha) * rician_pdf(u, v[:, None], cfg.sigma)
-    return np.clip((integrand * wu).sum(axis=1), 0.0, 1.0)
+class _ZetaRows:
+    """The zeta(v, t_gamma) integrand on a fixed array of center distances v.
+
+    Everything but the SIR kernel is t-independent: the inner u nodes and
+    weights, the Rician density and u**alpha are computed once here, so
+    each evaluation costs the kernel t/(u^alpha + t), two products and a
+    sum. Row i is the inner quadrature for center distance v[i].
+    """
+
+    def __init__(self, v, cfg: NetworkConfig, half_width: float, order: int):
+        lo = np.maximum(v - half_width, 0.0)
+        span = v + half_width - lo
+        s_nodes, s_weights = _u_template(order)
+        u = lo[:, None] + span[:, None] * s_nodes[None, :]
+        self._wu = span[:, None] * s_weights[None, :]
+        self._rician = rician_pdf(u, v[:, None], cfg.sigma)
+        # where u**alpha overflows to inf the kernel t/(inf + t) is exactly 0
+        with np.errstate(over="ignore"):
+            self._u_alpha = u**cfg.alpha
+
+    def __call__(self, t_gamma, rows=None):
+        """zeta at one t_gamma for the first `rows` center distances (all by default)."""
+        kernel = t_gamma / (self._u_alpha[:rows] + t_gamma)
+        # multiply in this order: pre-multiplying density and weight moves the
+        # last bit of small-t transforms, whose frozen references resolve it
+        zeta = (kernel * self._rician[:rows] * self._wu[:rows]).sum(axis=1)
+        return np.clip(zeta, 0.0, 1.0)
 
 
 def zeta_kernel(v, t_gamma: float, cfg: NetworkConfig, quad: QuadratureSpec):
@@ -220,8 +230,8 @@ def zeta_kernel(v, t_gamma: float, cfg: NetworkConfig, quad: QuadratureSpec):
         return float(out[0]) if np.isscalar(v) else out
 
     half_width = _window_halfwidth(cfg, quad)
-    fine = _zeta_values(v_arr, t_gamma, cfg, half_width, _ORDER_FINE)
-    coarse = _zeta_values(v_arr, t_gamma, cfg, half_width, _ORDER_COARSE)
+    fine = _ZetaRows(v_arr, cfg, half_width, _ORDER_FINE)(t_gamma)
+    coarse = _ZetaRows(v_arr, cfg, half_width, _ORDER_COARSE)(t_gamma)
     err = np.max(np.abs(fine - coarse))
     if not np.all(np.isfinite(fine)) or err > 1e-6:
         raise NumericalError(
@@ -244,8 +254,9 @@ def _exponent_ppp(t_gamma: float, cfg: NetworkConfig) -> float:
     )
 
 
-def _exponent_exact(t_gamma: float, cfg: NetworkConfig, quad: QuadratureSpec):
-    """Exponent E(t) = -ln L_I(t) of the exact cluster-process transform.
+def _exponents_exact(t_gamma, cfg: NetworkConfig, quad: QuadratureSpec):
+    """Exponents E(t) = -ln L_I(t) of the exact cluster-process transform
+    at a 1-D array of positive t_gamma.
 
     Uses the identity 2 pi lambda_p n_bar * integral(zeta(v) v dv) =
     exponent_ppp (the Rician density in u has first moment u over center
@@ -256,52 +267,83 @@ def _exponent_exact(t_gamma: float, cfg: NetworkConfig, quad: QuadratureSpec):
     rapidly convergent outer integral, and makes the bound ordering exact
     by construction.
 
-    Returns (exponent, error_estimate).
+    Every t shares one nested outer grid: linear panels across the window,
+    log panels up to the t-independent radius floor, then
+    _LOG_PANELS_PER_DECADE log panels per decade beyond it. Each t
+    integrates over the prefix of the grid up to its own truncation radius,
+    rounded up to a panel edge, so the zeta integrand's t-independent part
+    is built once per Gauss order for the whole batch, and a t's result
+    does not depend on the other members of the batch.
+
+    Returns (exponents, error_estimates) as two arrays.
     """
     sigma, alpha = cfg.sigma, cfg.alpha
     lam, n_bar = cfg.lambda_p, cfg.n_bar
-    e_ppp = _exponent_ppp(t_gamma, cfg)
-    tol = max(quad.abs_tol, quad.rel_tol * e_ppp)
-
     half_width = _window_halfwidth(cfg, quad)
-    u_star = t_gamma ** (1.0 / alpha)
-    # truncation radius: correction integrand <= (n_bar*zeta)^2/2 with
-    # zeta <= 2^alpha t_gamma v^-alpha once v exceeds twice the window
-    tail_coeff = math.pi * lam * n_bar**2 * 4.0**alpha * t_gamma**2 / (2 * alpha - 2)
-    v_tail = (tail_coeff / tol) ** (1.0 / (2 * alpha - 2))
-    v_floor = 10.0 * sigma + 5.0 / math.sqrt(math.pi * lam)
-    v_max = max(2.0 * half_width, 2.0 * u_star, v_floor, v_tail)
-
+    # radius floor: twice the window, and ten cluster spreads plus five radii
+    # of the disc that holds one parent on average
+    v_floor = max(2.0 * half_width, 10.0 * sigma + 5.0 / math.sqrt(math.pi * lam))
     n_lin = max(1, math.ceil(half_width / sigma))
-    lin_edges = np.linspace(0.0, half_width, n_lin + 1)
-    n_log = max(2, math.ceil(_LOG_PANELS_PER_DECADE * math.log10(v_max / half_width)))
-    log_edges = np.geomspace(half_width, v_max, n_log + 1)
-    edges = np.concatenate([lin_edges, log_edges[1:]])
+    n_log = max(2, math.ceil(_LOG_PANELS_PER_DECADE * math.log10(v_floor / half_width)))
 
-    results = []
+    nodes = []
+    for t in np.asarray(t_gamma, dtype=float):
+        e_ppp = _exponent_ppp(t, cfg)
+        tol = max(quad.abs_tol, quad.rel_tol * e_ppp)
+        # truncation radius: correction integrand <= (n_bar*zeta)^2/2 with
+        # zeta <= 2^alpha t_gamma v^-alpha once v exceeds twice the window
+        tail_coeff = math.pi * lam * n_bar**2 * 4.0**alpha * t**2 / (2 * alpha - 2)
+        v_tail = (tail_coeff / tol) ** (1.0 / (2 * alpha - 2))
+        v_max = max(v_floor, 2.0 * t ** (1.0 / alpha), v_tail)
+        n_extra = math.ceil(_LOG_PANELS_PER_DECADE * math.log10(v_max / v_floor))
+        nodes.append((t, e_ppp, tail_coeff, n_extra))
+
+    n_extra_max = max((n_extra for *_, n_extra in nodes), default=0)
+    edges = np.concatenate([
+        np.linspace(0.0, half_width, n_lin + 1),
+        np.geomspace(half_width, v_floor, n_log + 1)[1:],
+        v_floor * 10.0 ** (np.arange(1, n_extra_max + 1) / _LOG_PANELS_PER_DECADE),
+    ])
+    grids = []
     for order in (_ORDER_FINE, _ORDER_COARSE):
         v_nodes, v_weights = _panel_rule(edges, order)
-        zeta = _zeta_values(v_nodes, t_gamma, cfg, half_width, order)
-        nz = n_bar * zeta
-        correction_integrand = nz + np.expm1(-nz)
-        correction = 2.0 * math.pi * lam * float(
-            (v_weights * correction_integrand * v_nodes).sum()
-        )
-        results.append(e_ppp - correction)
-    exponent_fine, exponent_coarse = results
+        grids.append((order, v_nodes, v_weights, _ZetaRows(v_nodes, cfg, half_width, order)))
 
-    tail_bound = tail_coeff * v_max ** (2.0 - 2.0 * alpha)
-    err = abs(exponent_fine - exponent_coarse) + tail_bound
-    if not math.isfinite(exponent_fine) or err > max(1e-6, 1e-3 * (1.0 + e_ppp)):
-        raise NumericalError(
-            "outer cluster-distance quadrature failed to converge",
-            diagnostics={
-                "t_gamma": t_gamma,
-                "order_disagreement": abs(exponent_fine - exponent_coarse),
-                "tail_bound": tail_bound,
-            },
-        )
-    return max(exponent_fine, 0.0), err
+    exponents = np.empty(len(nodes))
+    errors = np.empty(len(nodes))
+    for i, (t, e_ppp, tail_coeff, n_extra) in enumerate(nodes):
+        n_panels = n_lin + n_log + n_extra
+        results = []
+        for order, v_nodes, v_weights, zeta_rows in grids:
+            rows = n_panels * order
+            nz = n_bar * zeta_rows(t, rows)
+            correction_integrand = nz + np.expm1(-nz)
+            correction = 2.0 * math.pi * lam * float(
+                (v_weights[:rows] * correction_integrand * v_nodes[:rows]).sum()
+            )
+            results.append(e_ppp - correction)
+        exponent_fine, exponent_coarse = results
+
+        tail_bound = tail_coeff * float(edges[n_panels]) ** (2.0 - 2.0 * alpha)
+        err = abs(exponent_fine - exponent_coarse) + tail_bound
+        if not math.isfinite(exponent_fine) or err > max(1e-6, 1e-3 * (1.0 + e_ppp)):
+            raise NumericalError(
+                "outer cluster-distance quadrature failed to converge",
+                diagnostics={
+                    "t_gamma": t,
+                    "order_disagreement": abs(exponent_fine - exponent_coarse),
+                    "tail_bound": tail_bound,
+                },
+            )
+        exponents[i] = max(exponent_fine, 0.0)
+        errors[i] = err
+    return exponents, errors
+
+
+def _exponent_exact(t_gamma: float, cfg: NetworkConfig, quad: QuadratureSpec):
+    """(exponent, error_estimate) of _exponents_exact at one t_gamma > 0."""
+    exponents, errors = _exponents_exact(np.array([t_gamma], dtype=float), cfg, quad)
+    return float(exponents[0]), float(errors[0])
 
 
 def laplace_exact(t_gamma, cfg: NetworkConfig, quad: QuadratureSpec):
@@ -309,14 +351,17 @@ def laplace_exact(t_gamma, cfg: NetworkConfig, quad: QuadratureSpec):
 
     L(t_gamma) = exp(-2 pi lambda_p * integral over v of
     (1 - exp(-n_bar zeta(v, t_gamma))) v dv). Monotone non-increasing in
-    t_gamma with values in (0, 1]. Accepts a scalar or array argument.
+    t_gamma with values in (0, 1]. Accepts a scalar or array argument; an
+    array is evaluated in one batch, with the same values as element-wise
+    scalar calls.
     """
     t_arr = np.atleast_1d(np.asarray(t_gamma, dtype=float))
     if np.any(t_arr < 0):
         raise ValueError("t_gamma must be >= 0")
-    out = np.empty_like(t_arr)
-    for i, t in enumerate(t_arr):
-        out[i] = 1.0 if t == 0.0 else math.exp(-_exponent_exact(t, cfg, quad)[0])
+    out = np.ones_like(t_arr)
+    pos = t_arr > 0
+    exponents, _ = _exponents_exact(t_arr[pos], cfg, quad)
+    out[pos] = [math.exp(-e) for e in exponents]
     if np.isscalar(t_gamma):
         return float(out[0])
     return out
@@ -353,9 +398,7 @@ class _SplineLaplace:
         n_decades = math.log10(t_hi / t_lo)
         n_nodes = max(8, math.ceil(_SPLINE_NODES_PER_DECADE * n_decades) + 1)
         t_nodes = np.geomspace(t_lo, t_hi, n_nodes)
-        exponents = np.array(
-            [_exponent_exact(t, cfg, quad)[0] for t in t_nodes]
-        )
+        exponents, _ = _exponents_exact(t_nodes, cfg, quad)
         if np.any(exponents <= 0):
             raise NumericalError("non-positive exponent in spline table")
         self._x_lo, self._x_hi = math.log(t_nodes[0]), math.log(t_nodes[-1])
@@ -380,29 +423,10 @@ class _SplineLaplace:
         return float(out[0]) if scalar else out
 
 
-def laplace_fn_exact(cfg: NetworkConfig, quad: QuadratureSpec, t_range=None):
-    """Vectorized evaluator of the exact transform.
-
-    With t_range=(lo, hi) a spline surrogate is prebuilt over that range;
-    without it, the surrogate is built lazily from the first batch of
-    arguments seen.
-    """
-    if t_range is not None:
-        return _SplineLaplace(cfg, quad, *t_range)
-
-    table = None
-
-    def evaluate(t_gamma):
-        nonlocal table
-        if table is None:
-            t_arr = np.atleast_1d(np.asarray(t_gamma, dtype=float))
-            pos = t_arr[t_arr > 0]
-            if pos.size == 0:
-                return np.ones_like(t_arr) if not np.isscalar(t_gamma) else 1.0
-            table = _SplineLaplace(cfg, quad, float(pos.min()), float(pos.max()))
-        return table(t_gamma)
-
-    return evaluate
+def laplace_fn_exact(cfg: NetworkConfig, quad: QuadratureSpec, t_range):
+    """Vectorized evaluator of the exact transform: a spline surrogate
+    prebuilt over t_range = (lo, hi) and continued log-linearly outside it."""
+    return _SplineLaplace(cfg, quad, *t_range)
 
 
 def laplace_fn_ppp(cfg: NetworkConfig):

@@ -33,6 +33,14 @@ POLICY_BOX_TOL = 1e-12
 _THETA_RHO_REL_TOL = 1e-9
 
 
+def _theta_from_rho(rho: float) -> float:
+    """theta = 2**rho - 1; inf where that overflows, which NetworkConfig rejects."""
+    try:
+        return 2.0**rho - 1.0
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Spatial and channel parameters of the clustered network.
@@ -71,24 +79,25 @@ class NetworkConfig:
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
-        if not self.alpha > 2:
-            raise ValueError(f"alpha must exceed 2, got {self.alpha!r}")
+        if not (self.alpha > 2 and math.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be finite and exceed 2, got {self.alpha!r}")
 
         theta, rho = self.theta, self.rho
         if theta is None and rho is None:
             raise ValueError("one of theta or rho must be given")
         if theta is None:
-            theta = 2.0**rho - 1.0
+            theta = _theta_from_rho(rho)
         elif rho is None:
             rho = math.log2(1.0 + theta)
         else:
-            expected = 2.0**rho - 1.0
-            if abs(theta - expected) > _THETA_RHO_REL_TOL * max(1.0, abs(expected)):
+            expected = _theta_from_rho(rho)
+            tol = _THETA_RHO_REL_TOL * max(1.0, abs(expected))
+            if not math.isfinite(expected) or abs(theta - expected) > tol:
                 raise ValueError(
                     f"inconsistent thresholds: theta={theta!r} but 2**rho - 1 = {expected!r}"
                 )
-        if not theta > 0:
-            raise ValueError(f"theta must be strictly positive, got {theta!r}")
+        if not (theta > 0 and math.isfinite(theta)):
+            raise ValueError(f"theta must be finite and strictly positive, got {theta!r}")
         # frozen dataclass: bypass immutability once to store canonical values
         object.__setattr__(self, "theta", float(theta))
         object.__setattr__(self, "rho", float(rho))

@@ -19,6 +19,8 @@ from d2dcache.analytic import (
     CoverageResult,
     NumericalError,
     QuadratureSpec,
+    _exponent_exact,
+    _exponents_exact,
     compute_Z,
     coverage_content,
     coverage_given_k,
@@ -45,6 +47,30 @@ TOY_OFFLOAD_HALF = 0.50218155422881316  # c=0.5 everywhere, n_bar=8, Z = Z_REF
 # numpy default_rng(20260822) gave mean 0.449131 with s.e. 1.49e-4.
 ZETA_MC_MEAN = 0.44913133619858453
 ZETA_MC_BAND = 6.0e-4  # four standard errors
+
+# Frozen values of the exact transform from the earlier implementation,
+# which built a separate outer grid for every t_gamma (commit c060531),
+# at the reference scenario. Laplace values at t_gamma = theta * (1e-3, 1,
+# 1e3) for sigma = 50 and 100 m; there every truncation radius is the
+# t-independent floor, so the shared outer grid must reproduce them exactly.
+LAPLACE_FLOOR_FROZEN = {
+    50.0: (0.9999500655516775, 0.9984230983458224, 0.9521950451071829),
+    100.0: (0.9999500648076292, 0.9984223570135828, 0.9515228335347304),
+}
+# Exponents -ln L at t_gamma = 1e-2, 1e0, ..., 1e14 per path-loss exponent;
+# the larger t_gamma reach beyond the floor, where the shared grid differs.
+EXPONENT_T_GRID = 10.0 ** np.arange(-2, 15, 2)
+EXPONENT_FROZEN = {
+    2.5: (0.00010797023054540923, 0.0042927767269004494, 0.16533921002681423,
+          5.195416057154476, 188.80019649554623, 7493.458343556485,
+          298297.07704358187, 11875397.658472218, 472768073.22701806),
+    3.0: (0.00011284312962445484, 0.002428957885485178, 0.051441484815364216,
+          0.9085769459076635, 13.760361854282788, 282.49543581905823,
+          6071.66766971552, 130795.5852838379, 2817890.9323602305),
+    4.0: (0.000157903750470596, 0.0015781462721899226, 0.01569361109098493,
+          0.14908012893091507, 1.09702376332427, 6.962473360369126,
+          61.85223366058342, 610.0987403722037, 6092.5063769814005),
+}
 
 
 class TestGammaFunction:
@@ -180,6 +206,29 @@ class TestLaplaceTransforms:
             assert laplace_exact(tg, ref_cfg, QUAD) == pytest.approx(
                 emp.mean(), abs=5 * sem + 1e-4
             )
+
+
+class TestSharedOuterGrid:
+    def test_array_matches_scalar_calls_bitwise(self, ref_cfg):
+        t = np.concatenate([[0.0], np.logspace(-3, 12, 11)])
+        batched = laplace_exact(t, ref_cfg, QUAD)
+        assert batched.tolist() == [laplace_exact(float(x), ref_cfg, QUAD) for x in t]
+        exponents, errors = _exponents_exact(t[1:], ref_cfg, QUAD)
+        singles = [_exponent_exact(float(x), ref_cfg, QUAD) for x in t[1:]]
+        assert list(zip(exponents.tolist(), errors.tolist())) == singles
+
+    @pytest.mark.parametrize("sigma", sorted(LAPLACE_FLOOR_FROZEN))
+    def test_floor_values_frozen_exactly(self, ref_cfg, sigma):
+        cfg = ref_cfg.with_(sigma=sigma)
+        got = laplace_exact(cfg.theta * np.array([1e-3, 1.0, 1e3]), cfg, QUAD)
+        assert tuple(got.tolist()) == LAPLACE_FLOOR_FROZEN[sigma]
+
+    @pytest.mark.parametrize("alpha", sorted(EXPONENT_FROZEN))
+    def test_beyond_floor_within_reported_error(self, ref_cfg, alpha):
+        cfg = ref_cfg.with_(alpha=alpha)
+        exponents, errors = _exponents_exact(EXPONENT_T_GRID, cfg, QUAD)
+        frozen = np.array(EXPONENT_FROZEN[alpha])
+        assert np.all(np.abs(exponents - frozen) <= errors)
 
 
 class TestComputeZ:

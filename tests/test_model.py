@@ -50,12 +50,23 @@ class TestNetworkConfig:
     @pytest.mark.parametrize("field,value", [
         ("lambda_p", 0.0), ("lambda_p", -1.0), ("n_bar", 0.0),
         ("sigma", -5.0), ("gamma_d", 0.0), ("alpha", 2.0), ("alpha", 1.5),
+        ("alpha", math.inf), ("alpha", math.nan), ("theta", math.inf),
+        ("theta", math.nan),
     ])
     def test_bad_parameters_rejected(self, field, value):
         kwargs = dict(lambda_p=1e-5, n_bar=4.0, sigma=10.0, alpha=4.0, theta=1.0)
         kwargs[field] = value
         with pytest.raises(ValueError):
             NetworkConfig(**kwargs)
+
+    @pytest.mark.parametrize("thresholds", [
+        dict(rho=math.inf), dict(rho=math.nan), dict(rho=2000.0),
+        dict(theta=math.inf, rho=math.inf), dict(theta=1.0, rho=2000.0),
+    ])
+    def test_non_finite_rate_threshold_rejected(self, thresholds):
+        # 2**rho - 1 is infinite (or overflows) for each of these
+        with pytest.raises(ValueError):
+            NetworkConfig(lambda_p=1e-5, n_bar=4.0, sigma=10.0, alpha=4.0, **thresholds)
 
     def test_immutable(self, ref_cfg):
         with pytest.raises(dataclasses.FrozenInstanceError):
