@@ -1,7 +1,8 @@
 """Optimal probabilistic caching versus the baseline placements.
 
 Maximizes the single-caterer offloading lower bound over the caching vector
-(a concave-envelope KKT solve), compares the result with the baselines
+(a structural KKT solve in which files of equal popularity share one
+caching probability), compares the result with the baselines
 across popularity skews, and shows how the optimum shifts from spread-out to
 concentrated caching as the network geometry changes.
 """

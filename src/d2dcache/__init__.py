@@ -45,7 +45,6 @@ from .optimizer import (
     concavity_report,
     grid_search_oracle,
     marginal_gain,
-    solve_c_given_v,
     solve_p1,
 )
 from .simulator import (
@@ -97,7 +96,6 @@ __all__ = [
     # optimizer
     "KktSolution",
     "marginal_gain",
-    "solve_c_given_v",
     "solve_p1",
     "grid_search_oracle",
     "concavity_report",

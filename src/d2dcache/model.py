@@ -246,7 +246,8 @@ def policy_zipf_proportional(library: ContentLibrary) -> CachingPolicy:
     Starts from c_m = M * q_m and, whenever some entries exceed 1, pins them
     at 1 and redistributes the excess budget over the remaining files in
     proportion to their popularity, until the box constraint holds. When no
-    clipping is active the result is exactly M * q_m.
+    clipping is active the result is exactly M * q_m. Files of zero
+    popularity share what is left evenly once all others are at 1.
     """
     q = library.popularity
     m_budget = float(library.cache_size)
@@ -256,8 +257,12 @@ def policy_zipf_proportional(library: ContentLibrary) -> CachingPolicy:
     # each pass pins at least one entry, so this terminates in <= N_f passes
     for _ in range(library.n_files):
         q_free = q[free]
-        scale = remaining / q_free.sum()
-        trial = scale * q_free
+        total = q_free.sum()
+        if total == 0.0:
+            # only zero-popularity files are left: they share the rest evenly
+            c[free] = remaining / np.count_nonzero(free)
+            break
+        trial = remaining * (q_free / total)  # no overflow for subnormal totals
         if np.all(trial <= 1.0):
             c[free] = trial
             break

@@ -2,15 +2,22 @@
 
 Maximizes sum_m q_m f(c_m) over the simplex {0 <= c_m <= 1, sum c = M},
 where f(c) = c + (1-c) c n_bar exp(-c n_bar) / Z is each file's offloading
-contribution. f is strictly increasing but concave only up to an inflection
-point c_inflect = ((4+n_bar) - sqrt(n_bar^2+8)) / (2 n_bar); for n_bar > 1
-its derivative turns back up on (c_inflect, 1], so the classical
-threshold/multiplier structure is applied to the concave envelope of f
-(derivative follows f' on [0, c_T], then stays at the chord slope s to
-c = 1, with c_T the tangency point). A multiplier bisection on the envelope
-yields a continuous budget curve; at most the files tied at the chord
-threshold need a residual completion, and a pairwise-transfer polish plus a
-joint Newton step restore exact stationarity on the true objective.
+contribution. f is concave only up to an inflection point
+c_inflect = ((4+n_bar) - sqrt(n_bar^2+8)) / (2 n_bar); for n_bar > 1 it is
+convex on (c_inflect, 1]. Its maximum is f(1) = 1, but when n_bar / Z is
+large f' turns negative around c_inflect, and so can the multiplier.
+
+The solver uses that structure directly. Files with tied popularity form one
+group that shares one caching probability (the symmetric tie-break). At a
+local maximum, with the groups ordered by popularity, a prefix of groups
+sits at 1, at most one group lies on the convex branch (two such groups
+could trade budget and both gain), the next groups lie on the concave
+branch with a common multiplier v = q_g f'(c_g), and the rest are 0. When
+v < 0 no group is 0, less popular groups take more budget, and the convex
+group is the least popular one. Tie groups of unequal size can hold the
+convex group at any position, so every position is tried for them. Every
+such shape is enumerated, each is solved for its multiplier, and the best
+one is kept.
 
 A brute-force simplex enumeration oracle and a concavity diagnostic are
 provided to certify solutions instead of assuming global concavity.
@@ -25,12 +32,19 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .analytic import NumericalError, compute_Z, offloading_closed_form_k1
-from .model import CachingPolicy, ContentLibrary, NetworkConfig, validate_policy
+from .model import (
+    CachingPolicy,
+    ContentLibrary,
+    NetworkConfig,
+    policy_cpf,
+    policy_uniform,
+    policy_zipf_proportional,
+    validate_policy,
+)
 
 __all__ = [
     "KktSolution",
     "marginal_gain",
-    "solve_c_given_v",
     "solve_p1",
     "grid_search_oracle",
     "concavity_report",
@@ -38,7 +52,9 @@ __all__ = [
 
 SUM_TOL = 1e-8
 STATIONARITY_TOL = 1e-8
+BASELINE_TOL = 1e-12
 _CLAMP_EPS = 1e-9
+_SCAN_POINTS = 257
 _ORACLE_MAX_POINTS = 20_000_000
 
 
@@ -48,7 +64,9 @@ class KktSolution:
 
     diagnostics keys: 'labels' (per-file 'clamped-0' | 'clamped-1' |
     'interior'), 'sum_residual', 'stationarity_residuals' (interior files,
-    same order as they appear), 'concavity_warnings', 'chord_completion'.
+    in file order), 'concavity_warnings', 'candidates' (number of
+    structural candidates solved). Tied popularities always get identical
+    caching probabilities.
     """
 
     policy: CachingPolicy
@@ -99,293 +117,255 @@ def _inflection_point(n_bar: float) -> float:
     return ((4.0 + n_bar) - math.sqrt(n_bar * n_bar + 8.0)) / (2.0 * n_bar)
 
 
-def _chord_tangency(n_bar: float, Z: float) -> tuple[float, float]:
-    """Tangency point c_T and slope s of the concave envelope's chord to c=1.
+class _ConcaveBranch:
+    """Caching probability on the concave branch [0, c_b], c_b = min(c_inflect, 1).
 
-    Returns (1.0, f'(1)) when the objective is already concave on [0, 1].
-    """
-    c_inflect = _inflection_point(n_bar)
-    if c_inflect >= 1.0:
-        return 1.0, float(_unit_marginal(1.0, n_bar, Z))
-
-    def gap(c):
-        # chord from (c, f(c)) to (1, f(1)=1) is tangent when slope = f'(c)
-        return float(
-            _unit_marginal(c, n_bar, Z) * (1.0 - c) - (1.0 - _unit_gain(c, n_bar, Z))
-        )
-
-    c_t = brentq(gap, 1e-12, c_inflect, xtol=1e-14, rtol=8.9e-16)
-    return float(c_t), float(_unit_marginal(c_t, n_bar, Z))
-
-
-def solve_c_given_v(v_star: float, q_m: float, n_bar: float, Z: float) -> float:
-    """Per-file threshold rule: caching probability with marginal value v_star.
-
-    Returns 1 when v_star is below the marginal at c=1, 0 when above the
-    marginal at c=0, otherwise a root of marginal_gain(c) = v_star in (0,1).
-    When the marginal is non-monotone (n_bar > 1) several roots can exist;
-    the root maximizing the budget-priced objective
-    q_m f(c) - v_star c is returned.
-    """
-    if q_m <= 0 or n_bar <= 0 or Z < 1:
-        raise ValueError("q_m and n_bar must be positive and Z >= 1")
-    if v_star < 0:
-        raise ValueError("multiplier must be >= 0")
-    upper = q_m * float(_unit_marginal(0.0, n_bar, Z))
-    lower = q_m * float(_unit_marginal(1.0, n_bar, Z))
-    if v_star >= upper:
-        return 0.0
-    if v_star <= lower:
-        return 1.0
-
-    v_hat = v_star / q_m
-
-    def g(c):
-        return float(_unit_marginal(c, n_bar, Z)) - v_hat
-
-    roots = []
-    for n_grid in (201, 10_001):  # coarse scan, then the fine fallback
-        grid = np.linspace(0.0, 1.0, n_grid)
-        vals = _unit_marginal(grid, n_bar, Z) - v_hat
-        sign_flip = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        roots = [
-            brentq(g, grid[i], grid[i + 1], xtol=1e-12, rtol=8.9e-16)
-            for i in sign_flip
-        ]
-        roots.extend(float(grid[i]) for i in np.nonzero(vals == 0.0)[0])
-        if roots:
-            break
-    if not roots:
-        raise NumericalError(
-            "no interior stationary point found between the thresholds",
-            diagnostics={"v_star": v_star, "q_m": q_m},
-        )
-    priced = [q_m * float(_unit_gain(c, n_bar, Z)) - v_star * c for c in roots]
-    return float(roots[int(np.argmax(priced))])
-
-
-class _EnvelopeRule:
-    """Vectorized per-file solution on the concave envelope.
-
-    On the envelope the marginal is f'(c) on [0, c_T] and constant s on
-    [c_T, 1], so c(v) is single-valued and the budget sum is monotone in v
-    up to the chord thresholds s*q_m, where c jumps from the tangency value
-    to 1. An inverse table plus Newton refinement gives c(v) to ~1e-14.
+    There the unit marginal phi = f' is decreasing and convex, so Newton's
+    method on phi(c) = y lands left of the root after at most one step and
+    then climbs to it monotonically.
     """
 
-    def __init__(self, n_bar, Z, c_t, slope):
-        self.n_bar, self.Z, self.c_t, self.slope = n_bar, Z, c_t, slope
-        c_grid = np.linspace(0.0, c_t, 1024)
-        phi = _unit_marginal(c_grid, n_bar, Z)
-        # strictly decreasing on [0, c_T]; store ascending for np.interp
-        self._phi_asc = phi[::-1].copy()
-        self._c_asc = c_grid[::-1].copy()
-        self.phi0 = float(phi[0])
+    def __init__(self, n_bar, Z):
+        self.n_bar, self.Z = n_bar, Z
+        self.c_b = min(_inflection_point(n_bar), 1.0)
+        # nodes cluster quadratically at c_b, where phi flattens when c_b = c_inflect
+        u = np.linspace(0.0, 1.0, 1025)
+        self._c_table = self.c_b * (1.0 - u * u)
+        self._phi_table = _unit_marginal(self._c_table, n_bar, Z)  # ascending
+        self.phi_b, self.phi0 = float(self._phi_table[0]), float(self._phi_table[-1])
+
+    def phi(self, c):
+        return _unit_marginal(c, self.n_bar, self.Z)
+
+    def interp(self, y):
+        """Table estimate of the root of phi(c) = y, clamped to [0, c_b]."""
+        return np.interp(y, self._phi_table, self._c_table)
 
     def __call__(self, v, q):
-        v_hat = v / q
-        c = np.ones_like(q)
-        c[v_hat >= self.phi0] = 0.0
-        branch = (v_hat >= self.slope) & (v_hat < self.phi0)
-        if branch.any():
-            guess = np.interp(v_hat[branch], self._phi_asc, self._c_asc)
-            for _ in range(4):
-                err = _unit_marginal(guess, self.n_bar, self.Z) - v_hat[branch]
-                deriv = _unit_marginal_prime(guess, self.n_bar, self.Z)
-                guess = np.clip(guess - err / deriv, 0.0, self.c_t)
-            c[branch] = guess
+        """Root of q phi(c) = v for each popularity q > 0: 0 where
+        v >= q phi(0), c_b where v <= q phi(c_b). Broadcasts v against q."""
+        v, q = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(q, dtype=float))
+        c = np.where(v <= q * self.phi_b, self.c_b, 0.0)
+        inside = (v > q * self.phi_b) & (v < q * self.phi0)
+        if inside.any():
+            y = v[inside] / q[inside]  # < phi0, so tiny q cannot overflow it
+            guess = self.interp(y)
+            todo = np.arange(y.size)
+            for _ in range(60):
+                g = guess[todo]
+                # the slope vanishes only at c_inflect, never at a root left of it
+                slope = np.minimum(_unit_marginal_prime(g, self.n_bar, self.Z), -1e-300)
+                step = (self.phi(g) - y[todo]) / slope
+                guess[todo] = np.clip(g - step, 0.0, self.c_b)
+                todo = todo[np.abs(step) > 1e-15]
+                if todo.size == 0:
+                    break
+            c[inside] = guess
         return c
 
 
-def _pairwise_polish(c, q, n_bar, Z, max_sweeps=80):
-    """Local improvement by budget transfers within file pairs.
+def _float_bisect(holds, lo: float, hi: float) -> tuple[float, float]:
+    """Adjacent floats lo <= a < b <= hi with holds(a) and not holds(b),
+    given holds(lo), not holds(hi) and a monotone predicate.
 
-    Repeatedly re-optimizes (c_i, c_j) at fixed c_i + c_j over all pairs
-    with distinct popularity until no transfer improves the objective.
-    Skipped entirely when any popularity ties exist, so that equal files
-    keep identical caching probabilities (the symmetric tie-break).
+    Bisects an integer key that orders all finite floats (the bit pattern,
+    negated for negative numbers), so a multiplier of any sign and scale is
+    resolved to one ulp in at most 64 steps.
     """
-    n_files = c.size
-    if np.unique(q).size < n_files:
-        return c, False
-    changed_any = False
-    for _ in range(max_sweeps):
-        changed = False
-        for i in range(n_files - 1):
-            for j in range(i + 1, n_files):
-                total = c[i] + c[j]
-                x_lo, x_hi = max(0.0, total - 1.0), min(1.0, total)
-                if x_hi - x_lo < 1e-12:
-                    continue
-                current = q[i] * _unit_gain(c[i], n_bar, Z) + q[j] * _unit_gain(
-                    c[j], n_bar, Z
-                )
-                xs = np.linspace(x_lo, x_hi, 41)
-                vals = q[i] * _unit_gain(xs, n_bar, Z) + q[j] * _unit_gain(
-                    total - xs, n_bar, Z
-                )
-                best = int(np.argmax(vals))
-                if vals[best] <= current + 1e-14:
-                    continue
-                # refine around the winning coarse node
-                step = xs[1] - xs[0]
-                fine = np.linspace(
-                    max(x_lo, xs[best] - step), min(x_hi, xs[best] + step), 201
-                )
-                fvals = q[i] * _unit_gain(fine, n_bar, Z) + q[j] * _unit_gain(
-                    total - fine, n_bar, Z
-                )
-                k = int(np.argmax(fvals))
-                if fvals[k] > current + 1e-14:
-                    c[i], c[j] = float(fine[k]), float(total - fine[k])
-                    changed = changed_any = True
-        if not changed:
-            break
-    return c, changed_any
+
+    def key(x):
+        bits = int(np.float64(x).view(np.int64))
+        return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+    def value(k):
+        return float(np.int64(k if k >= 0 else -k - 2**63).view(np.float64))
+
+    a, b = key(lo), key(hi)
+    while b - a > 1:
+        mid = (a + b) // 2
+        if holds(value(mid)):
+            a = mid
+        else:
+            b = mid
+    return value(a), value(b)
 
 
-def _newton_refine(c, q, n_bar, Z, interior, budget):
-    """Equalize interior marginals at a common multiplier and pin the sum.
+def _candidates(q, sizes, budget, branch):
+    """Yield (c, v) per tie group for every structural candidate.
 
-    Solves marginal_m(c_m) = v for all interior m together with
-    sum(c_interior) = budget by a damped Newton iteration started from the
-    polished point. Returns (c, v, converged).
+    A candidate puts the first k groups at 1 and leaves rest = budget -
+    (their size) to the others, either all on the concave branch at a
+    common multiplier v, or with one group j on the convex branch at c_j,
+    where v = q_j phi(c_j) and the budget fixes c_j. Group j is group k, or
+    the least popular group when v < 0, or any free group when the free
+    tie groups differ in size. A concave-branch shape whose
+    v exceeds the marginal q phi(1) of its last group at 1 is no maximum
+    (that group would rather give budget away) and is skipped.
     """
-    idx = np.nonzero(interior)[0]
-    if idx.size == 0:
-        return c, 0.0, True
-    v = float(np.mean(q[idx] * _unit_marginal(c[idx], n_bar, Z)))
-    for _ in range(60):
-        ci = c[idx]
-        phi = q[idx] * _unit_marginal(ci, n_bar, Z)
-        dphi = q[idx] * _unit_marginal_prime(ci, n_bar, Z)
-        if np.any(np.abs(dphi) < 1e-13):
-            return c, v, False  # marginal locally flat; keep polished point
-        gap = float(budget - ci.sum())
-        dv = (gap - float(((v - phi) / dphi).sum())) / float((1.0 / dphi).sum())
-        dc = (v + dv - phi) / dphi
-        scale = 1.0
-        limit = np.max(np.abs(dc))
-        if limit > 0.25:
-            scale = 0.25 / limit
-        c[idx] = np.clip(ci + scale * dc, 1e-12, 1.0 - 1e-12)
-        v += scale * dv
-        if (
-            np.max(np.abs(q[idx] * _unit_marginal(c[idx], n_bar, Z) - v)) < 1e-12
-            and abs(budget - c[idx].sum()) < 1e-12
-        ):
-            return c, v, True
-    resid = np.max(np.abs(q[idx] * _unit_marginal(c[idx], n_bar, Z) - v))
-    return c, v, resid < STATIONARITY_TOL
+    n_groups = q.size
+    prefix = np.concatenate([[0], np.cumsum(sizes)])
+    for k in range(n_groups):
+        rest = budget - prefix[k]
+        if rest < 0:
+            return
+        c = np.zeros(n_groups)
+        c[:k] = 1.0
+        if rest == 0:
+            yield c, q[k] * branch.phi0
+            return
+        free_q, free_n = q[k:], sizes[k:]
+
+        def budget_at(v):
+            return branch(v, free_q) @ free_n
+
+        # below v_lo every free group sits at c_b; the multiplier is negative
+        # when the budget forces groups past the peak of f
+        v_lo = q[k] * min(branch.phi_b, 0.0)
+        v_cap = q[k - 1] * float(branch.phi(1.0)) if k else np.inf
+        if budget_at(v_lo) >= rest >= budget_at(v_cap):
+            pair = _float_bisect(lambda v: budget_at(v) >= rest, v_lo, q[k] * branch.phi0)
+            v = min(pair, key=lambda x: abs(budget_at(x) - rest))
+            concave = c.copy()
+            concave[k:] = branch(v, free_q)
+            yield concave, v
+        if branch.c_b >= 1.0:
+            continue
+        if np.any(sizes[k:] != sizes[k]):
+            # tie groups of unequal size can put the convex group anywhere
+            for j in range(k, n_groups):
+                yield from _convex_candidates(q, sizes, k, j, rest, c, branch)
+            continue
+        yield from _convex_candidates(q, sizes, k, k, rest, c, branch)
+        if branch.phi_b < 0.0 and k < n_groups - 1:
+            last = _convex_candidates(q, sizes, k, n_groups - 1, rest, c, branch)
+            yield from ((cand, v) for cand, v in last if v < 0.0)
+
+
+def _convex_candidates(q, sizes, k, j, rest, c, branch):
+    """Candidates with groups k.. free and group j on the convex branch.
+
+    The convex branch is (c_inflect, 1). With v = q_j phi(c_j) >= 0 the
+    convex group has the largest free c and follows the groups at 1
+    (j = k). With v < 0, possible only when phi(c_inflect) < 0, every free
+    group sits past the peak of f, where f falls with c: less popular groups
+    take more budget, and the convex group, whose f is lowest, is the least
+    popular one. The budget residual R(c_j) has dR/dc_j >= 0 exactly when
+    the second-order condition for a maximum holds, so only its upward sign
+    changes on a scan of c_j are refined to roots. Since
+    v >= q_j phi(c_inflect), a group with q phi(0) at or below that value
+    stays at 0 and is left out of R.
+    """
+    others = np.r_[k:j, j + 1:q.size]
+    act = others[q[others] * branch.phi0 > q[j] * branch.phi_b]
+    act_q, act_n = q[act], sizes[act]
+    c = c.copy()
+
+    def budget_gap(c_j, v):
+        return sizes[j] * c_j + branch(v, act_q) @ act_n - rest
+
+    def residual(c_j):
+        return budget_gap(c_j, q[j] * branch.phi(c_j))
+
+    # the other groups shrink as v = q_j phi(c_j) grows, so R(c_j) lies
+    # between these two values on the whole branch
+    if (budget_gap(1.0, q[j] * branch.phi_b) < 0.0
+            or budget_gap(branch.c_b, q[j] * branch.phi(1.0)) > 0.0):
+        return
+    grid = np.linspace(branch.c_b, 1.0, _SCAN_POINTS)
+    # the table estimate is close enough to locate sign changes; each is
+    # checked with the exact residual before it is refined
+    y = (q[j] * branch.phi(grid))[:, None] / act_q
+    scan = sizes[j] * grid + branch.interp(y) @ act_n - rest
+    for i in np.flatnonzero((scan[:-1] < 0.0) & (scan[1:] >= 0.0)):
+        lo, hi = grid[i], grid[i + 1]
+        if residual(lo) > 0.0 or residual(hi) < 0.0:
+            continue
+        c_j = brentq(residual, lo, hi, xtol=1e-15)
+        v = q[j] * float(branch.phi(c_j))
+        c[j] = c_j
+        c[act] = branch(v, act_q)
+        yield c.copy(), v
 
 
 def solve_p1(library: ContentLibrary, cfg: NetworkConfig) -> KktSolution:
     """Optimal probabilistic caching for the single-caterer offloading bound.
 
-    Bisects the budget multiplier over the concave-envelope per-file rule
-    (continuous except at the chord thresholds), completes any file tied at
-    its threshold with the residual budget, polishes with pairwise budget
-    transfers on the true objective, and Newton-refines interior files to a
-    common marginal. Constraint residual and interior stationarity are both
-    driven below 1e-8; concavity caveats are reported in diagnostics, and
-    the result is guaranteed not to fall below any baseline policy.
+    Groups tied popularities, enumerates the structural candidates (groups
+    at 1, an optional convex-branch group, concave-branch groups at a
+    common multiplier, zeros) and keeps the best. Files of zero popularity
+    take budget only once every other file is at 1. Raises NumericalError
+    when the result misses the budget or interior stationarity by more than
+    1e-8, or scores below a baseline policy.
     """
     q = library.popularity
     n_files, budget = library.n_files, float(library.cache_size)
     if library.cache_size >= n_files:
         raise ValueError("cache budget must be smaller than the library")
     n_bar, z = cfg.n_bar, compute_Z(cfg)
-    c_t, slope = _chord_tangency(n_bar, z)
-    rule = _EnvelopeRule(n_bar, z, c_t, slope)
+    branch = _ConcaveBranch(n_bar, z)
     warnings = []
-    if c_t < 1.0:
-        warnings.append(
-            f"per-file objective is convex on ({_inflection_point(n_bar):.4f}, 1]; "
-            f"concave envelope used with chord tangency at c = {c_t:.4f}"
-        )
+    if branch.c_b < 1.0:
+        warnings.append(f"per-file objective is convex on ({branch.c_b:.4f}, 1]")
 
-    v_lo, v_hi = 0.0, float(q.max()) * rule.phi0
-    for _ in range(200):
-        v_mid = 0.5 * (v_lo + v_hi)
-        if rule(v_mid, q).sum() >= budget:
-            v_lo = v_mid
-        else:
-            v_hi = v_mid
-    c_low_v, c_high_v = rule(v_lo, q), rule(v_hi, q)
-    v_star = 0.5 * (v_lo + v_hi)
-
-    chord_completion = False
-    c = c_high_v.copy()
-    if abs(c.sum() - budget) > 1e-10:
-        flipped = np.abs(c_low_v - c_high_v) > 1e-6
-        if flipped.any():
-            chord_completion = True
-            residual = budget - c[~flipped].sum()
-            c[flipped] = residual / flipped.sum()
-        # any remaining mismatch is repaired by the Newton step below
-
-    def finish(start):
-        """Polish, order, and Newton-refine a feasible start; returns the
-        final vector, multiplier, stationarity flag."""
-        vec, _ = _pairwise_polish(start.copy(), q, n_bar, z)
-        # give larger caching probabilities to more popular files; the gain
-        # is increasing in c, so this rearrangement never hurts
-        vec = np.sort(vec)[::-1].copy()
-        inner = (vec > _CLAMP_EPS) & (vec < 1.0 - _CLAMP_EPS)
-        fixed_sum = vec[~inner].round().sum()
-        vec, v_ref, ok = _newton_refine(vec, q, n_bar, z, inner, budget - fixed_sum)
-        vec[~inner] = vec[~inner].round()  # snap clamped files to exact 0 / 1
-        drift = budget - vec.sum()
-        if inner.any() and drift != 0.0:
-            vec[np.nonzero(inner)[0][0]] += drift
-        return np.clip(vec, 0.0, 1.0), v_ref, ok, inner
-
-    c, v_refined, converged, interior = finish(c)
-    if interior.any():
-        v_star = v_refined
-    if not converged:
-        warnings.append("interior stationarity refinement did not fully converge")
-    objective = offloading_closed_form_k1(CachingPolicy(c), library, cfg)
-
-    # never fall below a constructor baseline: restart the finish pipeline
-    # from any baseline that scores higher (guards a poor local optimum)
-    from .model import policy_cpf, policy_uniform, policy_zipf_proportional
-
-    for baseline in (policy_zipf_proportional, policy_cpf, policy_uniform):
-        cand = baseline(library)
-        if offloading_closed_form_k1(cand, library, cfg) > objective + 1e-12:
-            c_alt, v_alt, ok_alt, inner_alt = finish(cand.probs.copy())
-            alt_obj = offloading_closed_form_k1(CachingPolicy(c_alt), library, cfg)
-            if alt_obj > objective:
-                c, objective, interior = c_alt, alt_obj, inner_alt
-                if inner_alt.any():
-                    v_star = v_alt
-                warnings.append("restarted from a dominating baseline policy")
+    starts = np.flatnonzero(np.r_[True, q[1:] != q[:-1]])
+    sizes = np.diff(np.r_[starts, n_files])
+    q_g = q[starts]
+    positive = q_g > 0
+    n_candidates = 0
+    if sizes[positive].sum() <= budget:
+        # only zero-popularity files are left to take the remaining budget
+        c_g = positive.astype(float)
+        c_g[~positive] = (budget - sizes[positive].sum()) / sizes[~positive]
+        v_star = 0.0
+    else:
+        q_pos, n_pos = q_g[positive], sizes[positive]
+        best, c_pos = -np.inf, None
+        for cand, v in _candidates(q_pos, n_pos, budget, branch):
+            n_candidates += 1
+            value = float(_unit_gain(cand, n_bar, z) @ (n_pos * q_pos))
+            if value > best:
+                best, c_pos, v_star = value, cand, v
+        if c_pos is None:
+            raise NumericalError("no structural candidate meets the cache budget",
+                                 diagnostics={"n_bar": n_bar, "Z": z, "groups": q_pos.size})
+        c_g = np.zeros(q_g.size)
+        c_g[positive] = c_pos
+    # snap clamped groups to exact 0 and 1; the interior groups absorb the
+    # budget drift of the snap and of the multiplier's last ulp
+    c_g[c_g <= _CLAMP_EPS] = 0.0
+    c_g[c_g >= 1.0 - _CLAMP_EPS] = 1.0
+    inner = (c_g > 0.0) & (c_g < 1.0)
+    if inner.any():
+        c_g[inner] += (budget - sizes @ c_g) / sizes[inner].sum()
+    c = np.repeat(c_g, sizes)
 
     policy = CachingPolicy(c)
     violations = validate_policy(policy, library)
     if violations:
         raise NumericalError("optimizer produced an infeasible policy: "
                              + "; ".join(violations))
-
-    labels = [
-        "clamped-1" if ci >= 1.0 - _CLAMP_EPS
-        else "clamped-0" if ci <= _CLAMP_EPS
-        else "interior"
-        for ci in c
-    ]
-    interior_idx = np.nonzero(interior)[0]
-    stationarity = [
-        float(abs(q[m] * _unit_marginal(c[m], n_bar, z) - v_star))
-        for m in interior_idx
-    ]
+    objective = offloading_closed_form_k1(policy, library, cfg)
+    labels = ["clamped-1" if ci == 1.0 else "clamped-0" if ci == 0.0 else "interior"
+              for ci in c]
+    interior = (c > 0.0) & (c < 1.0)
+    stationarity = np.abs(q[interior] * branch.phi(c[interior]) - v_star).tolist()
     diagnostics = {
         "labels": labels,
         "sum_residual": float(abs(c.sum() - budget)),
         "stationarity_residuals": stationarity,
         "concavity_warnings": warnings,
-        "chord_completion": chord_completion,
+        "candidates": n_candidates,
     }
+    if (diagnostics["sum_residual"] > SUM_TOL
+            or max(stationarity, default=0.0) > STATIONARITY_TOL):
+        raise NumericalError("structural solve missed the budget or stationarity "
+                             "tolerance", diagnostics=diagnostics)
+    for baseline in (policy_zipf_proportional, policy_cpf, policy_uniform):
+        value = offloading_closed_form_k1(baseline(library), library, cfg)
+        if value > objective + BASELINE_TOL:
+            raise NumericalError(
+                f"{baseline.__name__} scores {value!r} above the solution {objective!r}",
+                diagnostics=diagnostics)
     return KktSolution(
         policy=policy, multiplier=float(v_star), objective=float(objective),
         diagnostics=diagnostics,

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -207,6 +208,14 @@ class TestBaselinePolicies:
         assert c[0] == 1.0
         assert c[1] > 0.99 and c[2] < 0.01
         assert math.isclose(c.sum(), 2.0, abs_tol=1e-9)
+
+    def test_zipf_proportional_zero_popularity_tail(self):
+        lib = ContentLibrary(n_files=6, beta=0.0, cache_size=4,
+                             popularity=np.array([0.6, 0.4, 0.0, 0.0, 0.0, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = policy_zipf_proportional(lib).probs
+        assert c.tolist() == [1.0, 1.0, 0.5, 0.5, 0.5, 0.5]
 
     @pytest.mark.parametrize("n,beta,m", [
         (10, 0.0, 5), (100, 0.5, 5), (20, 1.3, 7), (5, 3.0, 3), (50, 2.5, 10),

@@ -1,13 +1,16 @@
-"""Cache-placement optimizer: marginals, threshold rule, KKT solve, oracle.
+"""Cache-placement optimizer: marginals, structural KKT solve, oracle.
 
 Frozen expected values were produced by 30-digit arbitrary-precision
 evaluation of the stated formulas before these tests were written.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from d2dcache.analytic import compute_Z, offloading_closed_form_k1
 from d2dcache.model import (
@@ -20,14 +23,10 @@ from d2dcache.model import (
     validate_policy,
 )
 from d2dcache.optimizer import (
-    _chord_tangency,
-    _inflection_point,
     _unit_gain,
-    _unit_marginal,
     concavity_report,
     grid_search_oracle,
     marginal_gain,
-    solve_c_given_v,
     solve_p1,
 )
 
@@ -76,70 +75,6 @@ class TestMarginalGain:
             marginal_gain(1.1, 0.1, 8.0, Z_REF)
 
 
-class TestSolveCGivenV:
-    def test_zero_multiplier_caches_fully(self):
-        assert solve_c_given_v(0.0, 0.1, 8.0, Z_REF) == 1.0
-
-    def test_above_upper_threshold_drops_file(self):
-        q = 0.1
-        v = q * (1.0 + 8.0 / Z_REF) * 1.01
-        assert solve_c_given_v(v, q, 8.0, Z_REF) == 0.0
-
-    def test_round_trip_concave_regime(self):
-        # with n_bar <= 1 the marginal is strictly decreasing, so the rule
-        # inverts it exactly: c -> marginal -> rule recovers c
-        q, n_bar = 0.3, 0.8
-        c0 = 0.3
-        v = marginal_gain(c0, q, n_bar, Z_REF)
-        c = solve_c_given_v(v, q, n_bar, Z_REF)
-        assert abs(marginal_gain(c, q, n_bar, Z_REF) - v) < 1e-8
-        assert c == pytest.approx(c0, abs=1e-9)
-
-    def test_band_between_thresholds_has_interior_root(self):
-        # n_bar = 8: the marginal falls to a dip then climbs back to its
-        # c=1 value, so multipliers strictly between the two thresholds
-        # meet it exactly once, on the falling branch
-        q, n_bar = 0.1, 8.0
-        lo = q * float(_unit_marginal(1.0, n_bar, Z_REF))
-        hi = q * float(_unit_marginal(0.0, n_bar, Z_REF))
-        v = 0.5 * (lo + hi)
-        c = solve_c_given_v(v, q, n_bar, Z_REF)
-        assert 0.0 < c < _inflection_point(n_bar)
-        assert abs(marginal_gain(c, q, n_bar, Z_REF) - v) < 1e-8
-
-    def test_dip_multiplier_resolved_by_threshold_rule(self):
-        # multipliers inside the dip would match interior roots as well,
-        # but the three-case rule checks the c=1 threshold first and
-        # caches the file fully
-        q, n_bar = 0.1, 8.0
-        v = marginal_gain(0.5, q, n_bar, Z_REF)
-        assert v < q * float(_unit_marginal(1.0, n_bar, Z_REF))
-        assert solve_c_given_v(v, q, n_bar, Z_REF) == 1.0
-
-    def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            solve_c_given_v(0.1, -0.1, 8.0, Z_REF)
-        with pytest.raises(ValueError):
-            solve_c_given_v(-0.1, 0.1, 8.0, Z_REF)
-        with pytest.raises(ValueError):
-            solve_c_given_v(0.1, 0.1, 8.0, 0.5)
-
-
-class TestChordTangency:
-    def test_tangency_conditions(self):
-        c_t, slope = _chord_tangency(8.0, Z_REF)
-        assert 0.0 < c_t < _inflection_point(8.0) < 1.0
-        assert slope == pytest.approx(float(_unit_marginal(c_t, 8.0, Z_REF)), rel=1e-12)
-        # chord from (c_t, f(c_t)) to (1, 1) has slope equal to f'(c_t)
-        chord = (1.0 - float(_unit_gain(c_t, 8.0, Z_REF))) / (1.0 - c_t)
-        assert chord == pytest.approx(slope, rel=1e-10)
-
-    def test_concave_case_degenerates(self):
-        c_t, slope = _chord_tangency(0.8, Z_REF)
-        assert c_t == 1.0
-        assert slope == pytest.approx(float(_unit_marginal(1.0, 0.8, Z_REF)))
-
-
 class TestSolveP1:
     def test_reference_scenario_feasible(self, ref_cfg, ref_library):
         sol = solve_p1(ref_library, ref_cfg)
@@ -186,6 +121,90 @@ class TestSolveP1:
         sol = solve_p1(ref_library, ref_cfg)
         upper = float(ref_library.popularity.max()) * (1.0 + ref_cfg.n_bar / Z_REF)
         assert 0.0 <= sol.multiplier <= upper
+
+    def test_reaches_structural_optimum(self, ref_cfg):
+        # sigma 10 m, n_bar 2: the optimum puts two files at 1 and spreads
+        # the rest on the concave branch; pairwise budget transfers from the
+        # concave-envelope solution stall at 0.205082450004
+        cfg = ref_cfg.with_(sigma=10.0, n_bar=2.0)
+        lib = ContentLibrary.from_zipf(100, 0.5, 5)
+        assert solve_p1(lib, cfg).objective >= 0.205117884671 - 1e-12
+
+    def test_partial_ties_share_one_probability(self, ref_cfg):
+        q = np.array([0.3, 0.2, 0.2, 0.1, 0.1, 0.1])
+        for budget in (1, 2, 3, 4):
+            lib = ContentLibrary(n_files=6, beta=0.0, cache_size=budget, popularity=q)
+            sol = solve_p1(lib, ref_cfg)
+            c = sol.policy.probs
+            assert c[1] == c[2] and c[3] == c[4] == c[5]
+            assert validate_policy(sol.policy, lib) == []
+            for build in (policy_cpf, policy_uniform, policy_zipf_proportional):
+                base = offloading_closed_form_k1(build(lib), lib, ref_cfg)
+                assert sol.objective >= base - 1e-12
+
+    @pytest.mark.parametrize("sigma", [10.0, 50.0])
+    @pytest.mark.parametrize("beta", [0.5, 1.0])
+    def test_large_library_converges_silently(self, ref_cfg, sigma, beta):
+        lib = ContentLibrary.from_zipf(1000, beta, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_p1(lib, ref_cfg.with_(sigma=sigma))
+        assert sol.diagnostics["sum_residual"] <= 1e-8
+        assert max(sol.diagnostics["stationarity_residuals"], default=0.0) <= 1e-8
+
+    def test_zero_and_underflowed_popularities(self, ref_cfg):
+        # Zipf 400 underflows: ranks 6 on are subnormal or exactly zero
+        lib = ContentLibrary.from_zipf(20, 400.0, 5)
+        assert lib.popularity[-1] == 0.0 and 0.0 < lib.popularity[5] < 1e-300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_p1(lib, ref_cfg)
+        assert validate_policy(sol.policy, lib) == []
+        assert sol.policy.probs[0] == 1.0
+
+    def test_zero_popularity_files_take_leftover_budget(self, ref_cfg):
+        q = np.array([0.6, 0.4, 0.0, 0.0, 0.0, 0.0])
+        lib = ContentLibrary(n_files=6, beta=0.0, cache_size=4, popularity=q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = solve_p1(lib, ref_cfg).policy.probs
+        assert c.tolist() == [1.0, 1.0, 0.5, 0.5, 0.5, 0.5]
+
+
+@st.composite
+def _instances(draw):
+    n_files = draw(st.integers(3, 2000))
+    budget = draw(st.integers(1, min(n_files - 1, 50)))
+    lib = ContentLibrary.from_zipf(n_files, draw(st.floats(0.0, 3.0)), budget)
+    cfg = NetworkConfig(lambda_p=40e-6, n_bar=draw(st.floats(0.5, 30.0)),
+                        sigma=draw(st.floats(5.0, 200.0)), alpha=4.0,
+                        theta=10.0 ** (draw(st.floats(-10.0, 30.0)) / 10.0))
+    return lib, cfg
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_instances())
+def test_solve_p1_properties(instance):
+    lib, cfg = instance
+    sol = solve_p1(lib, cfg)
+    c = sol.policy.probs
+    assert validate_policy(sol.policy, lib) == []
+    assert sol.diagnostics["sum_residual"] <= 1e-8
+    assert max(sol.diagnostics["stationarity_residuals"], default=0.0) <= 1e-8
+    for build in (policy_cpf, policy_uniform, policy_zipf_proportional):
+        assert sol.objective >= offloading_closed_form_k1(build(lib), lib, cfg) - 1e-12
+    # c is ordered by rank unless rounding at tiny beta ties popularities
+    # into groups of unequal size, which may put the convex group anywhere
+    starts = np.flatnonzero(np.r_[True, np.diff(lib.popularity) != 0.0, True])
+    if np.unique(np.diff(starts)).size == 1:
+        if sol.multiplier >= 0.0:
+            assert np.all(np.diff(c) <= 0.0)
+        else:
+            # every file below 1 is past the peak of the per-file gain f:
+            # less popular files take more c but get less f(c)
+            gain = _unit_gain(c, cfg.n_bar, compute_Z(cfg))
+            assert np.all(np.diff(gain) <= 1e-15)
+    assert np.array_equal(solve_p1(lib, cfg.with_(gamma_d=7.5)).policy.probs, c)
 
 
 class TestGridSearchOracle:
