@@ -27,7 +27,8 @@ for beta in (0.0, 0.5, 1.0, 1.5):
     opt = solve_p1(lib, cfg)
     prop = offloading_closed_form_k1(policy_zipf_proportional(lib), lib, cfg)
     cpf = offloading_closed_form_k1(policy_cpf(lib), lib, cfg)
-    gain = (opt.objective - prop) / prop
+    # round to the printed precision first, so a 2e-17 tie prints as 0.0%
+    gain = round((opt.objective - prop) / prop, 3) + 0.0
     print(f"{beta:>5.2f} {opt.objective:>10.4f} {prop:>13.4f} "
           f"{cpf:>13.4f} {gain:>7.1%}")
 print()

@@ -1,9 +1,11 @@
 """Monte Carlo event simulation against the analytic predictions.
 
-Draws full network realizations (cluster centers, member offsets, fading,
-cache states), measures cooperative coverage and offloading frequencies, and
-checks them against the exact transform-based coverage and the closed-form
-offloading lower bound. Fixed seeds make every number here reproducible.
+Draws each trial's caterers and the interfering clusters near the requesting
+device, averages the success probability given that geometry (fading is
+integrated out, and the clusters beyond the near radius enter through their
+exact far-field factor), and checks the estimates against the exact
+transform-based coverage and the closed-form offloading lower bound. Fixed
+seeds make every number here reproducible.
 """
 
 from d2dcache.analytic import (

@@ -254,7 +254,8 @@ def _exponent_ppp(t_gamma: float, cfg: NetworkConfig) -> float:
     )
 
 
-def _exponents_exact(t_gamma, cfg: NetworkConfig, quad: QuadratureSpec):
+def _exponents_exact(t_gamma, cfg: NetworkConfig, quad: QuadratureSpec,
+                     v_inner: float = 0.0):
     """Exponents E(t) = -ln L_I(t) of the exact cluster-process transform
     at a 1-D array of positive t_gamma.
 
@@ -275,6 +276,14 @@ def _exponents_exact(t_gamma, cfg: NetworkConfig, quad: QuadratureSpec):
     is built once per Gauss order for the whole batch, and a t's result
     does not depend on the other members of the batch.
 
+    With v_inner > 0 the result is the far-field exponent: only clusters
+    centered beyond v_inner count. v_inner becomes a grid edge, and on the
+    panels inside it the correction integrand is replaced by n_bar*zeta, so
+    the closed-form term minus the near-disc mean leaves
+    2 pi lambda_p * integral from v_inner of (1 - exp(-n_bar zeta)) v dv.
+    Its truncation tolerance is abs_tol: the far exponent enters a
+    probability as exp(-F), so its absolute error is what counts.
+
     Returns (exponents, error_estimates) as two arrays.
     """
     sigma, alpha = cfg.sigma, cfg.alpha
@@ -282,14 +291,21 @@ def _exponents_exact(t_gamma, cfg: NetworkConfig, quad: QuadratureSpec):
     half_width = _window_halfwidth(cfg, quad)
     # radius floor: twice the window, and ten cluster spreads plus five radii
     # of the disc that holds one parent on average
-    v_floor = max(2.0 * half_width, 10.0 * sigma + 5.0 / math.sqrt(math.pi * lam))
+    v_floor = max(2.0 * half_width, 10.0 * sigma + 5.0 / math.sqrt(math.pi * lam), v_inner)
     n_lin = max(1, math.ceil(half_width / sigma))
     n_log = max(2, math.ceil(_LOG_PANELS_PER_DECADE * math.log10(v_floor / half_width)))
+    base_edges = np.concatenate([
+        np.linspace(0.0, half_width, n_lin + 1),
+        np.geomspace(half_width, v_floor, n_log + 1)[1:],
+    ])
+    if v_inner > 0:
+        base_edges = np.union1d(base_edges, [v_inner])
+    n_near = int(np.searchsorted(base_edges, v_inner))  # panels inside v_inner
 
     nodes = []
     for t in np.asarray(t_gamma, dtype=float):
         e_ppp = _exponent_ppp(t, cfg)
-        tol = max(quad.abs_tol, quad.rel_tol * e_ppp)
+        tol = quad.abs_tol if n_near else max(quad.abs_tol, quad.rel_tol * e_ppp)
         # truncation radius: correction integrand <= (n_bar*zeta)^2/2 with
         # zeta <= 2^alpha t_gamma v^-alpha once v exceeds twice the window
         tail_coeff = math.pi * lam * n_bar**2 * 4.0**alpha * t**2 / (2 * alpha - 2)
@@ -300,8 +316,7 @@ def _exponents_exact(t_gamma, cfg: NetworkConfig, quad: QuadratureSpec):
 
     n_extra_max = max((n_extra for *_, n_extra in nodes), default=0)
     edges = np.concatenate([
-        np.linspace(0.0, half_width, n_lin + 1),
-        np.geomspace(half_width, v_floor, n_log + 1)[1:],
+        base_edges,
         v_floor * 10.0 ** (np.arange(1, n_extra_max + 1) / _LOG_PANELS_PER_DECADE),
     ])
     grids = []
@@ -312,12 +327,13 @@ def _exponents_exact(t_gamma, cfg: NetworkConfig, quad: QuadratureSpec):
     exponents = np.empty(len(nodes))
     errors = np.empty(len(nodes))
     for i, (t, e_ppp, tail_coeff, n_extra) in enumerate(nodes):
-        n_panels = n_lin + n_log + n_extra
+        n_panels = base_edges.size - 1 + n_extra
         results = []
         for order, v_nodes, v_weights, zeta_rows in grids:
             rows = n_panels * order
             nz = n_bar * zeta_rows(t, rows)
             correction_integrand = nz + np.expm1(-nz)
+            correction_integrand[:n_near * order] = nz[:n_near * order]
             correction = 2.0 * math.pi * lam * float(
                 (v_weights[:rows] * correction_integrand * v_nodes[:rows]).sum()
             )

@@ -1,11 +1,30 @@
 """Monte Carlo simulation of the clustered D2D network.
 
-Ground truth for the analytic module: draws the parent point process, the
-representative cluster of the requesting device, fading, and cache
-placements, then measures SIR coverage and offloading frequencies
-directly. Interference is worst-case: every device outside the
-representative cluster transmits, while inside it only the devices holding
-the requested file (the caterers, transmitting jointly) are active.
+Ground truth for the analytic module. Interference is worst-case: every
+device outside the representative cluster transmits, while inside it only
+the devices holding the requested file (the caterers, transmitting
+jointly) are active.
+
+The estimators simulate only the near field. Each trial draws the
+caterers of the requesting device's cluster and the interfering clusters
+whose parents lie within the near radius r_sim, and contributes its
+success probability given that geometry,
+
+    exp(-sum_j ln(1 + t d_j^-alpha) - F(t)),   t = theta / sum_i h_i^-alpha,
+
+or 0 when there is no caterer. Under joint Rayleigh transmission the
+desired power is S Exp(1) with S = sum_i h_i^-alpha, so the SIR test
+passes with probability exp(-t I); averaging each interferer's Rayleigh
+fading turns that into the product over the near interferers at
+distances d_j. The clusters centered beyond r_sim contribute the exact
+factor exp(-F(t)) of the parent process's probability generating
+functional, F(t) = 2 pi lambda_p * integral from r_sim of
+(1 - exp(-n_bar zeta(v, t))) v dv, taken from analytic._exponents_exact
+and tabulated once per estimator call over the t range of its trials.
+Replacing the success indicator by its conditional expectation
+(conditional Monte Carlo) removes the fading draws and lowers the
+per-trial variance; half-widths come from the sample variance of the
+per-trial values.
 
 Intra-cluster link distances follow the model used by the analysis: each
 link between the requesting device and a fellow member is an independent
@@ -14,15 +33,16 @@ scatter terms folded together per link). The recorded representative
 center, at a Rayleigh(sigma) distance from the origin, documents the
 cluster geometry but does not couple the member displacements.
 
-The SIR is always formed as desired power over interference power with the
-common transmit power cancelled, so results are bit-for-bit independent of
-the configured power scaling. All randomness flows from a counter-based
-Philox generator keyed by the caller's seed; fixed seed and trial count
-reproduce results exactly.
+t = theta / S is free of the transmit power, so results are bit-for-bit
+independent of the configured power scaling. All randomness flows from a
+counter-based Philox generator keyed by the caller's seed; fixed seed and
+trial count reproduce results exactly.
 
-Per-trial object APIs (sample_network / simulate_request) exist for
-inspection and tests; the estimators use a chunked vectorized path that
-handles ~1e5 trials in seconds.
+The per-trial object APIs (sample_network / attach_caches /
+simulate_request) draw one explicit window with fading and test the SIR
+directly. They are the brute-force reference: they have no far-field
+factor, so a check against the estimators passes a window radius far
+larger than the default near radius.
 """
 
 from __future__ import annotations
@@ -32,7 +52,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
+from .analytic import NumericalError, QuadratureSpec, _exponents_exact
 from .model import CachingPolicy, ContentLibrary, NetworkConfig, require_valid_policy
 
 __all__ = [
@@ -64,6 +86,11 @@ OUTCOMES = (
 
 MIN_TRIALS = 1000
 _CHUNK = 1024
+# far-field table: spline nodes per decade of t, padding factor on each end
+# of the trials' t range, and the largest error estimate it accepts
+_FAR_NODES_PER_DECADE = 24
+_FAR_PAD = 10.0**0.25
+_FAR_MAX_ERROR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -106,8 +133,9 @@ class MonteCarloEstimate:
 
 
 def default_sim_radius(cfg: NetworkConfig) -> float:
-    """Simulation window radius: covers the dominant interference mass."""
-    return 20.0 / math.sqrt(math.pi * cfg.lambda_p) + 10.0 * cfg.sigma
+    """Near-field radius: four cluster spreads plus the radius of the disc
+    that holds four parents on average, 4 sigma + 2 / sqrt(pi lambda_p)."""
+    return 4.0 * cfg.sigma + 2.0 / math.sqrt(math.pi * cfg.lambda_p)
 
 
 def _as_generator(seed) -> np.random.Generator:
@@ -118,13 +146,13 @@ def _as_generator(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _bernoulli_half_width(mean: float, trials: int) -> float:
-    return 1.96 * math.sqrt(max(mean * (1.0 - mean), 0.0) / trials)
-
-
 def sample_network(cfg: NetworkConfig, r_sim: float | None = None,
                    seed=0) -> TcpRealization:
-    """Draw one network realization (no cache placement attached)."""
+    """Draw one network realization (no cache placement attached).
+
+    Parents are drawn in the disc of radius r_sim, by default the near
+    radius; nothing beyond it is represented.
+    """
     rng = _as_generator(seed)
     if r_sim is None:
         r_sim = default_sim_radius(cfg)
@@ -217,66 +245,114 @@ def simulate_request(realization: TcpRealization, policy: CachingPolicy,
     return OUTCOME_D2D_SIR_FAIL
 
 
-def _coverage_chunk(c_of_trial: np.ndarray, cfg: NetworkConfig, r_sim: float,
-                    rng: np.random.Generator):
-    """Vectorized coverage trials; per-trial caching probability c_of_trial.
+def _draw_caterers(c_of_trial: np.ndarray, cfg: NetworkConfig,
+                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Caterers of each trial's cluster: (t, k) with t = theta / sum_i h_i^-alpha.
 
-    Returns (success, k) boolean / integer arrays of chunk length. Success
-    means at least one caterer and the joint SIR meets the threshold.
+    Member counts are Poisson(n_bar) and each member caches the file with
+    probability c, so the caterer count k is Poisson(c n_bar); each link is
+    an independent pairwise distance (module docstring), whose square is
+    exponential with mean 4 sigma^2. A trial without caterers gets t = inf.
     """
-    n = c_of_trial.size
-    alpha = cfg.alpha
+    trials = c_of_trial.size
+    t = np.empty(trials)
+    k = np.empty(trials, dtype=np.int64)
+    for start in range(0, trials, _CHUNK):
+        stop = min(start + _CHUNK, trials)
+        k_chunk = rng.poisson(c_of_trial[start:stop] * cfg.n_bar)
+        h_sq = 4.0 * cfg.sigma**2 * rng.standard_exponential(int(k_chunk.sum()))
+        trial_of_caterer = np.repeat(np.arange(stop - start), k_chunk)
+        s = np.bincount(trial_of_caterer, weights=h_sq ** (-cfg.alpha / 2.0),
+                        minlength=stop - start)
+        with np.errstate(divide="ignore"):
+            t[start:stop] = cfg.theta / s
+        k[start:stop] = k_chunk
+    return t, k
 
-    n_clusters = rng.poisson(cfg.lambda_p * math.pi * r_sim**2, n)
-    total_c = int(n_clusters.sum())
-    radii = r_sim * np.sqrt(rng.random(total_c))
-    angles = rng.uniform(0.0, 2.0 * math.pi, total_c)
-    centers = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
-    counts = rng.poisson(cfg.n_bar, total_c)
-    total_m = int(counts.sum())
-    positions = np.repeat(centers, counts, axis=0) + rng.normal(
-        0.0, cfg.sigma, (total_m, 2)
-    )
-    d_sq = (positions**2).sum(axis=1)
-    fading = rng.standard_exponential(total_m)
-    trial_of_cluster = np.repeat(np.arange(n), n_clusters)
-    trial_of_member = np.repeat(trial_of_cluster, counts)
-    interference = np.bincount(
-        trial_of_member, weights=fading * d_sq ** (-alpha / 2.0), minlength=n
-    )
 
-    n_rep = rng.poisson(cfg.n_bar, n)
-    total_r = int(n_rep.sum())
-    trial_of_rep = np.repeat(np.arange(n), n_rep)
-    # independent pairwise displacements (see module docstring)
-    rep_pos = rng.normal(0.0, math.sqrt(2.0) * cfg.sigma, (total_r, 2))
-    holds = rng.random(total_r) < c_of_trial[trial_of_rep]
+def _far_field(t: np.ndarray, cfg: NetworkConfig, r0: float):
+    """F(t): exponent of the exact Laplace factor of the clusters centered
+    beyond r0, as one table over the finite t of all trials (None if none).
 
-    k = np.bincount(trial_of_rep[holds], minlength=n)
-    h_sq = (rep_pos[holds] ** 2).sum(axis=1)
-    weights = h_sq ** (-alpha / 4.0)
-    trial_of_caterer = trial_of_rep[holds]
-    z = rng.standard_normal((2, weights.size))
-    re = np.bincount(trial_of_caterer, weights=z[0] * weights, minlength=n)
-    im = np.bincount(trial_of_caterer, weights=z[1] * weights, minlength=n)
-    desired = 0.5 * (re**2 + im**2)
+    The nodes come from analytic._exponents_exact with v_inner = r0 and are
+    joined by a cubic spline in ln t. F itself is interpolated, not ln F:
+    at small t it is a prefix difference many orders of magnitude below
+    the full exponent, so its relative rounding noise is large while its
+    absolute value is negligible. The evaluator raises outside the table.
+    """
+    finite = t[np.isfinite(t)]
+    if finite.size == 0:
+        return None
+    t_lo, t_hi = finite.min() / _FAR_PAD, finite.max() * _FAR_PAD
+    n_nodes = math.ceil(_FAR_NODES_PER_DECADE * math.log10(t_hi / t_lo)) + 1
+    t_nodes = np.geomspace(t_lo, t_hi, max(8, n_nodes))
+    exponents, errors = _exponents_exact(t_nodes, cfg, QuadratureSpec(), v_inner=r0)
+    worst = int(np.argmax(errors))
+    if errors[worst] > _FAR_MAX_ERROR:
+        raise NumericalError(
+            "far-field exponent table exceeds its error bound",
+            diagnostics={"t_gamma": float(t_nodes[worst]),
+                         "error": float(errors[worst]), "r0": r0},
+        )
+    x_nodes = np.log(t_nodes)
+    spline = CubicSpline(x_nodes, exponents)
 
-    success = (k > 0) & (desired >= cfg.theta * interference)
-    return success, k
+    def far(t_eval: np.ndarray) -> np.ndarray:
+        x = np.log(t_eval)
+        if x.min() < x_nodes[0] or x.max() > x_nodes[-1]:
+            raise ValueError("t_gamma outside the far-field table")
+        return np.maximum(spline(x), 0.0)
+
+    return far
+
+
+def _conditional_coverage(t: np.ndarray, far, cfg: NetworkConfig,
+                          r0: float, rng: np.random.Generator) -> np.ndarray:
+    """Per-trial success probability given the caterers and the near field.
+
+    Samples the clusters centered within r0 for every trial with caterers
+    and returns exp(-sum_j ln(1 + t d_j^-alpha) - F(t)): the interferers'
+    Rayleigh fading and the desired signal's are averaged out exactly.
+    Trials without caterers are 0.
+    """
+    values = np.zeros(t.size)
+    served = np.flatnonzero(np.isfinite(t))
+    mean_clusters = cfg.lambda_p * math.pi * r0**2
+    for start in range(0, served.size, _CHUNK):
+        idx = served[start:start + _CHUNK]
+        n = idx.size
+        n_clusters = rng.poisson(mean_clusters, n)
+        total_c = int(n_clusters.sum())
+        radii = r0 * np.sqrt(rng.random(total_c))
+        counts = rng.poisson(cfg.n_bar, total_c)
+        # only distances matter and the member scatter is isotropic, so each
+        # cluster's center can sit on the x-axis at its distance
+        scatter = rng.normal(0.0, cfg.sigma, (2, int(counts.sum())))
+        x = np.repeat(radii, counts) + scatter[0]
+        d_sq = x * x + scatter[1] * scatter[1]
+        trial_of_member = np.repeat(np.repeat(np.arange(n), n_clusters), counts)
+        t_chunk = t[idx]
+        near = np.bincount(
+            trial_of_member,
+            weights=np.log1p(t_chunk[trial_of_member] * d_sq ** (-cfg.alpha / 2.0)),
+            minlength=n,
+        )
+        values[idx] = np.exp(-(near + far(t_chunk)))
+    return values
 
 
 def _run_coverage(c_of_trial: np.ndarray, cfg: NetworkConfig, r_sim: float,
                   seed) -> tuple[np.ndarray, np.ndarray]:
+    """(conditional coverage values, caterer counts) of one trial per entry."""
     rng = _as_generator(seed)
-    trials = c_of_trial.size
-    success = np.zeros(trials, dtype=bool)
-    k_all = np.zeros(trials, dtype=np.int64)
-    for start in range(0, trials, _CHUNK):
-        stop = min(start + _CHUNK, trials)
-        success[start:stop], k_all[start:stop] = _coverage_chunk(
-            c_of_trial[start:stop], cfg, r_sim, rng
-        )
-    return success, k_all
+    t, k = _draw_caterers(c_of_trial, cfg, rng)
+    values = _conditional_coverage(t, _far_field(t, cfg, r_sim), cfg, r_sim, rng)
+    return values, k
+
+
+def _half_width(values: np.ndarray) -> float:
+    """95% normal-approximation half-width of the mean of per-trial values."""
+    return 1.96 * math.sqrt(float(values.var(ddof=1)) / values.size)
 
 
 def estimate_coverage(c_m: float, cfg: NetworkConfig, trials: int, seed: int = 0,
@@ -284,10 +360,11 @@ def estimate_coverage(c_m: float, cfg: NetworkConfig, trials: int, seed: int = 0
     """Simulated probability that a request for a file cached with
     probability c_m is served over D2D at the SIR threshold.
 
-    Counts a trial as a success only when the cluster holds the file (at
-    least one caterer) and the joint transmission clears the threshold; an
-    empty caterer set is a failure. The typical device's own cache plays no
-    role here.
+    Each trial contributes its success probability conditional on the
+    drawn caterers and near-field clusters (module docstring); a trial
+    without caterers contributes 0. The half-width is the sample-variance
+    one of these per-trial values. r_sim is the near/far split radius. The
+    typical device's own cache plays no role here.
     """
     if not 0.0 <= c_m <= 1.0:
         raise ValueError("caching probability must lie in [0,1]")
@@ -295,11 +372,10 @@ def estimate_coverage(c_m: float, cfg: NetworkConfig, trials: int, seed: int = 0
         raise ValueError(f"trials must be >= {MIN_TRIALS}")
     if r_sim is None:
         r_sim = default_sim_radius(cfg)
-    success, _ = _run_coverage(np.full(trials, c_m), cfg, r_sim, seed)
-    mean = float(success.mean())
+    values, _ = _run_coverage(np.full(trials, c_m), cfg, r_sim, seed)
     return MonteCarloEstimate(
-        mean=mean,
-        half_width_95=_bernoulli_half_width(mean, trials),
+        mean=float(values.mean()),
+        half_width_95=_half_width(values),
         trials=trials,
         seed=int(seed),
     )
@@ -316,9 +392,13 @@ def estimate_offloading(policy: CachingPolicy, library: ContentLibrary,
     stratified estimator simulates the D2D coverage of each file
     separately and combines strata as sum_m q_m (c_m + (1-c_m) cov_m),
     exploiting that the local-hit term is known exactly; its half-width is
-    propagated from the per-stratum binomial variances. With
+    propagated from the per-stratum sample variances. With
     stratified=False the requested file is drawn from the popularity
-    distribution per trial and the plain Bernoulli half-width applies.
+    distribution per trial, each trial contributes c_f + (1-c_f) times
+    its conditional coverage, and the half-width is the sample-variance
+    one. Either way one far-field table, over the t range of every
+    trial's caterers, serves the whole call; r_sim is the near/far split
+    radius.
     """
     require_valid_policy(policy, library)
     if trials < MIN_TRIALS:
@@ -332,22 +412,19 @@ def estimate_offloading(policy: CachingPolicy, library: ContentLibrary,
         rng_files = _as_generator(np.random.SeedSequence([int(seed), 0xF11E]))
         files = rng_files.choice(q.size, size=trials, p=q)
         c_of_trial = c[files]
-        success, _ = _run_coverage(c_of_trial, cfg, r_sim,
-                                   np.random.SeedSequence([int(seed), 1]))
-        rng_local = _as_generator(np.random.SeedSequence([int(seed), 2]))
-        local = rng_local.random(trials) < c_of_trial
-        offloaded = local | success
-        mean = float(offloaded.mean())
+        values, _ = _run_coverage(c_of_trial, cfg, r_sim,
+                                  np.random.SeedSequence([int(seed), 1]))
+        offloaded = c_of_trial + (1.0 - c_of_trial) * values
         return MonteCarloEstimate(
-            mean=mean,
-            half_width_95=_bernoulli_half_width(mean, trials),
+            mean=float(min(offloaded.mean(), 1.0)),
+            half_width_95=_half_width(offloaded),
             trials=trials,
             seed=int(seed),
         )
 
+    # every stratum's caterers first, so that one far-field table covers them all
+    strata = []
     mean = 0.0
-    variance = 0.0
-    total_trials = 0
     for m in range(q.size):
         if c[m] >= 1.0:
             mean += q[m]  # offloaded with certainty via the local cache
@@ -355,13 +432,19 @@ def estimate_offloading(policy: CachingPolicy, library: ContentLibrary,
         if c[m] <= 0.0:
             continue  # never held anywhere in the cluster
         n_m = max(100, int(round(trials * q[m])))
-        success, _ = _run_coverage(
-            np.full(n_m, c[m]), cfg, r_sim, np.random.SeedSequence([int(seed), m])
-        )
-        cov = float(success.mean())
-        mean += q[m] * (c[m] + (1.0 - c[m]) * cov)
-        variance += (q[m] * (1.0 - c[m])) ** 2 * cov * (1.0 - cov) / n_m
-        total_trials += n_m
+        rng = _as_generator(np.random.SeedSequence([int(seed), m]))
+        t, _ = _draw_caterers(np.full(n_m, c[m]), cfg, rng)
+        strata.append((m, rng, t))
+    far = _far_field(np.concatenate([np.empty(0), *(t for *_, t in strata)]), cfg, r_sim)
+
+    variance = 0.0
+    total_trials = 0
+    for m, rng, t in strata:
+        values = _conditional_coverage(t, far, cfg, r_sim, rng)
+        weight = q[m] * (1.0 - c[m])
+        mean += q[m] * c[m] + weight * float(values.mean())
+        variance += weight**2 * float(values.var(ddof=1)) / values.size
+        total_trials += values.size
     return MonteCarloEstimate(
         mean=float(min(mean, 1.0)),
         half_width_95=1.96 * math.sqrt(variance),

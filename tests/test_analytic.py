@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from d2dcache.analytic import (
     CoverageResult,
@@ -229,6 +229,32 @@ class TestSharedOuterGrid:
         exponents, errors = _exponents_exact(EXPONENT_T_GRID, cfg, QUAD)
         frozen = np.array(EXPONENT_FROZEN[alpha])
         assert np.all(np.abs(exponents - frozen) <= errors)
+
+    @pytest.mark.parametrize("alpha", [3.0, 4.0])
+    def test_far_exponent_matches_campbell_integral(self, ref_cfg, alpha):
+        # clusters centered beyond r0, to first order in n_bar*zeta (which
+        # is below 1e-6 here): 2 pi lambda n_bar * integral of the SIR kernel
+        # k(u) times Q(u) u du, Q(u) the probability that a member at
+        # distance u has its center beyond r0 (a noncentral chi-square
+        # survival function); QUADPACK up to `upper`, a convergent series beyond
+        cfg = ref_cfg.with_(alpha=alpha)
+        r0, s2 = 400.0, cfg.sigma**2
+        t_grid = np.array([0.1, 1.0])
+        far, errors = _exponents_exact(t_grid, cfg, QUAD, v_inner=r0)
+        upper = r0 + 12 * cfg.sigma
+        for t, got, err in zip(t_grid, far, errors):
+            def integrand(u):
+                q = stats.ncx2.sf(r0**2 / s2, 2, u**2 / s2)
+                return t / (u**alpha + t) * q * u
+
+            head, _ = integrate.quad(integrand, 0.0, upper, points=[r0], limit=200,
+                                     epsabs=0.0, epsrel=1e-12)
+            x = t * upper**-alpha
+            tail = sum((-x) ** n * t * upper ** (2 - alpha) / (alpha * (n + 1) - 2)
+                       for n in range(8))
+            expected = 2 * math.pi * cfg.lambda_p * cfg.n_bar * (head + tail)
+            assert err <= 1e-6
+            assert got == pytest.approx(expected, rel=1e-7)
 
 
 class TestComputeZ:

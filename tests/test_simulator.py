@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from d2dcache.analytic import offloading_closed_form_k1
+from d2dcache.analytic import QuadratureSpec, coverage_content, offloading_closed_form_k1
 from d2dcache.model import CachingPolicy, ContentLibrary, NetworkConfig, policy_cpf
 from d2dcache.simulator import (
     MIN_TRIALS,
     OUTCOME_CLUSTER_MISS,
+    OUTCOME_D2D_SUCCESS,
     OUTCOME_LOCAL_HIT,
     OUTCOMES,
     MonteCarloEstimate,
@@ -38,7 +39,7 @@ def small_cfg():
 
 
 def test_default_sim_radius_formula(ref_cfg):
-    expected = 20.0 / math.sqrt(math.pi * ref_cfg.lambda_p) + 10.0 * ref_cfg.sigma
+    expected = 4.0 * ref_cfg.sigma + 2.0 / math.sqrt(math.pi * ref_cfg.lambda_p)
     assert default_sim_radius(ref_cfg) == pytest.approx(expected, rel=1e-12)
 
 
@@ -175,6 +176,43 @@ class TestEstimateCoverage:
     def test_zero_probability_never_covered(self, ref_cfg):
         est = estimate_coverage(0.0, ref_cfg, trials=2000, seed=5)
         assert est.mean == 0.0
+        assert est.half_width_95 == 0.0
+
+    def test_unbiased_at_slow_path_loss(self, ref_cfg):
+        # alpha 2.5: interference decays slowly, so any truncation of the
+        # far field shows; the old 2,284 m window read 0.268 here
+        cfg = ref_cfg.with_(alpha=2.5)
+        exact = coverage_content(1.0, cfg, QuadratureSpec()).value
+        est = estimate_coverage(1.0, cfg, trials=60_000, seed=31)
+        assert abs(est.mean - exact) <= 2 * est.half_width_95
+
+    @pytest.mark.parametrize("alpha", [2.5, 4.0])
+    def test_split_radius_does_not_move_mean(self, ref_cfg, alpha):
+        cfg = ref_cfg.with_(alpha=alpha)
+        r0 = default_sim_radius(cfg)
+        near = estimate_coverage(1.0, cfg, trials=20_000, seed=37)
+        wide = estimate_coverage(1.0, cfg, trials=20_000, seed=37, r_sim=3 * r0)
+        combined = math.hypot(near.half_width_95, wide.half_width_95)
+        assert abs(near.mean - wide.mean) <= 3 * combined
+
+    def test_brute_force_window_agrees(self, ref_cfg):
+        # independent reference: explicit window, per-trial fading draws and
+        # the SIR indicator, conditioned on the device not holding the file
+        c, trials = 0.5, 3000
+        r_window = 20.0 / math.sqrt(math.pi * ref_cfg.lambda_p) + 10.0 * ref_cfg.sigma
+        pol = CachingPolicy(np.array([c]))
+        outcomes = [
+            simulate_request(sample_network(ref_cfg, r_window, seed=[1, i]), pol, 0,
+                             ref_cfg, seed=[2, i])
+            for i in range(trials)
+        ]
+        served = np.array([o == OUTCOME_D2D_SUCCESS for o in outcomes
+                           if o != OUTCOME_LOCAL_HIT])
+        brute = served.mean()
+        brute_hw = 1.96 * math.sqrt(brute * (1.0 - brute) / served.size)
+        est = estimate_coverage(c, ref_cfg, trials=20_000, seed=41)
+        combined = math.hypot(brute_hw, est.half_width_95)
+        assert abs(brute - est.mean) <= 3 * combined
 
     def test_caterer_count_poisson_thinned(self, small_cfg):
         # member counts are Poisson(n_bar) and caches are Bernoulli(c)
