@@ -19,8 +19,9 @@ fading turns that into the product over the near interferers at
 distances d_j. The clusters centered beyond r_sim contribute the exact
 factor exp(-F(t)) of the parent process's probability generating
 functional, F(t) = 2 pi lambda_p * integral from r_sim of
-(1 - exp(-n_bar zeta(v, t))) v dv, taken from analytic._exponents_exact
-and tabulated once per estimator call over the t range of its trials.
+(1 - exp(-n_bar zeta(v, t))) v dv, tabulated once per estimator call over
+the t range of its trials by the quintic exponent table
+(analytic._exponent_table) that also backs exact coverage.
 Replacing the success indicator by its conditional expectation
 (conditional Monte Carlo) removes the fading draws and lowers the
 per-trial variance; half-widths come from the sample variance of the
@@ -29,9 +30,7 @@ per-trial values.
 Intra-cluster link distances follow the model used by the analysis: each
 link between the requesting device and a fellow member is an independent
 Rayleigh(sqrt(2) sigma) pairwise distance (two independent Gaussian
-scatter terms folded together per link). The recorded representative
-center, at a Rayleigh(sigma) distance from the origin, documents the
-cluster geometry but does not couple the member displacements.
+scatter terms folded together per link).
 
 t = theta / S is free of the transmit power, so results are bit-for-bit
 independent of the configured power scaling. All randomness flows from a
@@ -52,9 +51,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .analytic import NumericalError, QuadratureSpec, _exponents_exact
+from .analytic import NumericalError, QuadratureSpec, _exponent_table
 from .model import CachingPolicy, ContentLibrary, NetworkConfig, require_valid_policy
 
 __all__ = [
@@ -86,10 +84,7 @@ OUTCOMES = (
 
 MIN_TRIALS = 1000
 _CHUNK = 1024
-# far-field table: spline nodes per decade of t, padding factor on each end
-# of the trials' t range, and the largest error estimate it accepts
-_FAR_NODES_PER_DECADE = 24
-_FAR_PAD = 10.0**0.25
+# largest node error estimate the far-field table accepts
 _FAR_MAX_ERROR = 1e-6
 
 
@@ -98,18 +93,16 @@ class TcpRealization:
     """One snapshot of the network as seen from the requesting device.
 
     The requesting (typical) device sits at the origin. cluster_centers and
-    the flat member arrays describe the interfering clusters; the
-    representative cluster (the typical device's own) is stored separately
-    with its center at a Rayleigh-distributed distance from the origin and
-    its member positions drawn as independent pairwise displacements from
-    the origin (module docstring). cache_flags/typical_cache are attached
-    by attach_caches and are None for a bare network draw.
+    the flat member arrays describe the interfering clusters; the members
+    of the representative cluster (the typical device's own) are stored
+    separately, as independent pairwise displacements from the origin
+    (module docstring). cache_flags/typical_cache are attached by
+    attach_caches and are None for a bare network draw.
     """
 
     cluster_centers: np.ndarray
     member_positions: np.ndarray
     member_cluster: np.ndarray
-    representative_center: np.ndarray
     representative_members: np.ndarray
     r_sim: float
     cache_flags: np.ndarray | None = None
@@ -169,10 +162,6 @@ def sample_network(cfg: NetworkConfig, r_sim: float | None = None,
     offsets = rng.normal(0.0, cfg.sigma, (int(counts.sum()), 2))
     member_positions = centers[member_cluster] + offsets
 
-    rep_dist = rng.rayleigh(cfg.sigma)
-    rep_angle = rng.uniform(0.0, 2.0 * math.pi)
-    rep_center = np.array([rep_dist * math.cos(rep_angle),
-                           rep_dist * math.sin(rep_angle)])
     n_rep = rng.poisson(cfg.n_bar)
     # independent pairwise displacements: each link folds the center offset
     # and the member scatter into one N(0, 2 sigma^2 I) term of its own
@@ -182,7 +171,6 @@ def sample_network(cfg: NetworkConfig, r_sim: float | None = None,
         cluster_centers=centers,
         member_positions=member_positions,
         member_cluster=member_cluster,
-        representative_center=rep_center,
         representative_members=rep_members,
         r_sim=float(r_sim),
     )
@@ -274,19 +262,17 @@ def _far_field(t: np.ndarray, cfg: NetworkConfig, r0: float):
     """F(t): exponent of the exact Laplace factor of the clusters centered
     beyond r0, as one table over the finite t of all trials (None if none).
 
-    The nodes come from analytic._exponents_exact with v_inner = r0 and are
-    joined by a cubic spline in ln t. F itself is interpolated, not ln F:
-    at small t it is a prefix difference many orders of magnitude below
-    the full exponent, so its relative rounding noise is large while its
-    absolute value is negligible. The evaluator raises outside the table.
+    The table is analytic._exponent_table with v_inner = r0: a quintic
+    spline in ln t at 8 nodes per decade. F itself is interpolated, not
+    ln F: at small t it is a prefix difference many orders of magnitude
+    below the full exponent, so its relative rounding noise is large while
+    its absolute value is negligible. The evaluator raises outside the table.
     """
     finite = t[np.isfinite(t)]
     if finite.size == 0:
         return None
-    t_lo, t_hi = finite.min() / _FAR_PAD, finite.max() * _FAR_PAD
-    n_nodes = math.ceil(_FAR_NODES_PER_DECADE * math.log10(t_hi / t_lo)) + 1
-    t_nodes = np.geomspace(t_lo, t_hi, max(8, n_nodes))
-    exponents, errors = _exponents_exact(t_nodes, cfg, QuadratureSpec(), v_inner=r0)
+    spline, t_nodes, errors = _exponent_table(
+        finite.min(), finite.max(), cfg, QuadratureSpec(), v_inner=r0)
     worst = int(np.argmax(errors))
     if errors[worst] > _FAR_MAX_ERROR:
         raise NumericalError(
@@ -294,12 +280,11 @@ def _far_field(t: np.ndarray, cfg: NetworkConfig, r0: float):
             diagnostics={"t_gamma": float(t_nodes[worst]),
                          "error": float(errors[worst]), "r0": r0},
         )
-    x_nodes = np.log(t_nodes)
-    spline = CubicSpline(x_nodes, exponents)
+    x_lo, x_hi = spline.x[0], spline.x[-1]
 
     def far(t_eval: np.ndarray) -> np.ndarray:
         x = np.log(t_eval)
-        if x.min() < x_nodes[0] or x.max() > x_nodes[-1]:
+        if x.min() < x_lo or x.max() > x_hi:
             raise ValueError("t_gamma outside the far-field table")
         return np.maximum(spline(x), 0.0)
 

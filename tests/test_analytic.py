@@ -20,12 +20,14 @@ from d2dcache.analytic import (
     NumericalError,
     QuadratureSpec,
     _exponent_exact,
+    _exponent_table,
     _exponents_exact,
     compute_Z,
     coverage_content,
     coverage_given_k,
     gamma_function,
     laplace_exact,
+    laplace_fn_exact,
     laplace_fn_ppp,
     laplace_ppp_bound,
     offloading_closed_form_k1,
@@ -34,6 +36,7 @@ from d2dcache.analytic import (
     zeta_kernel,
 )
 from d2dcache.model import CachingPolicy, ContentLibrary, NetworkConfig
+from d2dcache.simulator import _far_field, default_sim_radius
 
 QUAD = QuadratureSpec()
 
@@ -255,6 +258,63 @@ class TestSharedOuterGrid:
             expected = 2 * math.pi * cfg.lambda_p * cfg.n_bar * (head + tail)
             assert err <= 1e-6
             assert got == pytest.approx(expected, rel=1e-7)
+
+
+class TestExponentTable:
+    """The quintic exponent table behind exact coverage (laplace_fn_exact)
+    and the simulator's far field, against direct _exponents_exact."""
+
+    T_RANGE = (1e-4, 1e9)  # 13 decades; the table pads each end
+
+    def views(self, cfg):
+        """(laplace view, far view, far-field radius, table nodes) over T_RANGE."""
+        r0 = default_sim_radius(cfg)
+        _, t_nodes, _ = _exponent_table(*self.T_RANGE, cfg, QUAD)
+        laplace = laplace_fn_exact(cfg, QUAD, self.T_RANGE)
+        far = _far_field(np.array(self.T_RANGE), cfg, r0)
+        return laplace, far, r0, t_nodes
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
+    def test_views_match_direct_transform_between_nodes(self, ref_cfg, alpha):
+        cfg = ref_cfg.with_(alpha=alpha)
+        laplace, far, r0, t_nodes = self.views(cfg)
+        x = np.log(t_nodes)
+        # a quarter, half and three quarters of the way through every interval
+        t = np.exp((x[:-1, None] + np.diff(x)[:, None] * [0.25, 0.5, 0.75]).ravel())
+        assert t.size >= 200 and t.max() / t.min() >= 1e12
+        direct_e, _ = _exponents_exact(t, cfg, QUAD)
+        direct_f, _ = _exponents_exact(t, cfg, QUAD, v_inner=r0)
+        assert np.max(np.abs(laplace(t) - np.exp(-direct_e))) <= 1e-9
+        assert np.max(np.abs(np.exp(-far(t)) - np.exp(-direct_f))) <= 1e-7
+
+    @pytest.mark.parametrize("alpha", [2.5, 4.0])
+    def test_views_reproduce_node_values(self, ref_cfg, alpha):
+        cfg = ref_cfg.with_(alpha=alpha)
+        laplace, far, r0, t_nodes = self.views(cfg)
+        node_e, _ = _exponents_exact(t_nodes, cfg, QUAD)
+        node_f, _ = _exponents_exact(t_nodes, cfg, QUAD, v_inner=r0)
+        # rounding of the tabulated ln E moves L by E times as much, relatively;
+        # beyond E = 700, L is subnormal or 0 and keeps fewer digits
+        normal = node_e < 700.0
+        lap, exact = laplace(t_nodes[normal]), np.exp(-node_e[normal])
+        assert np.all(np.abs(lap / exact - 1.0) <= 1e-14 * (1.0 + node_e[normal]))
+        assert far(t_nodes) == pytest.approx(node_f, rel=1e-12, abs=1e-15)
+
+    def test_laplace_continuous_and_non_increasing_across_table_ends(self, ref_cfg):
+        laplace, _, _, t_nodes = self.views(ref_cfg)
+        for edge in t_nodes[[0, -1]]:
+            below, at, above = laplace(edge * np.array([1 - 1e-12, 1.0, 1 + 1e-12]))
+            assert below >= at >= above
+            assert below - above <= 1e-12
+            t = edge * np.geomspace(1e-3, 1e3, 601)
+            assert np.all(np.diff(laplace(t)) <= 0.0)
+
+    def test_far_view_refuses_t_outside_table(self, ref_cfg):
+        _, far, _, t_nodes = self.views(ref_cfg)
+        far(t_nodes[[0, -1]])
+        for t in (t_nodes[0] * 0.999, t_nodes[-1] * 1.001):
+            with pytest.raises(ValueError):
+                far(np.array([t]))
 
 
 class TestComputeZ:

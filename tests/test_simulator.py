@@ -90,10 +90,6 @@ class TestSampleNetwork:
         mean = 4.0 * small_cfg.sigma**2
         assert abs(d_sq.mean() - mean) < 6 * mean / math.sqrt(d_sq.size)
 
-    def test_representative_center_within_window(self, small_cfg):
-        real = sample_network(small_cfg, r_sim=500.0, seed=5)
-        assert np.linalg.norm(real.representative_center) < 8 * small_cfg.sigma
-
 
 class TestAttachCaches:
     def test_shapes_and_determinism(self, small_cfg):
