@@ -48,19 +48,10 @@ from .optimizer import (
     solve_p1,
 )
 from .simulator import (
-    OUTCOME_CLUSTER_MISS,
-    OUTCOME_D2D_SIR_FAIL,
-    OUTCOME_D2D_SUCCESS,
-    OUTCOME_LOCAL_HIT,
-    OUTCOMES,
     MonteCarloEstimate,
-    TcpRealization,
-    attach_caches,
     default_sim_radius,
     estimate_coverage,
     estimate_offloading,
-    sample_network,
-    simulate_request,
 )
 
 __version__ = "0.1.0"
@@ -100,17 +91,8 @@ __all__ = [
     "grid_search_oracle",
     "concavity_report",
     # simulator
-    "TcpRealization",
     "MonteCarloEstimate",
-    "OUTCOMES",
-    "OUTCOME_LOCAL_HIT",
-    "OUTCOME_D2D_SUCCESS",
-    "OUTCOME_D2D_SIR_FAIL",
-    "OUTCOME_CLUSTER_MISS",
     "default_sim_radius",
-    "sample_network",
-    "attach_caches",
-    "simulate_request",
     "estimate_coverage",
     "estimate_offloading",
     # experiments / cli

@@ -425,29 +425,33 @@ def _exponent_table(t_lo, t_hi, cfg: NetworkConfig, quad: QuadratureSpec,
     return spline, t_nodes, errors
 
 
+def _eval_table(table: PPoly, x: np.ndarray, name: str) -> np.ndarray:
+    """An _exponent_table at x = ln t_gamma; raises ValueError for a value
+    outside the table rather than extrapolate."""
+    if x.min() < table.x[0] or x.max() > table.x[-1]:
+        raise ValueError(f"t_gamma outside the {name} table")
+    return table(x)
+
+
 def laplace_fn_exact(cfg: NetworkConfig, quad: QuadratureSpec, t_range):
     """Vectorized evaluator of the exact transform, built once over
     t_range = (lo, hi) and then evaluated at millions of points.
 
-    A log-log quintic table of the exponent (_exponent_table), continued
-    log-linearly outside it, matching the power-law asymptotes of the exact
-    exponent at both ends.
+    A log-log quintic table of the exponent (_exponent_table). The
+    evaluator raises ValueError for a positive t_gamma outside the padded
+    table instead of extrapolating.
     """
     table, _, _ = _exponent_table(*t_range, cfg, quad, log=True)
-    # a linear piece of unit width at each end, which PPoly extrapolates
-    x_lo, x_hi = table.x[0], table.x[-1]
-    (y_lo, y_hi), (s_lo, s_hi) = table([x_lo, x_hi]), table([x_lo, x_hi], 1)
-    lines = np.zeros((table.c.shape[0], 2))
-    lines[-2:] = [[s_lo, s_hi], [y_lo - s_lo, y_hi]]
-    spline = PPoly(np.hstack([lines[:, :1], table.c, lines[:, 1:]]),
-                   np.concatenate([[x_lo - 1.0], table.x, [x_hi + 1.0]]))
 
     def laplace(t_gamma):
         t_arr = np.asarray(t_gamma, dtype=float)
         t_flat = np.atleast_1d(t_arr)
         out = np.ones_like(t_flat)
         pos = t_flat > 0
-        out[pos] = np.exp(-np.exp(spline(np.log(t_flat[pos]))))
+        if pos.any():
+            # one expression, so that no batch-sized temporary outlives its use
+            out[pos] = np.exp(-np.exp(
+                _eval_table(table, np.log(t_flat[pos]), "exact transform")))
         return float(out[0]) if t_arr.ndim == 0 else out
 
     return laplace

@@ -300,14 +300,20 @@ class TestExponentTable:
         assert np.all(np.abs(lap / exact - 1.0) <= 1e-14 * (1.0 + node_e[normal]))
         assert far(t_nodes) == pytest.approx(node_f, rel=1e-12, abs=1e-15)
 
-    def test_laplace_continuous_and_non_increasing_across_table_ends(self, ref_cfg):
+    def test_laplace_view_refuses_t_outside_table(self, ref_cfg):
         laplace, _, _, t_nodes = self.views(ref_cfg)
-        for edge in t_nodes[[0, -1]]:
-            below, at, above = laplace(edge * np.array([1 - 1e-12, 1.0, 1 + 1e-12]))
-            assert below >= at >= above
-            assert below - above <= 1e-12
-            t = edge * np.geomspace(1e-3, 1e3, 601)
-            assert np.all(np.diff(laplace(t)) <= 0.0)
+        laplace(t_nodes[[0, -1]])
+        assert laplace(np.array([0.0, t_nodes[0]]))[0] == 1.0
+        for t in (t_nodes[0] * 0.999, t_nodes[-1] * 1.001):
+            with pytest.raises(ValueError):
+                laplace(np.array([t]))
+            with pytest.raises(ValueError):
+                laplace(t)
+
+    def test_laplace_non_increasing_inside_table(self, ref_cfg):
+        laplace, _, _, t_nodes = self.views(ref_cfg)
+        t = np.geomspace(t_nodes[0], t_nodes[-1], 20_001)
+        assert np.all(np.diff(laplace(t)) <= 0.0)
 
     def test_far_view_refuses_t_outside_table(self, ref_cfg):
         _, far, _, t_nodes = self.views(ref_cfg)

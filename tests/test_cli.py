@@ -170,6 +170,8 @@ class TestExperiments:
         assert columns[0] == "beta"
         # 2 betas x 3 policies x 2 methods
         assert len(rows) == 12
+        assert all(row["trials"] == 1000 for row in rows
+                   if row["method"] == "simulation")
         by_beta_policy = {
             (row["beta"], row["policy"]): row["value"]
             for row in rows if row["method"] == "closed-form-k1"

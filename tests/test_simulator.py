@@ -1,4 +1,5 @@
-"""Monte Carlo simulator: geometry sampling, request outcomes, estimators.
+"""Monte Carlo simulator: estimators, and the brute-force reference that
+checks them (geometry sampling, cache attachment, request outcomes).
 
 Distributional checks use wide bands (5+ standard errors) so they are
 deterministic in practice at the pinned seeds; exact reproducibility checks
@@ -11,23 +12,29 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from d2dcache.analytic import QuadratureSpec, coverage_content, offloading_closed_form_k1
-from d2dcache.model import CachingPolicy, ContentLibrary, NetworkConfig, policy_cpf
-from d2dcache.simulator import (
-    MIN_TRIALS,
+from brute_force import (
     OUTCOME_CLUSTER_MISS,
     OUTCOME_D2D_SUCCESS,
     OUTCOME_LOCAL_HIT,
     OUTCOMES,
-    MonteCarloEstimate,
-    TcpRealization,
-    _run_coverage,
     attach_caches,
+    sample_network,
+    simulate_request,
+)
+from d2dcache.analytic import (
+    QuadratureSpec,
+    coverage_content,
+    offloading_closed_form_k1,
+    offloading_gain,
+)
+from d2dcache.model import CachingPolicy, ContentLibrary, NetworkConfig, policy_cpf
+from d2dcache.simulator import (
+    MIN_TRIALS,
+    MonteCarloEstimate,
+    _run_coverage,
     default_sim_radius,
     estimate_coverage,
     estimate_offloading,
-    sample_network,
-    simulate_request,
 )
 
 
@@ -230,23 +237,29 @@ class TestEstimateOffloading:
         lib = ContentLibrary.from_zipf(10, 0.8, 3)
         pol = CachingPolicy(3 * lib.popularity / lib.popularity.sum())
         est = estimate_offloading(pol, lib, ref_cfg, trials=4000, seed=7)
+        assert est.trials == 4000
         bound = offloading_closed_form_k1(pol, lib, ref_cfg)
         assert est.mean >= bound - est.half_width_95
 
-    def test_stratified_and_plain_agree(self, ref_cfg):
-        lib = ContentLibrary.from_zipf(8, 0.6, 2)
-        pol = CachingPolicy(np.full(8, 0.25))
-        strat = estimate_offloading(pol, lib, ref_cfg, trials=4000, seed=13)
-        plain = estimate_offloading(pol, lib, ref_cfg, trials=6000, seed=13,
-                                    stratified=False)
-        assert abs(strat.mean - plain.mean) <= 3 * (
-            strat.half_width_95 + plain.half_width_95
-        )
+    def test_matches_exact_gain(self, ref_cfg):
+        # entries at 0 and 1 are known outcomes; the two interior ones are
+        # simulated. Two members per cluster on average leave 30% and 45% of
+        # their clusters without a caterer, so the caterer count's law shows.
+        cfg = ref_cfg.with_(n_bar=2.0)
+        lib = ContentLibrary.from_zipf(6, 0.8, 2)
+        pol = CachingPolicy(np.array([1.0, 0.6, 0.4, 0.0, 0.0, 0.0]))
+        exact = offloading_gain(
+            pol, lib, lambda c: coverage_content(c, cfg, QuadratureSpec()))
+        trials = 8000
+        est = estimate_offloading(pol, lib, cfg, trials=trials, seed=13)
+        assert est.trials == trials
+        assert abs(est.mean - exact) <= 2 * est.half_width_95
 
     def test_deterministic_policy_is_exact(self, ref_cfg):
         lib = ContentLibrary.from_zipf(6, 0.9, 2)
         pol = policy_cpf(lib)
         est = estimate_offloading(pol, lib, ref_cfg, trials=2000, seed=3)
+        assert est.trials == 2000
         assert est.mean == pytest.approx(
             float(lib.popularity[:2].sum()), rel=1e-12
         )
