@@ -53,6 +53,8 @@ _LOG_PANELS_PER_DECADE = 8
 # factor on each end of the requested range
 _TABLE_NODES_PER_DECADE = 8
 _TABLE_PAD = 10.0**0.25
+# Sobol rows per block of the streamed coverage estimator (_caterer_means)
+_QMC_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -87,11 +89,22 @@ class QuadratureSpec:
     qmc_seed: int = 0
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "v_max_sigma_mult", "k_max_tail_mass"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
-        if self.mc_integration_samples < 1_000:
-            raise ValueError("mc_integration_samples must be >= 1000")
+        for name in ("rel_tol", "abs_tol", "v_max_sigma_mult"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if not 0.0 < self.k_max_tail_mass < 1.0:
+            raise ValueError(
+                f"k_max_tail_mass must lie in (0, 1), got {self.k_max_tail_mass!r}")
+        if not _is_int(self.mc_integration_samples) or self.mc_integration_samples < 1_000:
+            raise ValueError("mc_integration_samples must be an integer >= 1000, "
+                             f"got {self.mc_integration_samples!r}")
+        if not _is_int(self.qmc_seed) or self.qmc_seed < 0:
+            raise ValueError(f"qmc_seed must be an integer >= 0, got {self.qmc_seed!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -462,15 +475,53 @@ def laplace_fn_ppp(cfg: NetworkConfig):
     return lambda t_gamma: laplace_ppp_bound(t_gamma, cfg)
 
 
-def _rayleigh_distance_draws(n: int, k: int, sigma: float, seed: int) -> np.ndarray:
-    """(n, k) quasi-random draws of pairwise device distances, Rayleigh(sqrt(2) sigma)."""
-    with warnings.catch_warnings():
-        # the sample count is a user-set budget, not forced to a power of two
-        warnings.simplefilter("ignore", UserWarning)
-        engine = qmc.Sobol(d=k, scramble=True, seed=seed)
-        unit = engine.random(n)
-    unit = np.clip(unit, 1e-16, 1.0 - 1e-16)
-    return 2.0 * sigma * np.sqrt(-np.log1p(-unit))
+def _caterer_means(k_max: int, cfg: NetworkConfig, quad: QuadratureSpec, laplace_fn=None):
+    """Per-k quasi-Monte-Carlo means of L(theta / S_k), k = 1..k_max.
+
+    Row i of n = quad.mc_integration_samples scrambled-Sobol rows (seed
+    quad.qmc_seed) holds k_max i.i.d. pairwise distances
+    h_ij ~ Rayleigh(sqrt(2) sigma), and S_k = sum of h_ij^-alpha over its
+    first k. Rows are drawn and transformed in blocks of _QMC_BLOCK_ROWS,
+    so the only n x k_max array is `lap`: it holds t_gamma, and then
+    L(t_gamma) in place. laplace_fn defaults to the exact transform, built
+    once over the draw's t_gamma range. Returns three length-k_max arrays:
+    the means over all rows, over rows [0, n//2) and over rows [n//2, n).
+    They are numpy's own axis-0 means of `lap`, so they equal those of a
+    whole-array evaluation bit for bit (at k_max = 1 that reduction is
+    pairwise, not row by row, so block sums carried forward would not).
+    """
+    n = quad.mc_integration_samples
+    engine = qmc.Sobol(d=k_max, scramble=True, seed=quad.qmc_seed)
+    blocks = [slice(start, min(start + _QMC_BLOCK_ROWS, n))
+              for start in range(0, n, _QMC_BLOCK_ROWS)]
+    lap = np.empty((n, k_max))
+    t_lo, t_hi = math.inf, 0.0
+    for rows in blocks:
+        with warnings.catch_warnings():
+            # the sample count is a user-set budget, not forced to a power of
+            # two; consecutive draws continue one Sobol sequence
+            warnings.simplefilter("ignore", UserWarning)
+            unit = engine.random(rows.stop - rows.start)
+        unit = np.clip(unit, 1e-16, 1.0 - 1e-16)
+        h = 2.0 * cfg.sigma * np.sqrt(-np.log1p(-unit))
+        # column k-1: the first k caterers
+        t_gamma = np.divide(cfg.theta, np.cumsum(h ** (-cfg.alpha), axis=1), out=lap[rows])
+        t_lo, t_hi = min(t_lo, float(t_gamma.min())), max(t_hi, float(t_gamma.max()))
+
+    if laplace_fn is None:
+        laplace_fn = laplace_fn_exact(cfg, quad, t_range=(t_lo, t_hi))
+    for i, rows in enumerate(blocks):
+        block = lap[rows]
+        block[...] = laplace_fn(block.ravel()).reshape(block.shape)
+        bad = np.flatnonzero(~np.isfinite(block.sum(axis=0)))
+        if bad.size:
+            raise NumericalError(
+                "non-finite Laplace transform in the coverage estimator",
+                diagnostics={"block": i, "rows": (rows.start, rows.stop),
+                             "k": int(bad[0]) + 1},
+            )
+    half = n // 2
+    return lap.mean(axis=0), lap[:half].mean(axis=0), lap[half:].mean(axis=0)
 
 
 def coverage_given_k(
@@ -482,16 +533,13 @@ def coverage_given_k(
     distances h_i ~ Rayleigh(sqrt(2) sigma), by scrambled-Sobol integration
     with quad.mc_integration_samples points; deterministic for a fixed
     quad.qmc_seed. laplace_fn defaults to the exact cluster transform.
+    This is column k of the estimator behind coverage_content at k_max = k:
+    the rows are streamed in blocks, holding one n x k array.
     """
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    if not _is_int(k) or k < 1:
         raise ValueError(f"caterer count k must be an integer >= 1, got {k!r}")
-    h = _rayleigh_distance_draws(quad.mc_integration_samples, int(k), cfg.sigma, quad.qmc_seed)
-    t_gamma = cfg.theta / (h ** (-cfg.alpha)).sum(axis=1)
-    if laplace_fn is None:
-        laplace_fn = laplace_fn_exact(
-            cfg, quad, t_range=(float(t_gamma.min()), float(t_gamma.max()))
-        )
-    return float(np.mean(laplace_fn(t_gamma)))
+    means, _, _ = _caterer_means(int(k), cfg, quad, laplace_fn)
+    return float(means[-1])
 
 
 def _poisson_k_max(mean: float, tail_mass: float) -> int:
@@ -514,6 +562,11 @@ def coverage_content(
     residual mass below quad.k_max_tail_mass; K=0 contributes zero. The
     error field combines the Poisson tail with a half-sample
     quasi-Monte-Carlo estimate.
+
+    All k share one k_max-dimensional Sobol draw (_caterer_means). Its rows
+    are streamed in blocks, so the call holds one n x k_max array plus a
+    few block-sized temporaries; value and error equal those of the
+    whole-array estimator bit for bit.
     """
     if not 0.0 <= c_m <= 1.0:
         raise ValueError(f"caching probability must lie in [0,1], got {c_m!r}")
@@ -524,24 +577,12 @@ def coverage_content(
     if k_max == 0:
         return CoverageResult(0.0, method, float(min(1.0, quad.k_max_tail_mass)))
 
-    n = quad.mc_integration_samples
-    h = _rayleigh_distance_draws(n, k_max, cfg.sigma, quad.qmc_seed)
-    inv_sum = np.cumsum(h ** (-cfg.alpha), axis=1)
-    t_gamma = cfg.theta / inv_sum  # column k-1: distances of the first k caterers
-
-    if method == "exact-tcp":
-        laplace_fn = laplace_fn_exact(
-            cfg, quad, t_range=(float(t_gamma.min()), float(t_gamma.max()))
-        )
-    else:
-        laplace_fn = laplace_fn_ppp(cfg)
-    lap = laplace_fn(t_gamma.ravel()).reshape(t_gamma.shape)
-
+    laplace_fn = laplace_fn_ppp(cfg) if method == "ppp-bound" else None
+    means, means_a, means_b = _caterer_means(k_max, cfg, quad, laplace_fn)
     pmf = stats.poisson.pmf(np.arange(1, k_max + 1), mean_k)
-    half = n // 2
-    value = float(lap.mean(axis=0) @ pmf)
-    value_a = float(lap[:half].mean(axis=0) @ pmf)
-    value_b = float(lap[half:].mean(axis=0) @ pmf)
+    value = float(means @ pmf)
+    value_a = float(means_a @ pmf)
+    value_b = float(means_b @ pmf)
     tail = float(stats.poisson.sf(k_max, mean_k))
     err = 0.5 * abs(value_a - value_b) + tail
     return CoverageResult(min(max(value, 0.0), 1.0), method, err)

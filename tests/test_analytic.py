@@ -3,18 +3,22 @@
 Expected values marked as frozen oracles were computed independently before
 the tests were written: arbitrary-precision formula evaluation (30 digits)
 for closed forms, plain Monte Carlo with a recorded seed for integrals, and
-scipy QUADPACK on the raw integrand as a second route for the cluster
-Laplace transform (the implementation integrates a reformulated exponent on
-hand-built panels, so QUADPACK is an independent path).
+scipy's adaptive quadrature on the raw integrand as a second route for the
+cluster Laplace transform (the implementation integrates a reformulated
+exponent on hand-built panels, so adaptive quadrature is an independent
+path).
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.stats import qmc
 
+from d2dcache import analytic
 from d2dcache.analytic import (
     CoverageResult,
     NumericalError,
@@ -22,6 +26,7 @@ from d2dcache.analytic import (
     _exponent_exact,
     _exponent_table,
     _exponents_exact,
+    _poisson_k_max,
     compute_Z,
     coverage_content,
     coverage_given_k,
@@ -131,29 +136,35 @@ class TestZetaKernel:
 
 
 def _naive_laplace(t_gamma, cfg):
-    """Second route: QUADPACK on the unrearranged double integral.
+    """Second route: adaptive Gauss-Kronrod on the unrearranged double integral.
 
-    The inner integrand is a Rician ridge of width ~sigma at u = v, so the
-    inner window is centered there; the outer integrand has a slow v**-3
-    tail that the split at 2 km plus an open upper limit captures.
+    scipy's quad_vec integrates vector-valued functions, so every t_gamma
+    of the array shares one adaptive outer integral over v and one inner
+    integral over u per v. The inner integrand is a Rician ridge of width
+    ~sigma at u = v, so the inner window is centered there; the outer
+    integrand has a slow v**-3 tail that the split at 2 km plus an open
+    upper limit captures. Both integrals must report convergence.
     """
+    t = np.asarray(t_gamma, dtype=float)
+
+    def quad_vec(f, a, b, epsabs):
+        value, _, info = integrate.quad_vec(f, a, b, epsabs=epsabs, epsrel=1e-10,
+                                            norm="max", full_output=True)
+        assert info.success, info.message
+        return value
 
     def zeta(v):
-        lo = max(0.0, v - 12 * cfg.sigma)
-        val, _ = integrate.quad(
-            lambda u: t_gamma / (u**cfg.alpha + t_gamma) * rician_pdf(u, v, cfg.sigma),
-            lo, v + 12 * cfg.sigma, limit=400,
+        return quad_vec(
+            lambda u: t / (u**cfg.alpha + t) * rician_pdf(u, v, cfg.sigma),
+            max(0.0, v - 12 * cfg.sigma), v + 12 * cfg.sigma, epsabs=1e-14,
         )
-        return val
 
     def outer_integrand(v):
-        return (1.0 - math.exp(-cfg.n_bar * zeta(v))) * v
+        return -np.expm1(-cfg.n_bar * zeta(v)) * v
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        head, _ = integrate.quad(outer_integrand, 0, 2000, limit=800)
-        tail, _ = integrate.quad(outer_integrand, 2000, np.inf, limit=800)
-    return math.exp(-2.0 * math.pi * cfg.lambda_p * (head + tail))
+    head = quad_vec(outer_integrand, 0, 2000, epsabs=0.0)
+    tail = quad_vec(outer_integrand, 2000, np.inf, epsabs=0.0)
+    return np.exp(-2.0 * math.pi * cfg.lambda_p * (head + tail))
 
 
 class TestLaplaceTransforms:
@@ -164,10 +175,10 @@ class TestLaplaceTransforms:
         assert all(0.0 < v <= 1.0 for v in vals)
 
     def test_dual_route_agreement(self, ref_cfg):
-        for tg in (1e5, 1e6, 3e7):
-            mine = laplace_exact(tg, ref_cfg, QUAD)
-            naive = _naive_laplace(tg, ref_cfg)
-            assert mine == pytest.approx(naive, rel=1e-7)
+        t = np.array([1e5, 1e6, 3e7])
+        naive = _naive_laplace(t, ref_cfg)
+        for tg, expected in zip(t, naive):
+            assert laplace_exact(float(tg), ref_cfg, QUAD) == pytest.approx(expected, rel=1e-7)
 
     def test_ppp_bound_closed_form(self, ref_cfg):
         tg = 2.5e6
@@ -341,6 +352,8 @@ class TestCoverage:
             coverage_given_k(0, ref_cfg, QUAD)
         with pytest.raises(ValueError):
             coverage_given_k(-3, ref_cfg, QUAD)
+        with pytest.raises(ValueError):
+            coverage_given_k(True, ref_cfg, QUAD)
 
     def test_cooperation_helps(self, ref_cfg):
         fn = laplace_fn_ppp(ref_cfg)
@@ -378,11 +391,83 @@ class TestCoverage:
         with pytest.raises(ValueError):
             coverage_content(1.5, ref_cfg, QUAD)
 
+    def test_non_finite_transform_raises_with_block_and_k(self, ref_cfg, monkeypatch):
+        monkeypatch.setattr(analytic, "_QMC_BLOCK_ROWS", 1000)
+        calls = []
+
+        def second_block_nan(t_gamma):
+            calls.append(t_gamma.size)
+            out = np.ones_like(t_gamma)
+            if len(calls) == 2:
+                out[-1] = np.nan  # last row of block 1, last caterer
+            return out
+
+        quad = QuadratureSpec(mc_integration_samples=5001)
+        with pytest.raises(NumericalError) as info:
+            coverage_given_k(3, ref_cfg, quad, laplace_fn=second_block_nan)
+        assert info.value.diagnostics["block"] == 1
+        assert info.value.diagnostics["k"] == 3
+
     def test_result_type_validates(self):
         with pytest.raises(ValueError):
             CoverageResult(1.5, "exact-tcp", 0.0)
         with pytest.raises(ValueError):
             CoverageResult(0.5, "magic", 0.0)
+
+
+def _whole_array_coverage(c_m, cfg, quad, method):
+    """The QMC coverage estimator evaluated on whole arrays: one Sobol draw
+    of all n rows, one n x k_max transform, numpy's axis-0 means. Returns
+    (value, numerical_error) as coverage_content computes them."""
+    mean_k = c_m * cfg.n_bar
+    k_max = _poisson_k_max(mean_k, quad.k_max_tail_mass)
+    n = quad.mc_integration_samples
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        unit = qmc.Sobol(d=k_max, scramble=True, seed=quad.qmc_seed).random(n)
+    h = 2.0 * cfg.sigma * np.sqrt(-np.log1p(-np.clip(unit, 1e-16, 1.0 - 1e-16)))
+    t_gamma = cfg.theta / np.cumsum(h ** (-cfg.alpha), axis=1)
+    if method == "exact-tcp":
+        fn = laplace_fn_exact(cfg, quad, (float(t_gamma.min()), float(t_gamma.max())))
+    else:
+        fn = laplace_fn_ppp(cfg)
+    lap = fn(t_gamma.ravel()).reshape(t_gamma.shape)
+    pmf = stats.poisson.pmf(np.arange(1, k_max + 1), mean_k)
+    half = n // 2
+    value_a = float(lap[:half].mean(axis=0) @ pmf)
+    value_b = float(lap[half:].mean(axis=0) @ pmf)
+    err = 0.5 * abs(value_a - value_b) + float(stats.poisson.sf(k_max, mean_k))
+    return float(lap.mean(axis=0) @ pmf), err
+
+
+class TestStreamedEstimator:
+    """coverage_content streams its Sobol rows in blocks; the result must not
+    depend on the block size, to the last bit."""
+
+    @pytest.mark.parametrize("method", ["exact-tcp", "ppp-bound"])
+    @pytest.mark.parametrize("c_m", [1.0, 0.3, 1e-11])
+    def test_bit_identical_to_whole_array_estimator(self, ref_cfg, monkeypatch, c_m, method):
+        # n // 2 = 2500 is no block edge at 7 or 1000 rows; 1e-11 gives
+        # k_max = 1, where numpy's axis-0 mean is pairwise, not row by row
+        quad = QuadratureSpec(mc_integration_samples=5001)
+        value, err = _whole_array_coverage(c_m, ref_cfg, quad, method)
+        if c_m == 1e-11:
+            assert _poisson_k_max(c_m * ref_cfg.n_bar, quad.k_max_tail_mass) == 1
+        for rows in (7, 1000, 5001, 8192):
+            monkeypatch.setattr(analytic, "_QMC_BLOCK_ROWS", rows)
+            got = coverage_content(c_m, ref_cfg, quad, method)
+            assert (got.value.hex(), got.numerical_error.hex()) == (value.hex(), err.hex())
+
+    def test_peak_memory_is_one_n_by_k_max_array(self, ref_cfg):
+        quad = QuadratureSpec()
+        k_max = _poisson_k_max(ref_cfg.n_bar, quad.k_max_tail_mass)
+        tracemalloc.start()
+        try:
+            coverage_content(1.0, ref_cfg, quad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * quad.mc_integration_samples * k_max * 8
 
 
 class TestOffloading:
@@ -435,10 +520,20 @@ class TestOffloading:
 
 class TestNumericsPlumbing:
     def test_quadrature_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(mc_integration_samples=10)
+        for kwargs in (
+            {"rel_tol": 0.0}, {"rel_tol": math.inf}, {"abs_tol": math.nan},
+            {"v_max_sigma_mult": math.inf}, {"k_max_tail_mass": 0.0},
+            {"k_max_tail_mass": 1.0}, {"k_max_tail_mass": 2.0},
+            {"mc_integration_samples": 10}, {"mc_integration_samples": 2000.5},
+            {"mc_integration_samples": 2000.0}, {"mc_integration_samples": True},
+            {"qmc_seed": -1}, {"qmc_seed": 0.5}, {"qmc_seed": False},
+        ):
+            with pytest.raises(ValueError):
+                QuadratureSpec(**kwargs)
+
+    def test_quadrature_spec_accepts_numpy_integers(self):
+        spec = QuadratureSpec(mc_integration_samples=np.int64(4096), qmc_seed=np.int32(7))
+        assert spec.mc_integration_samples == 4096 and spec.qmc_seed == 7
 
     def test_numerical_error_carries_diagnostics(self):
         err = NumericalError("went sideways", {"where": "outer"})
