@@ -16,11 +16,8 @@ from .analytic import (
     QuadratureSpec,
     compute_Z,
     coverage_content,
-    coverage_given_k,
-    gamma_function,
     laplace_exact,
     laplace_fn_exact,
-    laplace_fn_ppp,
     laplace_ppp_bound,
     offloading_closed_form_k1,
     offloading_gain,
@@ -42,9 +39,7 @@ from .model import (
 )
 from .optimizer import (
     KktSolution,
-    concavity_report,
     grid_search_oracle,
-    marginal_gain,
     solve_p1,
 )
 from .simulator import (
@@ -72,24 +67,19 @@ __all__ = [
     "QuadratureSpec",
     "CoverageResult",
     "NumericalError",
-    "gamma_function",
     "rician_pdf",
     "zeta_kernel",
     "laplace_exact",
     "laplace_ppp_bound",
     "laplace_fn_exact",
-    "laplace_fn_ppp",
-    "coverage_given_k",
     "coverage_content",
     "compute_Z",
     "offloading_gain",
     "offloading_closed_form_k1",
     # optimizer
     "KktSolution",
-    "marginal_gain",
     "solve_p1",
     "grid_search_oracle",
-    "concavity_report",
     # simulator
     "MonteCarloEstimate",
     "default_sim_radius",

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -29,14 +30,11 @@ __all__ = [
     "QuadratureSpec",
     "CoverageResult",
     "NumericalError",
-    "gamma_function",
     "rician_pdf",
     "zeta_kernel",
     "laplace_exact",
     "laplace_ppp_bound",
     "laplace_fn_exact",
-    "laplace_fn_ppp",
-    "coverage_given_k",
     "coverage_content",
     "compute_Z",
     "offloading_gain",
@@ -130,19 +128,11 @@ class NumericalError(RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
-def gamma_function(x: float) -> float:
-    """Euler gamma function; raises ValueError at the poles (x = 0, -1, -2, ...)."""
-    try:
-        return math.gamma(x)
-    except ValueError as exc:
-        raise ValueError(f"gamma function pole at x = {x!r}") from exc
-
-
 def _gamma_pair(alpha: float) -> float:
     """Gamma(1 + 2/alpha) * Gamma(1 - 2/alpha), finite for alpha > 2."""
     if alpha <= 2:
         raise ValueError(f"path-loss exponent must exceed 2, got {alpha!r}")
-    return gamma_function(1.0 + 2.0 / alpha) * gamma_function(1.0 - 2.0 / alpha)
+    return math.gamma(1.0 + 2.0 / alpha) * math.gamma(1.0 - 2.0 / alpha)
 
 
 def rician_pdf(u, v, sigma):
@@ -470,11 +460,6 @@ def laplace_fn_exact(cfg: NetworkConfig, quad: QuadratureSpec, t_range):
     return laplace
 
 
-def laplace_fn_ppp(cfg: NetworkConfig):
-    """Vectorized evaluator of the closed-form bound."""
-    return lambda t_gamma: laplace_ppp_bound(t_gamma, cfg)
-
-
 def _caterer_means(k_max: int, cfg: NetworkConfig, quad: QuadratureSpec, laplace_fn=None):
     """Per-k quasi-Monte-Carlo means of L(theta / S_k), k = 1..k_max.
 
@@ -524,24 +509,6 @@ def _caterer_means(k_max: int, cfg: NetworkConfig, quad: QuadratureSpec, laplace
     return lap.mean(axis=0), lap[:half].mean(axis=0), lap[half:].mean(axis=0)
 
 
-def coverage_given_k(
-    k: int, cfg: NetworkConfig, quad: QuadratureSpec, laplace_fn=None
-) -> float:
-    """Conditional coverage with exactly k cooperating caterers.
-
-    Averages laplace_fn(theta / sum_i h_i^-alpha) over k i.i.d. pairwise
-    distances h_i ~ Rayleigh(sqrt(2) sigma), by scrambled-Sobol integration
-    with quad.mc_integration_samples points; deterministic for a fixed
-    quad.qmc_seed. laplace_fn defaults to the exact cluster transform.
-    This is column k of the estimator behind coverage_content at k_max = k:
-    the rows are streamed in blocks, holding one n x k array.
-    """
-    if not _is_int(k) or k < 1:
-        raise ValueError(f"caterer count k must be an integer >= 1, got {k!r}")
-    means, _, _ = _caterer_means(int(k), cfg, quad, laplace_fn)
-    return float(means[-1])
-
-
 def _poisson_k_max(mean: float, tail_mass: float) -> int:
     """Smallest k with P(K > k) < tail_mass for K ~ Poisson(mean)."""
     if mean <= 0:
@@ -558,10 +525,10 @@ def coverage_content(
     """Unconditional D2D coverage for a file cached with probability c_m.
 
     Poisson mixture over the caterer count K with mean c_m * n_bar: sums
-    P(K=k) * coverage_given_k(k) for k = 1..k_max, where k_max leaves
-    residual mass below quad.k_max_tail_mass; K=0 contributes zero. The
-    error field combines the Poisson tail with a half-sample
-    quasi-Monte-Carlo estimate.
+    P(K=k) * P_k for k = 1..k_max, where P_k is the coverage with exactly
+    k cooperating caterers and k_max leaves residual mass below
+    quad.k_max_tail_mass; K=0 contributes zero. The error field combines
+    the Poisson tail with a half-sample quasi-Monte-Carlo estimate.
 
     All k share one k_max-dimensional Sobol draw (_caterer_means). Its rows
     are streamed in blocks, so the call holds one n x k_max array plus a
@@ -577,7 +544,7 @@ def coverage_content(
     if k_max == 0:
         return CoverageResult(0.0, method, float(min(1.0, quad.k_max_tail_mass)))
 
-    laplace_fn = laplace_fn_ppp(cfg) if method == "ppp-bound" else None
+    laplace_fn = partial(laplace_ppp_bound, cfg=cfg) if method == "ppp-bound" else None
     means, means_a, means_b = _caterer_means(k_max, cfg, quad, laplace_fn)
     pmf = stats.poisson.pmf(np.arange(1, k_max + 1), mean_k)
     value = float(means @ pmf)
@@ -641,6 +608,12 @@ def offloading_gain(policy: CachingPolicy, library: ContentLibrary, coverage_fn)
     return min(max(gain, 0.0), 1.0)
 
 
+def _k1_gain(c, n_bar: float, z: float):
+    """Single-caterer offloading gain of one file at unit popularity,
+    c + (1 - c) c n_bar exp(-c n_bar) / Z. Vectorized over c."""
+    return c + (1.0 - c) * c * n_bar * np.exp(-c * n_bar) / z
+
+
 def offloading_closed_form_k1(
     policy: CachingPolicy, library: ContentLibrary, cfg: NetworkConfig
 ) -> float:
@@ -651,9 +624,5 @@ def offloading_closed_form_k1(
     in closed form. A lower bound on the full offloading gain.
     """
     c = _checked_probs(policy, library)
-    q = library.popularity
-    z = compute_Z(cfg)
-    gain = float(
-        np.sum(q * (c + (1.0 - c) * c * cfg.n_bar * np.exp(-c * cfg.n_bar) / z))
-    )
+    gain = float(np.sum(library.popularity * _k1_gain(c, cfg.n_bar, compute_Z(cfg))))
     return min(max(gain, 0.0), 1.0)

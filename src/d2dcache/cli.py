@@ -146,10 +146,12 @@ def _quadrature_from(section: dict) -> QuadratureSpec:
     for key in known:
         if key in section:
             value = section.pop(key)
-            kwargs[key] = (
-                int(value) if key in ("mc_integration_samples", "qmc_seed")
-                else float(value)
-            )
+            if key not in ("mc_integration_samples", "qmc_seed"):
+                value = float(value)  # YAML reads 1e-8 as a string
+            elif not isinstance(value, int):
+                raise ValueError(f"quadrature setting {key!r} must be an integer, "
+                                 f"got {value!r}")
+            kwargs[key] = value
     if section:
         raise ValueError(f"unknown quadrature settings: {sorted(section)}")
     return QuadratureSpec(**kwargs)

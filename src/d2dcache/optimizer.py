@@ -2,7 +2,8 @@
 
 Maximizes sum_m q_m f(c_m) over the simplex {0 <= c_m <= 1, sum c = M},
 where f(c) = c + (1-c) c n_bar exp(-c n_bar) / Z is each file's offloading
-contribution. f is concave only up to an inflection point
+contribution (analytic._k1_gain, which the closed-form objective also uses).
+f is concave only up to an inflection point
 c_inflect = ((4+n_bar) - sqrt(n_bar^2+8)) / (2 n_bar); for n_bar > 1 it is
 convex on (c_inflect, 1]. Its maximum is f(1) = 1, but when n_bar / Z is
 large f' turns negative around c_inflect, and so can the multiplier.
@@ -19,8 +20,8 @@ convex group at any position, so every position is tried for them. Every
 such shape is enumerated, each is solved for its multiplier, and the best
 one is kept.
 
-A brute-force simplex enumeration oracle and a concavity diagnostic are
-provided to certify solutions instead of assuming global concavity.
+A brute-force simplex enumeration oracle certifies solutions on small
+instances instead of assuming global concavity.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .analytic import NumericalError, compute_Z, offloading_closed_form_k1
+from .analytic import NumericalError, _k1_gain, compute_Z, offloading_closed_form_k1
 from .model import (
     CachingPolicy,
     ContentLibrary,
@@ -44,10 +45,8 @@ from .model import (
 
 __all__ = [
     "KktSolution",
-    "marginal_gain",
     "solve_p1",
     "grid_search_oracle",
-    "concavity_report",
 ]
 
 SUM_TOL = 1e-8
@@ -75,14 +74,8 @@ class KktSolution:
     diagnostics: dict
 
 
-def _unit_gain(c, n_bar, Z):
-    """Per-file offloading contribution at unit popularity."""
-    c = np.asarray(c, dtype=float)
-    return c + (n_bar / Z) * c * (1.0 - c) * np.exp(-c * n_bar)
-
-
 def _unit_marginal(c, n_bar, Z):
-    """d/dc of _unit_gain."""
+    """d/dc of the per-file gain f = _k1_gain."""
     c = np.asarray(c, dtype=float)
     return 1.0 + (n_bar / Z) * np.exp(-c * n_bar) * (
         1.0 - c * (2.0 + n_bar - n_bar * c)
@@ -90,25 +83,10 @@ def _unit_marginal(c, n_bar, Z):
 
 
 def _unit_marginal_prime(c, n_bar, Z):
-    """d^2/dc^2 of _unit_gain; positive beyond the inflection point."""
+    """d^2/dc^2 of the per-file gain f; positive beyond the inflection point."""
     c = np.asarray(c, dtype=float)
     poly = -2.0 - 2.0 * n_bar + 4.0 * n_bar * c + n_bar**2 * c - n_bar**2 * c**2
     return (n_bar / Z) * np.exp(-c * n_bar) * poly
-
-
-def marginal_gain(c, q_m: float, n_bar: float, Z: float):
-    """Derivative of q_m (c + (1-c) c n_bar e^{-c n_bar} / Z) w.r.t. c.
-
-    Equals q_m + (q_m n_bar e^{-c n_bar} / Z)(1 - c(2 + n_bar - n_bar c)).
-    Accepts scalar or array c in [0, 1].
-    """
-    c_arr = np.asarray(c, dtype=float)
-    if np.any(c_arr < 0) or np.any(c_arr > 1):
-        raise ValueError("caching probability c must lie in [0,1]")
-    out = q_m * _unit_marginal(c_arr, n_bar, Z)
-    if np.isscalar(c):
-        return float(out)
-    return out
 
 
 def _inflection_point(n_bar: float) -> float:
@@ -322,7 +300,7 @@ def solve_p1(library: ContentLibrary, cfg: NetworkConfig) -> KktSolution:
         best, c_pos = -np.inf, None
         for cand, v in _candidates(q_pos, n_pos, budget, branch):
             n_candidates += 1
-            value = float(_unit_gain(cand, n_bar, z) @ (n_pos * q_pos))
+            value = float(_k1_gain(cand, n_bar, z) @ (n_pos * q_pos))
             if value > best:
                 best, c_pos, v_star = value, cand, v
         if c_pos is None:
@@ -425,27 +403,8 @@ def grid_search_oracle(
         remaining = remaining[row_idx] - values
     lattice = np.column_stack([partial, remaining])
 
-    gain_by_level = _unit_gain(np.arange(per_file + 1) * step, cfg.n_bar, compute_Z(cfg))
+    gain_by_level = _k1_gain(np.arange(per_file + 1) * step, cfg.n_bar, compute_Z(cfg))
     objectives = (gain_by_level[lattice] * library.popularity).sum(axis=1)
     best = int(np.argmax(objectives))
     best_policy = CachingPolicy(lattice[best].astype(float) * step)
     return best_policy, float(objectives[best])
-
-
-def concavity_report(
-    q_m: float, n_bar: float, Z: float, grid_points: int = 101
-) -> list[tuple[float, int]]:
-    """Numerical curvature scan of the per-file objective over [0, 1].
-
-    Differentiates marginal_gain on a uniform grid and returns
-    (c, curvature sign) pairs, sign +1 marking subintervals where the
-    objective is convex (the region Lemma-style concavity arguments miss).
-    Output length equals grid_points.
-    """
-    if grid_points < 10:
-        raise ValueError("grid_points must be >= 10")
-    cs = np.linspace(0.0, 1.0, grid_points)
-    second = np.gradient(marginal_gain(cs, q_m, n_bar, Z), cs)
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(second))))
-    signs = np.where(second > tol, 1, np.where(second < -tol, -1, 0))
-    return [(float(c), int(s)) for c, s in zip(cs, signs)]

@@ -9,6 +9,7 @@ exponent on hand-built panels, so adaptive quadrature is an independent
 path).
 """
 
+import functools
 import math
 import tracemalloc
 import warnings
@@ -23,17 +24,16 @@ from d2dcache.analytic import (
     CoverageResult,
     NumericalError,
     QuadratureSpec,
+    _caterer_means,
     _exponent_exact,
     _exponent_table,
     _exponents_exact,
+    _gamma_pair,
     _poisson_k_max,
     compute_Z,
     coverage_content,
-    coverage_given_k,
-    gamma_function,
     laplace_exact,
     laplace_fn_exact,
-    laplace_fn_ppp,
     laplace_ppp_bound,
     offloading_closed_form_k1,
     offloading_gain,
@@ -82,16 +82,20 @@ EXPONENT_FROZEN = {
 
 
 class TestGammaFunction:
+    """The product Gamma(1 + 2/alpha) Gamma(1 - 2/alpha) behind the bound."""
+
     def test_matches_reference_values(self):
-        assert gamma_function(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-        assert gamma_function(5.0) == pytest.approx(24.0, rel=1e-14)
-        assert gamma_function(1.5) == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-14)
+        # Gamma(3/2) Gamma(1/2) = pi/2; Gamma(5/3) Gamma(1/3) = (2 pi/3) / sin(pi/3)
+        assert _gamma_pair(4.0) == pytest.approx(0.5 * math.pi, rel=1e-14)
+        assert _gamma_pair(3.0) == pytest.approx(
+            2.0 * math.pi / 3.0 / math.sin(math.pi / 3.0), rel=1e-14)
 
     def test_pole_raises(self):
-        with pytest.raises(ValueError):
-            gamma_function(0.0)
-        with pytest.raises(ValueError):
-            gamma_function(-2.0)
+        # alpha = 2 puts Gamma(1 - 2/alpha) on its pole at 0
+        with pytest.raises(ValueError, match="exceed 2"):
+            _gamma_pair(2.0)
+        with pytest.raises(ValueError, match="exceed 2"):
+            _gamma_pair(1.0)
 
 
 class TestRicianPdf:
@@ -347,23 +351,15 @@ class TestComputeZ:
 
 
 class TestCoverage:
-    def test_rejects_bad_caterer_count(self, ref_cfg):
-        with pytest.raises(ValueError):
-            coverage_given_k(0, ref_cfg, QUAD)
-        with pytest.raises(ValueError):
-            coverage_given_k(-3, ref_cfg, QUAD)
-        with pytest.raises(ValueError):
-            coverage_given_k(True, ref_cfg, QUAD)
-
     def test_cooperation_helps(self, ref_cfg):
-        fn = laplace_fn_ppp(ref_cfg)
-        one = coverage_given_k(1, ref_cfg, QUAD, laplace_fn=fn)
-        two = coverage_given_k(2, ref_cfg, QUAD, laplace_fn=fn)
+        fn = functools.partial(laplace_ppp_bound, cfg=ref_cfg)
+        (one, two), _, _ = _caterer_means(2, ref_cfg, QUAD, fn)
         assert 0.0 < one < two < 1.0
 
     def test_single_caterer_matches_bound_coverage(self, ref_cfg):
         # with the PPP transform, the k=1 average has the closed form 1/Z
-        got = coverage_given_k(1, ref_cfg, QUAD, laplace_fn=laplace_fn_ppp(ref_cfg))
+        fn = functools.partial(laplace_ppp_bound, cfg=ref_cfg)
+        (got,), _, _ = _caterer_means(1, ref_cfg, QUAD, fn)
         assert got == pytest.approx(INV_Z_REF, abs=5e-7)
 
     def test_no_caching_means_no_coverage(self, ref_cfg):
@@ -404,7 +400,7 @@ class TestCoverage:
 
         quad = QuadratureSpec(mc_integration_samples=5001)
         with pytest.raises(NumericalError) as info:
-            coverage_given_k(3, ref_cfg, quad, laplace_fn=second_block_nan)
+            _caterer_means(3, ref_cfg, quad, second_block_nan)
         assert info.value.diagnostics["block"] == 1
         assert info.value.diagnostics["k"] == 3
 
@@ -430,7 +426,7 @@ def _whole_array_coverage(c_m, cfg, quad, method):
     if method == "exact-tcp":
         fn = laplace_fn_exact(cfg, quad, (float(t_gamma.min()), float(t_gamma.max())))
     else:
-        fn = laplace_fn_ppp(cfg)
+        fn = functools.partial(laplace_ppp_bound, cfg=cfg)
     lap = fn(t_gamma.ravel()).reshape(t_gamma.shape)
     pmf = stats.poisson.pmf(np.arange(1, k_max + 1), mean_k)
     half = n // 2

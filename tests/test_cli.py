@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+from d2dcache.analytic import QuadratureSpec
 from d2dcache.cli import (
     WORKERS_ENV_VAR,
     RunSettings,
@@ -111,6 +112,22 @@ network:
         with pytest.raises(ValueError, match="format"):
             load_config(write_config(tmp_path, "run:\n  format: xml\n"))
 
+    def test_quadrature_counts_pass_through_unchanged(self, tmp_path):
+        text = ("quadrature:\n  mc_integration_samples: 2000\n  qmc_seed: 3\n"
+                "  rel_tol: 1e-8\n")
+        quad = load_config(write_config(tmp_path, text)).quadrature
+        assert (quad.mc_integration_samples, quad.qmc_seed) == (2000, 3)
+        assert quad.rel_tol == 1e-8  # YAML reads 1e-8 as a string
+
+    @pytest.mark.parametrize("key, value", [("mc_integration_samples", "2000.5"),
+                                            ("qmc_seed", "3.9")])
+    def test_fractional_quadrature_count_rejected(self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path, f"quadrature:\n  {key}: {value}\n")
+        with pytest.raises(ValueError, match=key):
+            load_config(path)
+        assert main(["solve", "--config", path]) == 2
+        assert key in capsys.readouterr().err
+
 
 class TestEmitResults:
     COLUMNS = ["x", "method", "value"]
@@ -161,6 +178,16 @@ class TestExperiments:
         assert rows and all(row["passed"] for row in rows)
         checks = {row["check"] for row in rows}
         assert {"laplace-ordering", "k1-identity", "z-constant"} <= checks
+
+    def test_coverage_rows_independent_of_worker_count(self, ref_cfg, ref_library):
+        def rows(workers):
+            spec = self.spec(
+                ref_cfg, ref_library, "coverage-vs-sigma", trials=1000, seed=4,
+                workers=workers, quadrature=QuadratureSpec(mc_integration_samples=2000),
+                params={"sigma_m": [25.0, 50.0], "lambda_p_per_m2": [40e-6]})
+            return run_experiment(spec)
+
+        assert rows(2) == rows(1)
 
     def test_offload_vs_beta_table_shape(self, ref_cfg):
         lib = ContentLibrary.from_zipf(12, 0.5, 3)

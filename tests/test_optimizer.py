@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d2dcache.analytic import compute_Z, offloading_closed_form_k1
+from d2dcache.analytic import _k1_gain, compute_Z, offloading_closed_form_k1
 from d2dcache.model import (
     CachingPolicy,
     ContentLibrary,
@@ -23,10 +23,10 @@ from d2dcache.model import (
     validate_policy,
 )
 from d2dcache.optimizer import (
-    _unit_gain,
-    concavity_report,
+    _inflection_point,
+    _unit_marginal,
+    _unit_marginal_prime,
     grid_search_oracle,
-    marginal_gain,
     solve_p1,
 )
 
@@ -41,38 +41,31 @@ MARGINAL_Q1 = 0.052854680251955461
 
 
 class TestMarginalGain:
+    """The slope q f'(c) of a file's k = 1 gain, which the solver equates
+    to the multiplier."""
+
     def test_frozen_rounded_inputs(self):
-        got = marginal_gain(0.5, 0.0538, 8.0, 16.7913)
+        got = 0.0538 * _unit_marginal(0.5, 8.0, 16.7913)
         assert got == pytest.approx(MARGINAL_ROUNDED, rel=1e-12)
 
     def test_frozen_reference_inputs(self):
-        got = marginal_gain(0.5, Q1, 8.0, Z_REF)
+        got = Q1 * _unit_marginal(0.5, 8.0, Z_REF)
         assert got == pytest.approx(MARGINAL_Q1, rel=1e-12)
 
     def test_upper_threshold_at_zero(self):
-        # marginal at c=0 is q (1 + n_bar / Z)
-        q = 0.2
-        assert marginal_gain(0.0, q, 8.0, Z_REF) == pytest.approx(
-            q * (1.0 + 8.0 / Z_REF), rel=1e-13
-        )
+        # marginal at c=0 is 1 + n_bar / Z
+        assert _unit_marginal(0.0, 8.0, Z_REF) == pytest.approx(1.0 + 8.0 / Z_REF, rel=1e-13)
 
     def test_lower_threshold_at_one(self):
-        # marginal at c=1 is q (1 - n_bar e^{-n_bar} / Z)
-        q = 0.2
-        assert marginal_gain(1.0, q, 8.0, Z_REF) == pytest.approx(
-            q * (1.0 - 8.0 * math.exp(-8.0) / Z_REF), rel=1e-13
+        # marginal at c=1 is 1 - n_bar e^{-n_bar} / Z
+        assert _unit_marginal(1.0, 8.0, Z_REF) == pytest.approx(
+            1.0 - 8.0 * math.exp(-8.0) / Z_REF, rel=1e-13
         )
 
     def test_array_input(self):
-        out = marginal_gain(np.array([0.0, 0.5, 1.0]), 0.1, 8.0, Z_REF)
+        out = _unit_marginal(np.array([0.0, 0.5, 1.0]), 8.0, Z_REF)
         assert out.shape == (3,)
-        assert out[1] == pytest.approx(marginal_gain(0.5, 0.1, 8.0, Z_REF))
-
-    def test_domain_check(self):
-        with pytest.raises(ValueError):
-            marginal_gain(-0.1, 0.1, 8.0, Z_REF)
-        with pytest.raises(ValueError):
-            marginal_gain(1.1, 0.1, 8.0, Z_REF)
+        assert out[1] == _unit_marginal(0.5, 8.0, Z_REF)
 
 
 class TestSolveP1:
@@ -202,7 +195,7 @@ def test_solve_p1_properties(instance):
         else:
             # every file below 1 is past the peak of the per-file gain f:
             # less popular files take more c but get less f(c)
-            gain = _unit_gain(c, cfg.n_bar, compute_Z(cfg))
+            gain = _k1_gain(c, cfg.n_bar, compute_Z(cfg))
             assert np.all(np.diff(gain) <= 1e-15)
     assert np.array_equal(solve_p1(lib, cfg.with_(gamma_d=7.5)).policy.probs, c)
 
@@ -245,15 +238,17 @@ class TestGridSearchOracle:
 
 
 class TestConcavityReport:
+    """Curvature of the k = 1 per-file gain: f'' changes sign only at
+    _inflection_point, which lies in (0, 1) exactly when f is mixed."""
+
     def test_mixed_curvature_at_large_cluster_size(self):
-        report = concavity_report(0.1, 8.0, Z_REF)
-        signs = {sign for _, sign in report}
-        assert -1 in signs and 1 in signs
+        c_inflect = _inflection_point(8.0)
+        assert 0.0 < c_inflect < 1.0
+        before = np.linspace(0.0, c_inflect, 101)[:-1]
+        after = np.linspace(c_inflect, 1.0, 101)[1:]
+        assert np.all(_unit_marginal_prime(before, 8.0, Z_REF) < 0.0)
+        assert np.all(_unit_marginal_prime(after, 8.0, Z_REF) > 0.0)
 
     def test_concave_at_small_cluster_size(self):
-        report = concavity_report(0.1, 0.8, Z_REF)
-        assert all(sign <= 0 for _, sign in report[:-1])
-
-    def test_grid_size_validated(self):
-        with pytest.raises(ValueError):
-            concavity_report(0.1, 8.0, Z_REF, grid_points=5)
+        assert _inflection_point(0.8) > 1.0
+        assert np.all(_unit_marginal_prime(np.linspace(0.0, 1.0, 101), 0.8, Z_REF) < 0.0)
