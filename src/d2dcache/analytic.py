@@ -47,8 +47,9 @@ COVERAGE_METHODS = ("exact-tcp", "ppp-bound", "closed-form-k1")
 _ORDER_FINE = 16
 _ORDER_COARSE = 8
 _LOG_PANELS_PER_DECADE = 8
-# exponent tables: quintic-spline nodes per decade of t_gamma, and the padding
-# factor on each end of the requested range
+# exponent tables: quintic-spline nodes per decade of t_gamma, which fixes the
+# node lattice t_j = 10^(j / 8), and the padding factor on each end of the
+# requested range
 _TABLE_NODES_PER_DECADE = 8
 _TABLE_PAD = 10.0**0.25
 # Sobol rows per block of the streamed coverage estimator (_caterer_means)
@@ -406,30 +407,59 @@ def laplace_ppp_bound(t_gamma, cfg: NetworkConfig):
     return out
 
 
-def _exponent_table(t_lo, t_hi, cfg: NetworkConfig, quad: QuadratureSpec,
-                    v_inner: float = 0.0, log: bool = False):
-    """Exact exponents tabulated over [t_lo, t_hi], padded by _TABLE_PAD.
+def _lattice_t(j: int) -> float:
+    """Node j of the exponent lattice, t_gamma = 10^(j / _TABLE_NODES_PER_DECADE)."""
+    return 10.0 ** (j / _TABLE_NODES_PER_DECADE)
 
-    _exponents_exact(..., v_inner) at _TABLE_NODES_PER_DECADE geometric
-    nodes (at least 8), joined in ln t by a degree-5 interpolating spline
-    of ln E (log=True) or of E itself. Over t_gamma in [1e-8, 1e9] at alpha
-    2.5, 3 and 4 it moves L by under 2.6e-10, less than a cubic at 24 nodes
-    per decade. The piecewise-polynomial form evaluates about twice as fast
-    as the B-spline one. Returns (spline, t_nodes, error_estimates).
+
+class _ExponentLattice:
+    """Exact exponents on the fixed node lattice t_j = 10^(j/8) for one
+    (cfg, quad, v_inner).
+
+    _exponents_exact gives a node the same value, bit for bit, whatever
+    batch it is computed in, so node values are kept by lattice index and
+    reused. A table over a window of the lattice is then a pure function of
+    (cfg, quad, v_inner, window), whatever calls came before it. One
+    lattice can serve every call at the same configuration; a caller that
+    builds its own pays for its window's nodes, as a one-off table would.
     """
-    t_lo, t_hi = t_lo / _TABLE_PAD, t_hi * _TABLE_PAD
-    n_nodes = max(8, math.ceil(_TABLE_NODES_PER_DECADE * math.log10(t_hi / t_lo)) + 1)
-    t_nodes = np.geomspace(t_lo, t_hi, n_nodes)
-    exponents, errors = _exponents_exact(t_nodes, cfg, quad, v_inner)
-    if log and np.any(exponents <= 0):
-        raise NumericalError("non-positive exponent in spline table")
-    y = np.log(exponents) if log else exponents
-    spline = PPoly.from_spline(make_interp_spline(np.log(t_nodes), y, k=5))
-    return spline, t_nodes, errors
+
+    def __init__(self, cfg: NetworkConfig, quad: QuadratureSpec, v_inner: float = 0.0):
+        self.cfg, self.quad, self.v_inner = cfg, quad, v_inner
+        self._nodes = {}  # lattice index -> (exponent, error estimate)
+
+    def table(self, t_lo, t_hi, log: bool = False):
+        """Exact exponents tabulated over [t_lo, t_hi], padded by _TABLE_PAD
+        and rounded out to lattice nodes (at least 8).
+
+        Computes the window's missing nodes in one _exponents_exact(...,
+        v_inner) batch and joins the window's nodes in ln t by a degree-5
+        interpolating spline of ln E (log=True) or of E itself. Over t_gamma
+        in [1e-8, 1e9] at alpha 2.5, 3 and 4 it moves L by under 2.6e-10,
+        less than a cubic at 24 nodes per decade. The piecewise-polynomial
+        form evaluates about twice as fast as the B-spline one. Returns
+        (spline, t_nodes, error_estimates).
+        """
+        j_lo = math.floor(_TABLE_NODES_PER_DECADE * math.log10(t_lo / _TABLE_PAD))
+        j_hi = math.ceil(_TABLE_NODES_PER_DECADE * math.log10(t_hi * _TABLE_PAD))
+        short = max(0, 8 - (j_hi - j_lo + 1))
+        window = range(j_lo - short // 2, j_hi + short - short // 2 + 1)
+        missing = [j for j in window if j not in self._nodes]
+        if missing:
+            exponents, errors = _exponents_exact(
+                np.array([_lattice_t(j) for j in missing]), self.cfg, self.quad, self.v_inner)
+            self._nodes.update(zip(missing, zip(exponents.tolist(), errors.tolist())))
+        t_nodes = np.array([_lattice_t(j) for j in window])
+        exponents, errors = np.array([self._nodes[j] for j in window]).T
+        if log and np.any(exponents <= 0):
+            raise NumericalError("non-positive exponent in spline table")
+        y = np.log(exponents) if log else exponents
+        spline = PPoly.from_spline(make_interp_spline(np.log(t_nodes), y, k=5))
+        return spline, t_nodes, errors
 
 
 def _eval_table(table: PPoly, x: np.ndarray, name: str) -> np.ndarray:
-    """An _exponent_table at x = ln t_gamma; raises ValueError for a value
+    """An _ExponentLattice table at x = ln t_gamma; raises ValueError for a value
     outside the table rather than extrapolate."""
     if x.min() < table.x[0] or x.max() > table.x[-1]:
         raise ValueError(f"t_gamma outside the {name} table")
@@ -440,11 +470,11 @@ def laplace_fn_exact(cfg: NetworkConfig, quad: QuadratureSpec, t_range):
     """Vectorized evaluator of the exact transform, built once over
     t_range = (lo, hi) and then evaluated at millions of points.
 
-    A log-log quintic table of the exponent (_exponent_table). The
-    evaluator raises ValueError for a positive t_gamma outside the padded
-    table instead of extrapolating.
+    A log-log quintic table of the exponent over its own lattice
+    (_ExponentLattice). The evaluator raises ValueError for a positive
+    t_gamma outside the padded table instead of extrapolating.
     """
-    table, _, _ = _exponent_table(*t_range, cfg, quad, log=True)
+    table, _, _ = _ExponentLattice(cfg, quad).table(*t_range, log=True)
 
     def laplace(t_gamma):
         t_arr = np.asarray(t_gamma, dtype=float)

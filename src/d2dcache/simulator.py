@@ -19,9 +19,13 @@ fading turns that into the product over the near interferers at
 distances d_j. The clusters centered beyond r_sim contribute the exact
 factor exp(-F(t)) of the parent process's probability generating
 functional, F(t) = 2 pi lambda_p * integral from r_sim of
-(1 - exp(-n_bar zeta(v, t))) v dv, tabulated once per estimator call over
-the t range of its trials by the quintic exponent table
-(analytic._exponent_table) that also backs exact coverage.
+(1 - exp(-n_bar zeta(v, t))) v dv, tabulated over the t range of a
+call's trials by the quintic exponent table that also backs exact
+coverage. Its nodes sit on a fixed lattice held per (cfg, r_sim)
+(analytic._ExponentLattice). Each call builds its own, or
+estimate_offloading is handed one shared with other calls at the same
+(cfg, r_sim), which then compute each node once; a call's result does
+not depend on which lattice it is given.
 Replacing the success indicator by its conditional expectation
 (conditional Monte Carlo) removes the fading draws and lowers the
 per-trial variance; half-widths come from the sample variance of the
@@ -36,8 +40,8 @@ estimate_offloading simulates only the requests whose outcome needs
 geometry. A request for file m is a local hit with probability c_m and
 finds no caterer in its cluster with probability (1 - c_m) exp(-c_m n_bar);
 both outcomes are known exactly, so only requests that miss the local
-cache and meet at least one caterer are simulated (conditional Monte
-Carlo with proportional stratification).
+cache and meet at least one caterer are simulated, each file in
+proportion to its share of them (conditional Monte Carlo).
 
 t = theta / S is free of the transmit power, so results are bit-for-bit
 independent of the configured power scaling. All randomness flows from a
@@ -52,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import NumericalError, QuadratureSpec, _eval_table, _exponent_table
+from .analytic import NumericalError, QuadratureSpec, _eval_table, _ExponentLattice
 from .model import CachingPolicy, ContentLibrary, NetworkConfig, require_valid_policy
 
 __all__ = [
@@ -66,6 +70,9 @@ MIN_TRIALS = 1000
 _CHUNK = 1024
 # largest node error estimate the far-field table accepts
 _FAR_MAX_ERROR = 1e-6
+# fewest requests estimate_offloading simulates: the sample variance of a
+# handful of skewed per-request values is no basis for a half-width
+_MIN_SIMULATED = 100
 
 
 @dataclass(frozen=True)
@@ -128,27 +135,33 @@ def _draw_caterers(c_of_trial: np.ndarray, cfg: NetworkConfig,
     return t, k
 
 
-def _far_field(t: np.ndarray, cfg: NetworkConfig, r0: float):
-    """F(t): exponent of the exact Laplace factor of the clusters centered
-    beyond r0, as one table over the finite t of all trials (None if none).
+def _far_lattice(cfg: NetworkConfig, r0: float) -> _ExponentLattice:
+    """Node lattice of the far-field exponent F of the clusters centered
+    beyond r0, at the default quadrature."""
+    return _ExponentLattice(cfg, QuadratureSpec(), v_inner=r0)
 
-    The table is analytic._exponent_table with v_inner = r0: a quintic
-    spline in ln t at 8 nodes per decade. F itself is interpolated, not
-    ln F: at small t it is a prefix difference many orders of magnitude
-    below the full exponent, so its relative rounding noise is large while
-    its absolute value is negligible. The evaluator raises outside the table.
+
+def _far_field(t: np.ndarray, lattice: _ExponentLattice):
+    """F(t): exponent of the exact Laplace factor of the clusters centered
+    beyond lattice.v_inner, as one table over the finite t of all trials
+    (None if none).
+
+    The table is a quintic spline in ln t over the lattice's nodes at 8 per
+    decade (_ExponentLattice.table). F itself is interpolated, not ln F: at
+    small t it is a prefix difference many orders of magnitude below the
+    full exponent, so its relative rounding noise is large while its
+    absolute value is negligible. The evaluator raises outside the table.
     """
     finite = t[np.isfinite(t)]
     if finite.size == 0:
         return None
-    spline, t_nodes, errors = _exponent_table(
-        finite.min(), finite.max(), cfg, QuadratureSpec(), v_inner=r0)
+    spline, t_nodes, errors = lattice.table(finite.min(), finite.max())
     worst = int(np.argmax(errors))
     if errors[worst] > _FAR_MAX_ERROR:
         raise NumericalError(
             "far-field exponent table exceeds its error bound",
             diagnostics={"t_gamma": float(t_nodes[worst]),
-                         "error": float(errors[worst]), "r0": r0},
+                         "error": float(errors[worst]), "r0": lattice.v_inner},
         )
 
     def far(t_eval: np.ndarray) -> np.ndarray:
@@ -197,7 +210,8 @@ def _run_coverage(c_of_trial: np.ndarray, cfg: NetworkConfig, r_sim: float,
     """(conditional coverage values, caterer counts) of one trial per entry."""
     rng = _as_generator(seed)
     t, k = _draw_caterers(c_of_trial, cfg, rng)
-    values = _conditional_coverage(t, _far_field(t, cfg, r_sim), cfg, r_sim, rng)
+    far = _far_field(t, _far_lattice(cfg, r_sim))
+    values = _conditional_coverage(t, far, cfg, r_sim, rng)
     return values, k
 
 
@@ -234,7 +248,8 @@ def estimate_coverage(c_m: float, cfg: NetworkConfig, trials: int, seed: int = 0
 
 def estimate_offloading(policy: CachingPolicy, library: ContentLibrary,
                         cfg: NetworkConfig, trials: int, seed: int = 0,
-                        r_sim: float | None = None) -> MonteCarloEstimate:
+                        r_sim: float | None = None, *,
+                        _lattice: _ExponentLattice | None = None) -> MonteCarloEstimate:
     """Simulated offloading probability under a caching policy.
 
     A request is offloaded when the device holds the file itself or the
@@ -243,19 +258,26 @@ def estimate_offloading(policy: CachingPolicy, library: ContentLibrary,
     local hits (sum_m q_m c_m) and requests whose cluster holds no caterer
     are known exactly; only the remaining share
     W = sum_m q_m (1 - c_m) (1 - exp(-c_m n_bar)) needs geometry. So
-    max(2, round(trials W)) requests are simulated: file m with probability
+    max(100, round(trials W)) requests are simulated: file m with probability
     proportional to its term of W, a caterer count from the zero-truncated
     Poisson(c_m n_bar), and the conditional coverage given the drawn
     geometry (module docstring). The mean is sum_m q_m c_m + W mean(v) and
     the half-width W times the sample-variance one of the values v. One
     far-field table serves the whole call; r_sim is the near/far split
-    radius.
+    radius. _lattice is a far-field node lattice (_far_lattice) shared with
+    other calls at the same cfg and r_sim; results equal those without it,
+    bit for bit.
     """
     require_valid_policy(policy, library)
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be >= {MIN_TRIALS}")
     if r_sim is None:
         r_sim = default_sim_radius(cfg)
+    if _lattice is None:
+        _lattice = _far_lattice(cfg, r_sim)
+    elif (_lattice.cfg, _lattice.quad, _lattice.v_inner) != (cfg, QuadratureSpec(), r_sim):
+        raise ValueError("far-field lattice was built for another configuration "
+                         "or split radius")
     q = library.popularity
     c = policy.probs
     mean = float(q @ c)
@@ -266,14 +288,14 @@ def estimate_offloading(policy: CachingPolicy, library: ContentLibrary,
     half_width = 0.0
     if weight > 0.0:
         rng = _as_generator(seed)
-        n = max(2, round(trials * weight))
+        n = max(_MIN_SIMULATED, round(trials * weight))
         files = rng.choice(q.size, size=n, p=w / weight)
         # zero-truncated Poisson(mu): tau is the first arrival of a unit-rate
         # Poisson process given one in [0, mu], the rest are Poisson(mu - tau)
         tau = -np.log1p(rng.random(n) * np.expm1(-mu[files]))
         k = 1 + rng.poisson(np.maximum(mu[files] - tau, 0.0))
         t = _caterer_t(k, cfg, rng)
-        values = _conditional_coverage(t, _far_field(t, cfg, r_sim), cfg, r_sim, rng)
+        values = _conditional_coverage(t, _far_field(t, _lattice), cfg, r_sim, rng)
         mean += weight * float(values.mean())
         half_width = weight * _half_width(values)
     return MonteCarloEstimate(

@@ -26,7 +26,7 @@ from d2dcache.analytic import (
     QuadratureSpec,
     _caterer_means,
     _exponent_exact,
-    _exponent_table,
+    _ExponentLattice,
     _exponents_exact,
     _gamma_pair,
     _poisson_k_max,
@@ -41,7 +41,7 @@ from d2dcache.analytic import (
     zeta_kernel,
 )
 from d2dcache.model import CachingPolicy, ContentLibrary, NetworkConfig
-from d2dcache.simulator import _far_field, default_sim_radius
+from d2dcache.simulator import _far_field, _far_lattice, default_sim_radius
 
 QUAD = QuadratureSpec()
 
@@ -284,9 +284,9 @@ class TestExponentTable:
     def views(self, cfg):
         """(laplace view, far view, far-field radius, table nodes) over T_RANGE."""
         r0 = default_sim_radius(cfg)
-        _, t_nodes, _ = _exponent_table(*self.T_RANGE, cfg, QUAD)
+        _, t_nodes, _ = _ExponentLattice(cfg, QUAD).table(*self.T_RANGE)
         laplace = laplace_fn_exact(cfg, QUAD, self.T_RANGE)
-        far = _far_field(np.array(self.T_RANGE), cfg, r0)
+        far = _far_field(np.array(self.T_RANGE), _far_lattice(cfg, r0))
         return laplace, far, r0, t_nodes
 
     @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
@@ -336,6 +336,61 @@ class TestExponentTable:
         for t in (t_nodes[0] * 0.999, t_nodes[-1] * 1.001):
             with pytest.raises(ValueError):
                 far(np.array([t]))
+
+
+class TestExponentLattice:
+    """Node values held by lattice index serve any later window unchanged."""
+
+    @staticmethod
+    def snapshot(lattice, window):
+        spline, t_nodes, errors = lattice.table(*window)
+        return dict(lattice._nodes), spline.x, spline.c, t_nodes, errors
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
+    @pytest.mark.parametrize("inner", ["none", "far"])
+    def test_grown_in_two_steps_equals_one_batch(self, ref_cfg, alpha, inner):
+        cfg = ref_cfg.with_(alpha=alpha)
+        v_inner = 0.0 if inner == "none" else default_sim_radius(cfg)
+        full = (1e-3, 1e6)
+        grown = _ExponentLattice(cfg, QUAD, v_inner)
+        grown.table(1.0, 1e3)
+        grown.table(1e-3, 1e3)  # down
+        grown = self.snapshot(grown, full)  # and up
+        once = self.snapshot(_ExponentLattice(cfg, QUAD, v_inner), full)
+        assert grown[0] == once[0]
+        for a, b in zip(grown[1:], once[1:]):
+            assert np.array_equal(a, b)
+        # a node computed alone has its batched value too
+        j, (exponent, error) = sorted(once[0].items())[len(once[0]) // 2]
+        alone = _exponents_exact(np.array([analytic._lattice_t(j)]), cfg, QUAD, v_inner)
+        assert (alone[0][0], alone[1][0]) == (exponent, error)
+
+    def test_only_missing_nodes_computed(self, ref_cfg, monkeypatch):
+        batches = []
+
+        def counted(t_gamma, *args):
+            batches.append(len(t_gamma))
+            return _exponents_exact(t_gamma, *args)
+
+        monkeypatch.setattr(analytic, "_exponents_exact", counted)
+        lattice = _ExponentLattice(ref_cfg, QUAD)
+        _, wide, _ = lattice.table(1e-2, 1e4)
+        lattice.table(1.0, 10.0)
+        _, above, _ = lattice.table(1.0, 1e5)
+        assert batches == [wide.size, np.setdiff1d(above, wide).size]
+
+    @pytest.mark.parametrize("window", [(0.3, 0.3), (2e-3, 7e4), (1.0, 10.0)])
+    def test_window_rounded_out_to_lattice(self, ref_cfg, window):
+        lattice = _ExponentLattice(ref_cfg, QUAD)
+        _, t_nodes, _ = lattice.table(*window)
+        t_lo, t_hi = window[0] / analytic._TABLE_PAD, window[1] * analytic._TABLE_PAD
+        assert t_nodes[0] <= t_lo and t_nodes[-1] >= t_hi
+        j = np.round(8 * np.log10(t_nodes)).astype(int)
+        assert np.array_equal(j, np.arange(j[0], j[-1] + 1))
+        assert t_nodes.tolist() == [analytic._lattice_t(int(i)) for i in j]
+        # at most two nodes beyond a geometric table over the padded window
+        assert t_nodes.size <= max(8, math.ceil(8 * math.log10(t_hi / t_lo)) + 1) + 2
+        assert sorted(lattice._nodes) == j.tolist()
 
 
 class TestComputeZ:

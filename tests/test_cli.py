@@ -207,6 +207,18 @@ class TestExperiments:
             by_beta_policy[(0.0, "zipf-proportional")], abs=1e-9
         )
 
+    def test_offload_vs_beta_rows_independent_of_earlier_runs(self, ref_cfg):
+        lib = ContentLibrary.from_zipf(12, 0.5, 3)
+        offload = self.spec(ref_cfg, lib, "offload-vs-beta", trials=1000, seed=2,
+                            params={"beta": [0.4, 0.9]})
+        coverage = self.spec(
+            ref_cfg, lib, "coverage-vs-sigma", trials=1000, seed=2,
+            quadrature=QuadratureSpec(mc_integration_samples=2000),
+            params={"sigma_m": [ref_cfg.sigma], "lambda_p_per_m2": [ref_cfg.lambda_p]})
+        first = run_experiment(offload)
+        run_experiment(coverage)
+        assert run_experiment(offload) == first
+
     def test_policy_histogram_entropy_rows(self, ref_cfg):
         lib = ContentLibrary.from_zipf(20, 0.5, 3)
         spec = self.spec(ref_cfg, lib, "policy-histogram")

@@ -27,10 +27,18 @@ from d2dcache.analytic import (
     offloading_closed_form_k1,
     offloading_gain,
 )
-from d2dcache.model import CachingPolicy, ContentLibrary, NetworkConfig, policy_cpf
+from d2dcache.model import (
+    CachingPolicy,
+    ContentLibrary,
+    NetworkConfig,
+    policy_cpf,
+    policy_zipf_proportional,
+)
+from d2dcache.optimizer import solve_p1
 from d2dcache.simulator import (
     MIN_TRIALS,
     MonteCarloEstimate,
+    _far_lattice,
     _run_coverage,
     default_sim_radius,
     estimate_coverage,
@@ -264,6 +272,43 @@ class TestEstimateOffloading:
             float(lib.popularity[:2].sum()), rel=1e-12
         )
         assert est.half_width_95 == 0.0
+
+    def test_few_requests_to_simulate_still_bounded_below(self, ref_cfg):
+        # trials * W is 5 here; five simulated requests once drew coverage
+        # values all near 0, a half-width of 4e-14 and a mean 2.4e-4 below
+        # the single-caterer lower bound
+        lib = ContentLibrary.from_zipf(100, 1.5, 5)
+        pol = solve_p1(lib, ref_cfg).policy
+        c, q = pol.probs, lib.popularity
+        assert round(1000 * float(q @ ((1 - c) * -np.expm1(-c * ref_cfg.n_bar)))) == 5
+        est = estimate_offloading(pol, lib, ref_cfg, trials=1000, seed=6000025)
+        bound = offloading_closed_form_k1(pol, lib, ref_cfg)
+        assert est.trials == 1000
+        assert est.mean >= bound - 2 * est.half_width_95
+
+    def test_shared_lattice_matches_fresh_call(self, ref_cfg):
+        lib = ContentLibrary.from_zipf(20, 0.8, 3)
+        lattice = _far_lattice(ref_cfg, default_sim_radius(ref_cfg))
+        first = policy_zipf_proportional(lib)
+        second = solve_p1(lib, ref_cfg).policy
+        estimate_offloading(first, lib, ref_cfg, trials=2000, seed=5, _lattice=lattice)
+        filled = dict(lattice._nodes)
+        shared = estimate_offloading(second, lib, ref_cfg, trials=2000, seed=9,
+                                     _lattice=lattice)
+        assert filled and lattice._nodes.items() >= filled.items()
+        assert shared == estimate_offloading(second, lib, ref_cfg, trials=2000, seed=9)
+
+    def test_lattice_for_other_network_rejected(self, ref_cfg):
+        lib = ContentLibrary.from_zipf(6, 0.9, 2)
+        pol = policy_cpf(lib)
+        r0 = default_sim_radius(ref_cfg)
+        for cfg, radius in ((ref_cfg.with_(sigma=40.0), r0), (ref_cfg, 0.9 * r0)):
+            with pytest.raises(ValueError, match="lattice"):
+                estimate_offloading(pol, lib, ref_cfg, trials=2000,
+                                    _lattice=_far_lattice(cfg, radius))
+        with pytest.raises(ValueError, match="lattice"):
+            estimate_offloading(pol, lib, ref_cfg, trials=2000, r_sim=2 * r0,
+                                _lattice=_far_lattice(ref_cfg, r0))
 
     def test_infeasible_policy_rejected(self, ref_cfg):
         lib = ContentLibrary.from_zipf(4, 0.5, 2)
