@@ -13,8 +13,12 @@ coverage and offloading outputs are therefore exactly invariant to gamma_d.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -52,8 +56,15 @@ _LOG_PANELS_PER_DECADE = 8
 # requested range
 _TABLE_NODES_PER_DECADE = 8
 _TABLE_PAD = 10.0**0.25
+# lattice spacing in ln t_gamma
+_LATTICE_STEP = math.log(10.0) / _TABLE_NODES_PER_DECADE
 # Sobol rows per block of the streamed coverage estimator (_caterer_means)
 _QMC_BLOCK_ROWS = 4096
+# points per slice of the table kernel (_eval_table): small enough for its
+# scratch arrays to stay in cache
+_EVAL_SLICE = 32768
+# values per step of the zeta integrand (_ZetaRows): its buffer is 1 MB
+_ZETA_BUFFER = 2**17
 
 
 @dataclass(frozen=True)
@@ -129,6 +140,58 @@ class NumericalError(RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
+def _thread_count() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_mapping = threading.local()  # .active: this thread runs a _thread_map item
+
+
+def _thread_map(fn, items) -> list:
+    """[fn(item) for item in items] on up to _thread_count() threads, at most
+    one per item, the calling thread among them.
+
+    Threads pull items in order, one at a time, so no more than one item per
+    thread is in flight. Results come back in item order; if items fail, the
+    exception of the first failing one in item order is raised, as the
+    serial loop would. A map called from inside fn runs serially, so nested
+    maps never put more threads to work than the outer one. Pays off only
+    where fn spends its time in numpy calls that release the GIL.
+    """
+    items = list(items)
+    threads = min(_thread_count(), len(items))
+    if threads <= 1 or getattr(_mapping, "active", False):
+        return [fn(item) for item in items]
+    results, failures = [None] * len(items), {}
+    order = itertools.count()
+
+    def work():
+        _mapping.active = True
+        try:
+            for i in order:
+                if i >= len(items):
+                    return
+                try:
+                    results[i] = fn(items[i])
+                except Exception as exc:  # raised below, in item order
+                    failures[i] = exc
+        finally:
+            _mapping.active = False
+
+    with ThreadPoolExecutor(threads - 1) as pool:
+        helpers = [pool.submit(work) for _ in range(threads - 1)]
+        work()
+        for helper in helpers:
+            helper.result()
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
 def _gamma_pair(alpha: float) -> float:
     """Gamma(1 + 2/alpha) * Gamma(1 - 2/alpha), finite for alpha > 2."""
     if alpha <= 2:
@@ -152,9 +215,16 @@ def rician_pdf(u, v, sigma):
     if np.any(u_arr < 0) or np.any(v_arr < 0):
         raise ValueError("distances u and v must be non-negative")
     s2 = sigma * sigma
-    out = (u_arr / s2) * np.exp(-((u_arr - v_arr) ** 2) / (2.0 * s2)) * special.i0e(
-        u_arr * v_arr / s2
-    )
+    # in place, with the three factors multiplied in the order written above
+    out = np.asarray(np.subtract(u_arr, v_arr))
+    out **= 2
+    np.negative(out, out=out)
+    out /= 2.0 * s2
+    np.exp(out, out=out)
+    out *= u_arr / s2
+    bessel = np.asarray(np.multiply(u_arr, v_arr))
+    bessel /= s2
+    out *= special.i0e(bessel, out=bessel)
     if np.isscalar(u) and np.isscalar(v):
         return float(out)
     return out
@@ -194,27 +264,43 @@ class _ZetaRows:
     Everything but the SIR kernel is t-independent: the inner u nodes and
     weights, the Rician density and u**alpha are computed once here, so
     each evaluation costs the kernel t/(u^alpha + t), two products and a
-    sum. Row i is the inner quadrature for center distance v[i].
+    sum, all in one buffer. Row i is the inner quadrature for center
+    distance v[i]. Evaluations only read the arrays, so threads may share
+    one instance.
     """
 
     def __init__(self, v, cfg: NetworkConfig, half_width: float, order: int):
         lo = np.maximum(v - half_width, 0.0)
         span = v + half_width - lo
         s_nodes, s_weights = _u_template(order)
-        u = lo[:, None] + span[:, None] * s_nodes[None, :]
+        u = span[:, None] * s_nodes[None, :]
+        u += lo[:, None]
         self._wu = span[:, None] * s_weights[None, :]
         self._rician = rician_pdf(u, v[:, None], cfg.sigma)
         # where u**alpha overflows to inf the kernel t/(inf + t) is exactly 0
         with np.errstate(over="ignore"):
-            self._u_alpha = u**cfg.alpha
+            u **= cfg.alpha
+        self._u_alpha = u
+        # center distances per evaluation step: a kernel buffer of about 1 MB
+        self._step = max(1, _ZETA_BUFFER // u.shape[1])
 
     def __call__(self, t_gamma, rows=None):
         """zeta at one t_gamma for the first `rows` center distances (all by default)."""
-        kernel = t_gamma / (self._u_alpha[:rows] + t_gamma)
-        # multiply in this order: pre-multiplying density and weight moves the
-        # last bit of small-t transforms, whose frozen references resolve it
-        zeta = (kernel * self._rician[:rows] * self._wu[:rows]).sum(axis=1)
-        return np.clip(zeta, 0.0, 1.0)
+        rows = self._u_alpha.shape[0] if rows is None else rows
+        zeta = np.empty(rows)
+        kernel = np.empty((min(rows, self._step), self._u_alpha.shape[1]))
+        for start in range(0, rows, self._step):
+            part = slice(start, min(start + self._step, rows))
+            buf = kernel[:part.stop - start]
+            np.add(self._u_alpha[part], t_gamma, out=buf)
+            np.divide(t_gamma, buf, out=buf)
+            # multiply in this order: pre-multiplying density and weight moves
+            # the last bit of small-t transforms, whose frozen references
+            # resolve it
+            buf *= self._rician[part]
+            buf *= self._wu[part]
+            buf.sum(axis=1, out=zeta[part])
+        return np.clip(zeta, 0.0, 1.0, out=zeta)
 
 
 def zeta_kernel(v, t_gamma: float, cfg: NetworkConfig, quad: QuadratureSpec):
@@ -281,7 +367,8 @@ def _exponents_exact(t_gamma, cfg: NetworkConfig, quad: QuadratureSpec,
     integrates over the prefix of the grid up to its own truncation radius,
     rounded up to a panel edge, so the zeta integrand's t-independent part
     is built once per Gauss order for the whole batch, and a t's result
-    does not depend on the other members of the batch.
+    does not depend on the other members of the batch, nor on how the
+    nodes are spread over threads (_thread_map).
 
     With v_inner > 0 the result is the far-field exponent: only clusters
     centered beyond v_inner count. v_inner becomes a grid edge, and on the
@@ -331,9 +418,8 @@ def _exponents_exact(t_gamma, cfg: NetworkConfig, quad: QuadratureSpec,
         v_nodes, v_weights = _panel_rule(edges, order)
         grids.append((order, v_nodes, v_weights, _ZetaRows(v_nodes, cfg, half_width, order)))
 
-    exponents = np.empty(len(nodes))
-    errors = np.empty(len(nodes))
-    for i, (t, e_ppp, tail_coeff, n_extra) in enumerate(nodes):
+    def node(args):
+        t, e_ppp, tail_coeff, n_extra = args
         n_panels = base_edges.size - 1 + n_extra
         results = []
         for order, v_nodes, v_weights, zeta_rows in grids:
@@ -358,8 +444,9 @@ def _exponents_exact(t_gamma, cfg: NetworkConfig, quad: QuadratureSpec,
                     "tail_bound": tail_bound,
                 },
             )
-        exponents[i] = max(exponent_fine, 0.0)
-        errors[i] = err
+        return max(exponent_fine, 0.0), err
+
+    exponents, errors = np.array(_thread_map(node, nodes), dtype=float).reshape(-1, 2).T
     return exponents, errors
 
 
@@ -458,12 +545,67 @@ class _ExponentLattice:
         return spline, t_nodes, errors
 
 
-def _eval_table(table: PPoly, x: np.ndarray, name: str) -> np.ndarray:
-    """An _ExponentLattice table at x = ln t_gamma; raises ValueError for a value
-    outside the table rather than extrapolate."""
-    if x.min() < table.x[0] or x.max() > table.x[-1]:
+def _eval_table(table: PPoly, x: np.ndarray, name: str, out=None) -> np.ndarray:
+    """An _ExponentLattice table at x = ln t_gamma, equal to table(x) bit for
+    bit, written to out (a new array by default; out may be x itself).
+    Raises ValueError for a value outside the table (or NaN) rather than
+    extrapolate.
+
+    PPoly.__call__ holds the GIL; this kernel is plain numpy, which
+    releases it. A point's interval is the one whose breakpoints bracket
+    it, x[i] <= x < x[i+1], and the last one at the table's top end. Every
+    breakpoint sits on the node lattice (spacing _LATTICE_STEP in ln t), so
+    the interval holding the point's lattice cell is right up to a rounding
+    step across a node, which one comparison with the neighbouring
+    breakpoint on each side corrects. The polynomial is PPoly's own
+    ascending power sum: starting from 0, add c[k-1-m] s^m for m = 0..k-1,
+    where s is the offset from the interval's left breakpoint and s^m is
+    formed by repeated multiplication. Points go through in slices of
+    _EVAL_SLICE, so the scratch arrays stay small and are reused.
+    """
+    bp, c = table.x, table.c
+    if not (x.min() >= bp[0] and x.max() <= bp[-1]):
         raise ValueError(f"t_gamma outside the {name} table")
-    return table(x)
+    n_cells = int((bp[-1] - bp[0]) / _LATTICE_STEP) + 2
+    cell_mid = bp[0] + _LATTICE_STEP * (np.arange(n_cells) + 0.5)
+    interval_of_cell = np.minimum(np.searchsorted(bp, cell_mid, side="right") - 1,
+                                  bp.size - 2)
+    # the repeated end knots bound zero-width intervals; at the top end
+    # PPoly takes the last of them
+    proper = np.arange(bp.size)
+    proper[bp == bp[-1]] = bp.size - 2
+    # PPoly's sum starts from 0.0, which turns a -0.0 constant term into 0.0
+    constant = c[-1] + 0.0
+    if out is None:
+        out = np.empty_like(x)
+    size = min(x.size, _EVAL_SLICE)
+    scratch = (np.empty(size, np.intp), np.empty(size, np.intp), np.empty(size),
+               np.empty(size), np.empty(size), np.empty(size, bool))
+    for start in range(0, x.size, _EVAL_SLICE):
+        xs, o = x[start:start + _EVAL_SLICE], out[start:start + _EVAL_SLICE]
+        cell, i, g, s, power, step = (a[:xs.size] for a in scratch)
+        np.subtract(xs, bp[0], out=g)
+        g /= _LATTICE_STEP
+        np.minimum(g, n_cells - 1, out=g)
+        cell[...] = g  # truncation is the floor: g >= 0
+        np.take(interval_of_cell, cell, out=i, mode="clip")
+        np.take(bp, i, out=g, mode="clip")
+        i -= np.less(xs, g, out=step)
+        np.take(bp, i + 1, out=g, mode="clip")
+        i += np.greater_equal(xs, g, out=step)
+        interval = np.take(proper, i, out=cell, mode="clip")
+        np.take(bp, interval, out=g, mode="clip")
+        np.subtract(xs, g, out=s)
+        # xs is read for the last time above, so o may share its memory
+        np.take(constant, interval, out=o, mode="clip")
+        power[...] = s
+        for m in range(c.shape[0] - 2, -1, -1):
+            np.take(c[m], interval, out=g, mode="clip")
+            g *= power
+            o += g
+            if m:
+                power *= s
+    return out
 
 
 def laplace_fn_exact(cfg: NetworkConfig, quad: QuadratureSpec, t_range):
@@ -482,9 +624,12 @@ def laplace_fn_exact(cfg: NetworkConfig, quad: QuadratureSpec, t_range):
         out = np.ones_like(t_flat)
         pos = t_flat > 0
         if pos.any():
-            # one expression, so that no batch-sized temporary outlives its use
-            out[pos] = np.exp(-np.exp(
-                _eval_table(table, np.log(t_flat[pos]), "exact transform")))
+            # in place, so that one batch-sized temporary serves every step
+            x = np.log(t_flat[pos])
+            _eval_table(table, x, "exact transform", out=x)
+            np.exp(x, out=x)
+            np.negative(x, out=x)
+            out[pos] = np.exp(x, out=x)
         return float(out[0]) if t_arr.ndim == 0 else out
 
     return laplace
@@ -504,37 +649,63 @@ def _caterer_means(k_max: int, cfg: NetworkConfig, quad: QuadratureSpec, laplace
     They are numpy's own axis-0 means of `lap`, so they equal those of a
     whole-array evaluation bit for bit (at k_max = 1 that reduction is
     pairwise, not row by row, so block sums carried forward would not).
+
+    The blocks are split into one contiguous run per thread (_thread_map).
+    Each run draws from its own engine with the same seed, fast-forwarded
+    to the run's first row, so every row, and so every mean, is the same
+    at any thread count. A non-finite transform raises NumericalError for
+    the lowest bad block, with that block's index, rows and first bad k.
     """
     n = quad.mc_integration_samples
-    engine = qmc.Sobol(d=k_max, scramble=True, seed=quad.qmc_seed)
     blocks = [slice(start, min(start + _QMC_BLOCK_ROWS, n))
               for start in range(0, n, _QMC_BLOCK_ROWS)]
+    n_runs = min(_thread_count(), len(blocks))
+    runs = [range(len(blocks) * r // n_runs, len(blocks) * (r + 1) // n_runs)
+            for r in range(n_runs)]
     lap = np.empty((n, k_max))
-    t_lo, t_hi = math.inf, 0.0
-    for rows in blocks:
-        with warnings.catch_warnings():
-            # the sample count is a user-set budget, not forced to a power of
-            # two; consecutive draws continue one Sobol sequence
-            warnings.simplefilter("ignore", UserWarning)
-            unit = engine.random(rows.stop - rows.start)
-        unit = np.clip(unit, 1e-16, 1.0 - 1e-16)
-        h = 2.0 * cfg.sigma * np.sqrt(-np.log1p(-unit))
-        # column k-1: the first k caterers
-        t_gamma = np.divide(cfg.theta, np.cumsum(h ** (-cfg.alpha), axis=1), out=lap[rows])
-        t_lo, t_hi = min(t_lo, float(t_gamma.min())), max(t_hi, float(t_gamma.max()))
 
+    def draw(run):
+        engine = qmc.Sobol(d=k_max, scramble=True, seed=quad.qmc_seed)
+        if blocks[run[0]].start:
+            engine.fast_forward(blocks[run[0]].start)
+        t_lo, t_hi = math.inf, 0.0
+        for rows in (blocks[i] for i in run):
+            h = engine.random(rows.stop - rows.start)
+            np.clip(h, 1e-16, 1.0 - 1e-16, out=h)
+            # h = 2 sigma sqrt(-log1p(-unit)), then h^-alpha, in place
+            np.negative(h, out=h)
+            np.log1p(h, out=h)
+            np.negative(h, out=h)
+            np.sqrt(h, out=h)
+            np.multiply(2.0 * cfg.sigma, h, out=h)
+            h **= -cfg.alpha
+            # column k-1: the first k caterers
+            np.cumsum(h, axis=1, out=h)
+            t_gamma = np.divide(cfg.theta, h, out=lap[rows])
+            t_lo, t_hi = min(t_lo, float(t_gamma.min())), max(t_hi, float(t_gamma.max()))
+        return t_lo, t_hi
+
+    def transform(run):
+        for i in run:
+            block = lap[blocks[i]]
+            block[...] = laplace_fn(block.ravel()).reshape(block.shape)
+            bad = np.flatnonzero(~np.isfinite(block.sum(axis=0)))
+            if bad.size:
+                raise NumericalError(
+                    "non-finite Laplace transform in the coverage estimator",
+                    diagnostics={"block": i, "rows": (blocks[i].start, blocks[i].stop),
+                                 "k": int(bad[0]) + 1},
+                )
+
+    with warnings.catch_warnings():
+        # the sample count is a user-set budget, not forced to a power of two;
+        # consecutive draws continue one Sobol sequence
+        warnings.simplefilter("ignore", UserWarning)
+        t_ranges = _thread_map(draw, runs)
     if laplace_fn is None:
+        t_lo, t_hi = min(lo for lo, _ in t_ranges), max(hi for _, hi in t_ranges)
         laplace_fn = laplace_fn_exact(cfg, quad, t_range=(t_lo, t_hi))
-    for i, rows in enumerate(blocks):
-        block = lap[rows]
-        block[...] = laplace_fn(block.ravel()).reshape(block.shape)
-        bad = np.flatnonzero(~np.isfinite(block.sum(axis=0)))
-        if bad.size:
-            raise NumericalError(
-                "non-finite Laplace transform in the coverage estimator",
-                diagnostics={"block": i, "rows": (rows.start, rows.stop),
-                             "k": int(bad[0]) + 1},
-            )
+    _thread_map(transform, runs)
     half = n // 2
     return lap.mean(axis=0), lap[:half].mean(axis=0), lap[half:].mean(axis=0)
 

@@ -25,7 +25,9 @@ coverage. Its nodes sit on a fixed lattice held per (cfg, r_sim)
 (analytic._ExponentLattice). Each call builds its own, or
 estimate_offloading is handed one shared with other calls at the same
 (cfg, r_sim), which then compute each node once; a call's result does
-not depend on which lattice it is given.
+not depend on which lattice it is given. The table is built on a second
+thread while the near field is sampled (analytic._thread_map); the
+results do not depend on the thread count.
 Replacing the success indicator by its conditional expectation
 (conditional Monte Carlo) removes the fading draws and lowers the
 per-trial variance; half-widths come from the sample variance of the
@@ -56,7 +58,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import NumericalError, QuadratureSpec, _eval_table, _ExponentLattice
+from .analytic import (
+    NumericalError,
+    QuadratureSpec,
+    _eval_table,
+    _ExponentLattice,
+    _thread_map,
+)
 from .model import CachingPolicy, ContentLibrary, NetworkConfig, require_valid_policy
 
 __all__ = [
@@ -143,8 +151,8 @@ def _far_lattice(cfg: NetworkConfig, r0: float) -> _ExponentLattice:
 
 def _far_field(t: np.ndarray, lattice: _ExponentLattice):
     """F(t): exponent of the exact Laplace factor of the clusters centered
-    beyond lattice.v_inner, as one table over the finite t of all trials
-    (None if none).
+    beyond lattice.v_inner, as one table over the range of the (finite,
+    positive) t of all served trials.
 
     The table is a quintic spline in ln t over the lattice's nodes at 8 per
     decade (_ExponentLattice.table). F itself is interpolated, not ln F: at
@@ -152,10 +160,7 @@ def _far_field(t: np.ndarray, lattice: _ExponentLattice):
     full exponent, so its relative rounding noise is large while its
     absolute value is negligible. The evaluator raises outside the table.
     """
-    finite = t[np.isfinite(t)]
-    if finite.size == 0:
-        return None
-    spline, t_nodes, errors = lattice.table(finite.min(), finite.max())
+    spline, t_nodes, errors = lattice.table(t.min(), t.max())
     worst = int(np.argmax(errors))
     if errors[worst] > _FAR_MAX_ERROR:
         raise NumericalError(
@@ -170,21 +175,17 @@ def _far_field(t: np.ndarray, lattice: _ExponentLattice):
     return far
 
 
-def _conditional_coverage(t: np.ndarray, far, cfg: NetworkConfig,
-                          r0: float, rng: np.random.Generator) -> np.ndarray:
-    """Per-trial success probability given the caterers and the near field.
-
-    Samples the clusters centered within r0 for every trial with caterers
-    and returns exp(-sum_j ln(1 + t d_j^-alpha) - F(t)): the interferers'
-    Rayleigh fading and the desired signal's are averaged out exactly.
-    Trials without caterers are 0.
+def _near_exponents(t: np.ndarray, cfg: NetworkConfig, r0: float,
+                    rng: np.random.Generator) -> np.ndarray:
+    """sum_j ln(1 + t d_j^-alpha) over the interferers of the clusters
+    centered within r0, sampled for each (finite) t; averaging the
+    interferers' Rayleigh fading exactly gives the factor exp(-that sum).
     """
-    values = np.zeros(t.size)
-    served = np.flatnonzero(np.isfinite(t))
+    near = np.empty(t.size)
     mean_clusters = cfg.lambda_p * math.pi * r0**2
-    for start in range(0, served.size, _CHUNK):
-        idx = served[start:start + _CHUNK]
-        n = idx.size
+    for start in range(0, t.size, _CHUNK):
+        t_chunk = t[start:start + _CHUNK]
+        n = t_chunk.size
         n_clusters = rng.poisson(mean_clusters, n)
         total_c = int(n_clusters.sum())
         radii = r0 * np.sqrt(rng.random(total_c))
@@ -192,16 +193,43 @@ def _conditional_coverage(t: np.ndarray, far, cfg: NetworkConfig,
         # only distances matter and the member scatter is isotropic, so each
         # cluster's center can sit on the x-axis at its distance
         scatter = rng.normal(0.0, cfg.sigma, (2, int(counts.sum())))
-        x = np.repeat(radii, counts) + scatter[0]
-        d_sq = x * x + scatter[1] * scatter[1]
+        # in place from here on: d^-alpha = (x^2 + y^2)^(-alpha/2), then the
+        # log term of each member
+        d = np.repeat(radii, counts)
+        d += scatter[0]
+        d *= d
+        scatter[1] *= scatter[1]
+        d += scatter[1]
+        d **= -cfg.alpha / 2.0
+        del scatter
         trial_of_member = np.repeat(np.repeat(np.arange(n), n_clusters), counts)
-        t_chunk = t[idx]
-        near = np.bincount(
-            trial_of_member,
-            weights=np.log1p(t_chunk[trial_of_member] * d_sq ** (-cfg.alpha / 2.0)),
-            minlength=n,
-        )
-        values[idx] = np.exp(-(near + far(t_chunk)))
+        d *= t_chunk[trial_of_member]
+        near[start:start + n] = np.bincount(trial_of_member, weights=np.log1p(d, out=d),
+                                            minlength=n)
+    return near
+
+
+def _conditional_coverage(t: np.ndarray, lattice: _ExponentLattice,
+                          cfg: NetworkConfig, r0: float,
+                          rng: np.random.Generator) -> np.ndarray:
+    """Per-trial success probability given the caterers and the near field.
+
+    Samples the clusters centered within r0 for every trial with caterers
+    and returns exp(-sum_j ln(1 + t d_j^-alpha) - F(t)): the interferers'
+    Rayleigh fading and the desired signal's are averaged out exactly.
+    Trials without caterers are 0. The far-field table is built on a
+    second thread (_thread_map) while the near field is sampled; the values
+    do not depend on whether it is.
+    """
+    values = np.zeros(t.size)
+    served = np.isfinite(t)
+    t_served = t[served]
+    if t_served.size:
+        far, near = _thread_map(lambda task: task(), [
+            lambda: _far_field(t_served, lattice),
+            lambda: _near_exponents(t_served, cfg, r0, rng),
+        ])
+        values[served] = np.exp(-(near + far(t_served)))
     return values
 
 
@@ -210,8 +238,7 @@ def _run_coverage(c_of_trial: np.ndarray, cfg: NetworkConfig, r_sim: float,
     """(conditional coverage values, caterer counts) of one trial per entry."""
     rng = _as_generator(seed)
     t, k = _draw_caterers(c_of_trial, cfg, rng)
-    far = _far_field(t, _far_lattice(cfg, r_sim))
-    values = _conditional_coverage(t, far, cfg, r_sim, rng)
+    values = _conditional_coverage(t, _far_lattice(cfg, r_sim), cfg, r_sim, rng)
     return values, k
 
 
@@ -295,7 +322,7 @@ def estimate_offloading(policy: CachingPolicy, library: ContentLibrary,
         tau = -np.log1p(rng.random(n) * np.expm1(-mu[files]))
         k = 1 + rng.poisson(np.maximum(mu[files] - tau, 0.0))
         t = _caterer_t(k, cfg, rng)
-        values = _conditional_coverage(t, _far_field(t, _lattice), cfg, r_sim, rng)
+        values = _conditional_coverage(t, _lattice, cfg, r_sim, rng)
         mean += weight * float(values.mean())
         half_width = weight * _half_width(values)
     return MonteCarloEstimate(

@@ -11,6 +11,8 @@ path).
 
 import functools
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -25,6 +27,7 @@ from d2dcache.analytic import (
     NumericalError,
     QuadratureSpec,
     _caterer_means,
+    _eval_table,
     _exponent_exact,
     _ExponentLattice,
     _exponents_exact,
@@ -393,6 +396,114 @@ class TestExponentLattice:
         assert sorted(lattice._nodes) == j.tolist()
 
 
+def _hexes(*arrays):
+    """Every float of the arrays in hex, for comparisons to the last bit."""
+    return [[float(v).hex() for v in np.ravel(a)] for a in arrays]
+
+
+class TestTableKernel:
+    """_eval_table, the numpy kernel behind laplace_fn_exact and the far
+    field, against PPoly.__call__ to the last bit."""
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
+    @pytest.mark.parametrize("kind", ["exact", "far"])
+    def test_equals_ppoly_bit_for_bit(self, ref_cfg, alpha, kind):
+        cfg = ref_cfg.with_(alpha=alpha)
+        if kind == "exact":
+            table, _, _ = _ExponentLattice(cfg, QUAD).table(1e-4, 1e9, log=True)
+        else:
+            table, _, _ = _far_lattice(cfg, default_sim_radius(cfg)).table(1e-4, 1e9)
+        bp = table.x
+        lo, hi = bp[0], bp[-1]
+        assert np.sum(bp == lo) == 6 and np.sum(bp == hi) == 6  # repeated end knots
+        x = np.concatenate([
+            np.random.default_rng(int(alpha * 10)).uniform(lo, hi, 50_000),
+            bp,  # every breakpoint, the repeated end knots among them
+            np.nextafter(bp[bp > lo], -np.inf),  # one ulp either side of each
+            np.nextafter(bp[bp < hi], np.inf),
+        ])
+        assert x.size > analytic._EVAL_SLICE
+        expected = table(x)
+        assert _hexes(_eval_table(table, x, "test")) == _hexes(expected)
+        in_place = x.copy()
+        _eval_table(table, in_place, "test", out=in_place)
+        assert _hexes(in_place) == _hexes(expected)
+        for outside in (np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), np.nan):
+            with pytest.raises(ValueError, match="test table"):
+                _eval_table(table, np.array([lo, outside, hi]), "test")
+
+
+class TestThreadMap:
+    def test_results_and_first_failure_in_item_order(self, monkeypatch):
+        monkeypatch.setattr(analytic, "_thread_count", lambda: 3)
+        assert analytic._thread_map(lambda i: i * i, range(10)) == [i * i for i in range(10)]
+
+        def fails_at_3_and_7(i):
+            if i in (3, 7):
+                raise ValueError(i)
+            return i
+
+        with pytest.raises(ValueError) as info:
+            analytic._thread_map(fails_at_3_and_7, range(10))
+        assert info.value.args == (3,)
+
+    def test_every_item_taken_once_under_contention(self, monkeypatch):
+        # more threads than cores, switching as often as the interpreter allows
+        monkeypatch.setattr(analytic, "_thread_count", lambda: 8)
+        taken = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = analytic._thread_map(lambda i: taken.append(i) or -i, range(2000))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(taken) == list(range(2000))
+        assert results == [-i for i in range(2000)]
+
+    def test_nested_map_runs_on_its_caller(self, monkeypatch):
+        monkeypatch.setattr(analytic, "_thread_count", lambda: 3)
+
+        def inner_threads(_):
+            inner = analytic._thread_map(lambda _: threading.get_ident(), range(4))
+            return set(inner) == {threading.get_ident()}
+
+        assert all(analytic._thread_map(inner_threads, range(3)))
+
+
+class TestThreadCount:
+    """Every result is the same, to the last bit, at 1, 2 and 3 threads."""
+
+    @staticmethod
+    def at_each_count(monkeypatch, run):
+        results = []
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(analytic, "_thread_count", lambda: threads)
+            results.append(run())
+        return results
+
+    @pytest.mark.parametrize("method", ["exact-tcp", "ppp-bound"])
+    @pytest.mark.parametrize("c_m", [1.0, 0.3, 1e-11])
+    def test_coverage_content(self, ref_cfg, monkeypatch, c_m, method):
+        # 20 blocks: runs of 20, 10 + 10 and 6 + 7 + 7 of them
+        monkeypatch.setattr(analytic, "_QMC_BLOCK_ROWS", 1000)
+        quad = QuadratureSpec(mc_integration_samples=20_000)
+        results = self.at_each_count(
+            monkeypatch, lambda: coverage_content(c_m, ref_cfg, quad, method))
+        hexes = {(r.value.hex(), r.numerical_error.hex()) for r in results}
+        assert len(hexes) == 1
+
+    @pytest.mark.parametrize("inner", ["none", "far"])
+    def test_lattice_table(self, ref_cfg, monkeypatch, inner):
+        cfg = ref_cfg.with_(alpha=2.5)
+        v_inner = 0.0 if inner == "none" else default_sim_radius(cfg)
+        results = self.at_each_count(
+            monkeypatch, lambda: _ExponentLattice(cfg, QUAD, v_inner).table(1e-3, 1e6))
+        one = results[0]
+        for other in results[1:]:
+            assert (_hexes(other[0].x, other[0].c, *other[1:])
+                    == _hexes(one[0].x, one[0].c, *one[1:]))
+
+
 class TestComputeZ:
     def test_frozen_oracle(self, ref_cfg):
         assert compute_Z(ref_cfg) == pytest.approx(Z_REF, rel=1e-13)
@@ -444,20 +555,26 @@ class TestCoverage:
 
     def test_non_finite_transform_raises_with_block_and_k(self, ref_cfg, monkeypatch):
         monkeypatch.setattr(analytic, "_QMC_BLOCK_ROWS", 1000)
-        calls = []
+        quad = QuadratureSpec(mc_integration_samples=5001)  # blocks 0..5
+        # the t_gamma of each block's last row and caterer, in block order
+        monkeypatch.setattr(analytic, "_thread_count", lambda: 1)
+        last = []
+        _caterer_means(3, ref_cfg, quad, lambda t: (last.append(t[-1]), np.ones_like(t))[1])
+        assert len(last) == 6
 
-        def second_block_nan(t_gamma):
-            calls.append(t_gamma.size)
+        def nan_in_blocks_1_and_4(t_gamma):
             out = np.ones_like(t_gamma)
-            if len(calls) == 2:
-                out[-1] = np.nan  # last row of block 1, last caterer
+            out[np.isin(t_gamma, [last[1], last[4]])] = np.nan
             return out
 
-        quad = QuadratureSpec(mc_integration_samples=5001)
-        with pytest.raises(NumericalError) as info:
-            _caterer_means(3, ref_cfg, quad, second_block_nan)
-        assert info.value.diagnostics["block"] == 1
-        assert info.value.diagnostics["k"] == 3
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(analytic, "_thread_count", lambda: threads)
+            with pytest.raises(NumericalError) as info:
+                _caterer_means(3, ref_cfg, quad, nan_in_blocks_1_and_4)
+            # the lowest bad block, whichever thread got to its block first
+            assert info.value.diagnostics["block"] == 1
+            assert info.value.diagnostics["rows"] == (1000, 2000)
+            assert info.value.diagnostics["k"] == 3
 
     def test_result_type_validates(self):
         with pytest.raises(ValueError):

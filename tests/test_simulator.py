@@ -21,6 +21,7 @@ from brute_force import (
     sample_network,
     simulate_request,
 )
+from d2dcache import analytic
 from d2dcache.analytic import (
     QuadratureSpec,
     coverage_content,
@@ -37,6 +38,7 @@ from d2dcache.model import (
 from d2dcache.optimizer import solve_p1
 from d2dcache.simulator import (
     MIN_TRIALS,
+    _CHUNK,
     MonteCarloEstimate,
     _far_lattice,
     _run_coverage,
@@ -330,3 +332,35 @@ def test_realization_is_frozen(small_cfg):
     real = sample_network(small_cfg, seed=1)
     with pytest.raises(Exception):
         real.r_sim = 10.0
+
+
+class TestThreadCount:
+    """Estimates are the same, to the last bit, at 1, 2 and 3 threads: the
+    far-field table is built beside the near-field sampling or after it."""
+
+    @staticmethod
+    def at_each_count(monkeypatch, run):
+        results = set()
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(analytic, "_thread_count", lambda: threads)
+            est = run()
+            results.add((est.mean.hex(), est.half_width_95.hex()))
+        assert len(results) == 1
+        return results.pop()
+
+    @pytest.mark.parametrize("c_m", [1.0, 0.3, 0.0])
+    def test_estimate_coverage(self, ref_cfg, monkeypatch, c_m):
+        cfg = ref_cfg.with_(alpha=2.5)
+        mean, half_width = self.at_each_count(
+            monkeypatch, lambda: estimate_coverage(c_m, cfg, trials=3000, seed=11))
+        if c_m == 0.0:  # no trial is served
+            assert (mean, half_width) == ((0.0).hex(), (0.0).hex())
+
+    def test_estimate_offloading(self, ref_cfg, monkeypatch):
+        lib = ContentLibrary.from_zipf(20, 0.8, 3)
+        pol = policy_zipf_proportional(lib)
+        c, q = pol.probs, lib.popularity
+        trials = 3000  # simulates more than one near-field chunk of requests
+        assert trials * float(q @ ((1 - c) * -np.expm1(-c * ref_cfg.n_bar))) > _CHUNK
+        self.at_each_count(
+            monkeypatch, lambda: estimate_offloading(pol, lib, ref_cfg, trials=trials, seed=5))
