@@ -17,6 +17,7 @@ import numpy as np
 
 from .analytic import (
     QuadratureSpec,
+    _share_cpus,
     compute_Z,
     coverage_content,
     laplace_exact,
@@ -128,7 +129,9 @@ def _run_coverage_vs_sigma(spec: ExperimentSpec):
         )
     ]
     if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+        # each process takes its share of the CPUs for its own threads
+        with ProcessPoolExecutor(max_workers=spec.workers, initializer=_share_cpus,
+                                 initargs=(spec.workers,)) as pool:
             chunks = list(pool.map(_coverage_point, points))
     else:
         chunks = [_coverage_point(p) for p in points]

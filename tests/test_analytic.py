@@ -449,7 +449,7 @@ class TestThreadMap:
 
     def test_every_item_taken_once_under_contention(self, monkeypatch):
         # more threads than cores, switching as often as the interpreter allows
-        monkeypatch.setattr(analytic, "_thread_count", lambda: 8)
+        monkeypatch.setattr(analytic, "_thread_count", lambda: 4)
         taken = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -468,6 +468,16 @@ class TestThreadMap:
             return set(inner) == {threading.get_ident()}
 
         assert all(analytic._thread_map(inner_threads, range(3)))
+
+    def test_pool_processes_share_the_cpus(self, monkeypatch):
+        monkeypatch.setattr(analytic.os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+        monkeypatch.setattr(analytic, "_cpu_share", 1)
+        assert analytic._thread_count() == 8
+        analytic._share_cpus(3)
+        assert analytic._thread_count() == 2
+        analytic._share_cpus(16)
+        assert analytic._thread_count() == 1
 
 
 class TestThreadCount:
@@ -636,6 +646,12 @@ class TestStreamedEstimator:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * quad.mc_integration_samples * k_max * 8
+
+    def test_peak_memory_bound_holds_on_many_cpus(self, ref_cfg, monkeypatch):
+        # every thread holds its own scratch; their number, not the CPU count,
+        # must bound it
+        monkeypatch.setattr(analytic, "_thread_count", lambda: 16)
+        self.test_peak_memory_is_one_n_by_k_max_array(ref_cfg)
 
 
 class TestOffloading:

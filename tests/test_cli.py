@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import yaml
 
-from d2dcache.analytic import QuadratureSpec
+from d2dcache import experiments
+from d2dcache.analytic import QuadratureSpec, _share_cpus
 from d2dcache.cli import (
     WORKERS_ENV_VAR,
     RunSettings,
@@ -188,6 +189,30 @@ class TestExperiments:
             return run_experiment(spec)
 
         assert rows(2) == rows(1)
+
+    def test_worker_processes_share_the_cpus(self, ref_cfg, ref_library, monkeypatch):
+        pools = []
+
+        class InProcessPool:  # records how the pool is made, maps in this process
+            def __init__(self, **kwargs):
+                pools.append(kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+        spec = self.spec(
+            ref_cfg, ref_library, "coverage-vs-sigma", trials=1000, seed=4, workers=3,
+            quadrature=QuadratureSpec(mc_integration_samples=2000),
+            params={"sigma_m": [50.0], "lambda_p_per_m2": [40e-6]})
+        run_experiment(spec)
+        assert pools == [{"max_workers": 3, "initializer": _share_cpus, "initargs": (3,)}]
 
     def test_offload_vs_beta_table_shape(self, ref_cfg):
         lib = ContentLibrary.from_zipf(12, 0.5, 3)
