@@ -20,6 +20,14 @@ convex group at any position, so every position is tried for them. Every
 such shape is enumerated, each is solved for its multiplier, and the best
 one is kept.
 
+A concave-branch multiplier is the root of budget(v) = rest, a
+non-increasing sum over the groups. It is found by safeguarded Newton
+steps on the analytic slope, dc/dv = 1 / (q phi'(c)), from a table
+estimate of the root. The result is the pair of adjacent floats that
+bisecting the multiplier's bit patterns to one ulp returns; that bisection
+is replayed at the end, evaluating only its midpoints within the budget's
+rounding error of the root, so about ten evaluations find each multiplier.
+
 A brute-force simplex enumeration oracle certifies solutions on small
 instances instead of assuming global concavity.
 """
@@ -55,6 +63,10 @@ BASELINE_TOL = 1e-12
 _CLAMP_EPS = 1e-9
 _SCAN_POINTS = 257
 _ORACLE_MAX_POINTS = 20_000_000
+# rounding error of phi per unit size of its terms, and of the budget sum
+# per unit of its size, with margin: the budget's measured departures from
+# monotone stayed under a tenth of the tolerance this gives
+_ROUNDING = 2.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -64,8 +76,10 @@ class KktSolution:
     diagnostics keys: 'labels' (per-file 'clamped-0' | 'clamped-1' |
     'interior'), 'sum_residual', 'stationarity_residuals' (interior files,
     in file order), 'concavity_warnings', 'candidates' (number of
-    structural candidates solved). Tied popularities always get identical
-    caching probabilities.
+    structural candidates solved), 'multiplier_evaluations' (number of
+    budget evaluations on the concave branch, the bracket checks of every
+    candidate included). Tied popularities always get identical caching
+    probabilities.
     """
 
     policy: CachingPolicy
@@ -115,6 +129,16 @@ class _ConcaveBranch:
     def phi(self, c):
         return _unit_marginal(c, self.n_bar, self.Z)
 
+    def _phi_and_prime(self, c):
+        """phi and phi' from one shared exponential, bit for bit equal to
+        _unit_marginal and _unit_marginal_prime, and the size of phi's terms,
+        which bounds its rounding error."""
+        n_bar = self.n_bar
+        a = (n_bar / self.Z) * np.exp(-c * n_bar)
+        shape = c * (2.0 + n_bar - n_bar * c)
+        poly = -2.0 - 2.0 * n_bar + 4.0 * n_bar * c + n_bar**2 * c - n_bar**2 * c**2
+        return 1.0 + a * (1.0 - shape), a * poly, 1.0 + a * (1.0 + shape)
+
     def interp(self, y):
         """Table estimate of the root of phi(c) = y, clamped to [0, c_b]."""
         return np.interp(y, self._phi_table, self._c_table)
@@ -122,53 +146,182 @@ class _ConcaveBranch:
     def __call__(self, v, q):
         """Root of q phi(c) = v for each popularity q > 0: 0 where
         v >= q phi(0), c_b where v <= q phi(c_b). Broadcasts v against q."""
+        return self.solve(v, q)[0]
+
+    def solve(self, v, q):
+        """(c, slope, error): c as in __call__; slope = dc/dv and error, a
+        bound on c's rounding error, where 0 < c < c_b, and 0 elsewhere."""
         v, q = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(q, dtype=float))
         c = np.where(v <= q * self.phi_b, self.c_b, 0.0)
+        slope, error = np.zeros(c.shape), np.zeros(c.shape)
         inside = (v > q * self.phi_b) & (v < q * self.phi0)
         if inside.any():
             y = v[inside] / q[inside]  # < phi0, so tiny q cannot overflow it
             guess = self.interp(y)
+            prime, size = np.empty(y.size), np.empty(y.size)
             todo = np.arange(y.size)
             for _ in range(60):
                 g = guess[todo]
+                phi, prime[todo], size[todo] = self._phi_and_prime(g)
                 # the slope vanishes only at c_inflect, never at a root left of it
-                slope = np.minimum(_unit_marginal_prime(g, self.n_bar, self.Z), -1e-300)
-                step = (self.phi(g) - y[todo]) / slope
+                step = (phi - y[todo]) / np.minimum(prime[todo], -1e-300)
                 guess[todo] = np.clip(g - step, 0.0, self.c_b)
                 todo = todo[np.abs(step) > 1e-15]
                 if todo.size == 0:
                     break
             c[inside] = guess
-        return c
+            # phi and phi' at the last iterate, less than 1e-15 from c
+            prime = np.minimum(prime, -1e-300)
+            with np.errstate(over="ignore", divide="ignore"):
+                slope[inside] = 1.0 / (q[inside] * prime)
+                error[inside] = _ROUNDING * size / -prime
+        return c, slope, error
 
 
-def _float_bisect(holds, lo: float, hi: float) -> tuple[float, float]:
-    """Adjacent floats lo <= a < b <= hi with holds(a) and not holds(b),
-    given holds(lo), not holds(hi) and a monotone predicate.
+def _key(x: float) -> int:
+    """Integer that orders all finite floats, adjacent floats by adjacent
+    integers: the bit pattern, negated for negative numbers."""
+    bits = int(np.float64(x).view(np.int64))
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
 
-    Bisects an integer key that orders all finite floats (the bit pattern,
-    negated for negative numbers), so a multiplier of any sign and scale is
-    resolved to one ulp in at most 64 steps.
+
+def _value(k: int) -> float:
+    """The float whose _key is k."""
+    return float(np.int64(k if k >= 0 else -k - 2**63).view(np.float64))
+
+
+def _root_pair(residual, lo: float, hi: float, start=None) -> tuple[float, float]:
+    """Adjacent floats lo <= a < b <= hi with g(a) >= 0 > g(b), given
+    g(lo) >= 0 > g(hi) and a residual g that is non-increasing up to its
+    rounding.
+
+    residual(v) returns (g, slope, tol): g(v), dg/dv and a margin past which
+    the sign of g is monotone, so that g(v) >= tol implies g >= 0 at every
+    smaller v and g(v) < -tol implies g < 0 at every larger v.
+
+    The pair is the one that bisecting the keys of [lo, hi] to one ulp
+    returns, so it does not depend on how the root is approached. Newton
+    steps from start (by default the midpoint) first find floats of certain
+    sign on either side of the root. A step that leaves the bracket, meets a
+    zero slope or fails to halve the last step falls back to a midpoint,
+    alternately of the values and of the keys, so a root at subnormal or
+    negative scale is reached too; a step that leaves the bracket first
+    tries the float at the square root of the bracket's key width from that
+    end, which finds a root at a kink next to it. The bisection is then
+    replayed: its midpoints outside the floats of certain sign are decided
+    without evaluating g. Each of the three stages is capped, at 2 x 64
+    evaluations, 64 per side and 64.
     """
+    k_lo, k_hi = _key(lo), _key(hi)
+    sure_t, sure_f = k_lo, k_hi  # g >= 0 at and below sure_t, g < 0 at and above sure_f
+    seen = {}
 
-    def key(x):
-        bits = int(np.float64(x).view(np.int64))
-        return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+    def probe(k):
+        nonlocal sure_t, sure_f
+        g, slope, tol = residual(_value(k))
+        seen[k] = g
+        if g >= tol:
+            sure_t = max(sure_t, k)
+        elif g < -tol:
+            sure_f = min(sure_f, k)
+        return g, slope, tol
 
-    def value(k):
-        return float(np.int64(k if k >= 0 else -k - 2**63).view(np.float64))
+    def reach(k_root, k, holds):
+        # gallop away from the root until a float of certain sign is found
+        span = max(abs(k - k_root), 1)
+        k = min(max(k, sure_t), sure_f)
+        while (sure_t < k) if holds else (sure_f > k):
+            probe(k)
+            span *= 2
+            k = max(k_root - span, sure_t) if holds else min(k_root + span, sure_f)
 
-    a, b = key(lo), key(hi)
+    # Newton on the bracket a < b of floats with g(a) >= 0 > g(b)
+    a, b = k_lo, k_hi
+    x = _key(0.5 * lo + 0.5 * hi if start is None else start)
+    k_root = None
+    key_step_old, newton_old, arithmetic, near_end = b - a, None, True, False
+    for _ in range(2 * 64):
+        if b - a <= 1:
+            break
+        if not a < x < b:
+            x = (a + b) // 2
+        g, slope, tol = probe(x)
+        if g >= 0.0:
+            a = x
+        else:
+            b = x
+        v = _value(x)
+        step = g / slope if -math.inf < slope < 0.0 and tol < math.inf else math.nan
+        root = v - step
+        if math.isfinite(root):
+            # the error left after this step, from the last two Newton steps
+            error = abs(step) * (step / newton_old) ** 2 if newton_old else math.inf
+            key_step = abs(_key(root) - x)
+            if abs(g) <= tol or error <= tol / -slope or key_step <= 2:
+                # floats where g is about +-1.25 tol, past the root's error
+                margin = (1.25 * tol + (2.0 * error * -slope if error < math.inf else 0.0)) / slope
+                k_root, k_t, k_f = _key(root), _key(root + margin), _key(root - margin)
+                break
+            inside = _value(a) < root < _value(b)
+            if inside and key_step <= key_step_old // 2:
+                x, key_step_old, newton_old, near_end = _key(root), key_step, abs(step), False
+                continue
+            if not (inside or near_end):
+                near = math.isqrt(b - a)
+                x = a + near if root <= _value(a) else b - near
+                newton_old, near_end = None, True
+                continue
+        x = _key(0.5 * _value(a) + 0.5 * _value(b)) if arithmetic else (a + b) // 2
+        arithmetic, key_step_old, newton_old, near_end = not arithmetic, b - a, None, False
+    if k_root is None:
+        k_root, k_t, k_f = b, a, b
+    reach(k_root, min(k_t, k_root - 1), True)
+    reach(k_root, max(k_f, k_root + 1), False)
+    # replay the bisection
+    a, b = k_lo, k_hi
     while b - a > 1:
         mid = (a + b) // 2
-        if holds(value(mid)):
+        if mid <= sure_t:
+            holds = True
+        elif mid >= sure_f:
+            holds = False
+        else:
+            holds = (seen[mid] if mid in seen else probe(mid)[0]) >= 0.0
+        if holds:
             a = mid
         else:
             b = mid
-    return value(a), value(b)
+    return _value(a), _value(b)
 
 
-def _candidates(q, sizes, budget, branch):
+def _first_guess(q, sizes, rest, branch):
+    """A cheap estimate of the root of budget(v) = rest on the concave branch.
+
+    The groups' thresholds alone bound the root: at v = a enough groups sit
+    at c_b to fill rest, and at v = b too few groups are above 0 to fill it.
+    Between them, the budget from the table estimate of c is refined on two
+    grids, then interpolated linearly. Only the groups that leave c_b or 0
+    inside [a, b] are looked up."""
+    low, high = q * branch.phi_b, q * branch.phi0
+    # groups leave c_b as v grows most popular first, or least popular
+    # first when phi_b < 0
+    order = slice(None) if branch.phi_b >= 0.0 else slice(None, None, -1)
+    i = min(int(np.searchsorted(np.cumsum(sizes[order]) * branch.c_b, rest)), q.size - 1)
+    j = min(int(np.searchsorted(np.cumsum(sizes) * branch.c_b, rest)), q.size - 1)
+    a, b = low[order][i], high[j]
+    moving = (low < b) & (high > a)
+    fixed = branch.c_b * sizes[low >= b].sum() - rest
+    gap_a = gap_b = 0.0
+    for _ in range(2):
+        grid = np.linspace(a, b, 33)
+        with np.errstate(over="ignore"):
+            gap = branch.interp(grid[:, None] / q[moving]) @ sizes[moving] + fixed
+        k = min(max(int(np.count_nonzero(gap >= 0.0)), 1), grid.size - 1)
+        a, b, gap_a, gap_b = grid[k - 1], grid[k], gap[k - 1], gap[k]
+    return a + (b - a) * gap_a / (gap_a - gap_b) if gap_a > gap_b else 0.5 * (a + b)
+
+
+def _candidates(q, sizes, budget, branch, counts):
     """Yield (c, v) per tie group for every structural candidate.
 
     A candidate puts the first k groups at 1 and leaves rest = budget -
@@ -178,7 +331,8 @@ def _candidates(q, sizes, budget, branch):
     the least popular group when v < 0, or any free group when the free
     tie groups differ in size. A concave-branch shape whose
     v exceeds the marginal q phi(1) of its last group at 1 is no maximum
-    (that group would rather give budget away) and is skipped.
+    (that group would rather give budget away) and is skipped. Each budget
+    evaluation on the concave branch adds one to counts["multiplier_evaluations"].
     """
     n_groups = q.size
     prefix = np.concatenate([[0], np.cumsum(sizes)])
@@ -192,19 +346,33 @@ def _candidates(q, sizes, budget, branch):
             yield c, q[k] * branch.phi0
             return
         free_q, free_n = q[k:], sizes[k:]
+        seen = {}
 
-        def budget_at(v):
-            return branch(v, free_q) @ free_n
+        def budget_gap(v):
+            """(c, g, dg/dv, tol) for the free groups at multiplier v, where
+            g = budget(v) - rest and tol bounds how far rounding moves g."""
+            if v not in seen:
+                counts["multiplier_evaluations"] += 1
+                c_free, slope, error = branch.solve(v, free_q)
+                used = c_free @ free_n
+                # with no group strictly inside, c moves only toward its
+                # clamps as v moves away from it, so the sign of g is exact
+                tol = error @ free_n
+                if tol:
+                    tol += _ROUNDING * (used + rest)
+                seen[v] = c_free, used - rest, slope @ free_n, tol
+            return seen[v]
 
         # below v_lo every free group sits at c_b; the multiplier is negative
         # when the budget forces groups past the peak of f
-        v_lo = q[k] * min(branch.phi_b, 0.0)
-        v_cap = q[k - 1] * float(branch.phi(1.0)) if k else np.inf
-        if budget_at(v_lo) >= rest >= budget_at(v_cap):
-            pair = _float_bisect(lambda v: budget_at(v) >= rest, v_lo, q[k] * branch.phi0)
-            v = min(pair, key=lambda x: abs(budget_at(x) - rest))
+        v_lo, v_hi = q[k] * min(branch.phi_b, 0.0), q[k] * branch.phi0
+        if budget_gap(v_lo)[1] >= 0.0 and (
+                k == 0 or budget_gap(q[k - 1] * float(branch.phi(1.0)))[1] <= 0.0):
+            pair = _root_pair(lambda v: budget_gap(v)[1:], v_lo, v_hi,
+                              _first_guess(free_q, free_n, rest, branch))
+            v = min(pair, key=lambda x: abs(budget_gap(x)[1]))
             concave = c.copy()
-            concave[k:] = branch(v, free_q)
+            concave[k:] = budget_gap(v)[0]
             yield concave, v
         if branch.c_b >= 1.0:
             continue
@@ -290,6 +458,7 @@ def solve_p1(library: ContentLibrary, cfg: NetworkConfig) -> KktSolution:
     q_g = q[starts]
     positive = q_g > 0
     n_candidates = 0
+    counts = {"multiplier_evaluations": 0}
     if sizes[positive].sum() <= budget:
         # only zero-popularity files are left to take the remaining budget
         c_g = positive.astype(float)
@@ -298,7 +467,7 @@ def solve_p1(library: ContentLibrary, cfg: NetworkConfig) -> KktSolution:
     else:
         q_pos, n_pos = q_g[positive], sizes[positive]
         best, c_pos = -np.inf, None
-        for cand, v in _candidates(q_pos, n_pos, budget, branch):
+        for cand, v in _candidates(q_pos, n_pos, budget, branch, counts):
             n_candidates += 1
             value = float(_k1_gain(cand, n_bar, z) @ (n_pos * q_pos))
             if value > best:
@@ -333,6 +502,7 @@ def solve_p1(library: ContentLibrary, cfg: NetworkConfig) -> KktSolution:
         "stationarity_residuals": stationarity,
         "concavity_warnings": warnings,
         "candidates": n_candidates,
+        **counts,
     }
     if (diagnostics["sum_residual"] > SUM_TOL
             or max(stationarity, default=0.0) > STATIONARITY_TOL):

@@ -1,4 +1,4 @@
-"""Brute-force reference for the simulator's estimators.
+"""Brute-force references for the simulator's estimators and the optimizer.
 
 Draws one explicit window of the clustered network with every device and
 its fading, attaches Bernoulli cache contents, and tests the SIR of one
@@ -6,6 +6,9 @@ request directly. It has no far-field factor, so a check against the
 estimators passes a window radius far larger than the default near
 radius. Intra-cluster links are independent Rayleigh(sqrt(2) sigma)
 pairwise distances, as in the estimators and the analysis.
+
+float_bisect is the optimizer's reference root finder: it bisects the bit
+patterns of the multiplier to one ulp.
 """
 
 from __future__ import annotations
@@ -30,6 +33,31 @@ OUTCOMES = (
     OUTCOME_CLUSTER_MISS,
 )
 
+
+def float_bisect(holds, lo: float, hi: float) -> tuple[float, float]:
+    """Adjacent floats lo <= a < b <= hi with holds(a) and not holds(b),
+    given holds(lo), not holds(hi) and a monotone predicate.
+
+    Bisects an integer key that orders all finite floats (the bit pattern,
+    negated for negative numbers), so a multiplier of any sign and scale is
+    resolved to one ulp in at most 64 steps.
+    """
+
+    def key(x):
+        bits = int(np.float64(x).view(np.int64))
+        return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+    def value(k):
+        return float(np.int64(k if k >= 0 else -k - 2**63).view(np.float64))
+
+    a, b = key(lo), key(hi)
+    while b - a > 1:
+        mid = (a + b) // 2
+        if holds(value(mid)):
+            a = mid
+        else:
+            b = mid
+    return value(a), value(b)
 
 
 @dataclass(frozen=True)

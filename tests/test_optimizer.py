@@ -6,12 +6,15 @@ evaluation of the stated formulas before these tests were written.
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from brute_force import float_bisect
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from d2dcache import optimizer
 from d2dcache.analytic import _k1_gain, compute_Z, offloading_closed_form_k1
 from d2dcache.model import (
     CachingPolicy,
@@ -24,6 +27,7 @@ from d2dcache.model import (
 )
 from d2dcache.optimizer import (
     _inflection_point,
+    _root_pair,
     _unit_marginal,
     _unit_marginal_prime,
     grid_search_oracle,
@@ -200,6 +204,103 @@ def test_solve_p1_properties(instance):
     assert np.array_equal(solve_p1(lib, cfg.with_(gamma_d=7.5)).policy.probs, c)
 
 
+def _bisected(residual, lo, hi, start=None):
+    """_root_pair's reference: ulp bisection of the residual's sign."""
+    return float_bisect(lambda v: residual(v)[0] >= 0.0, lo, hi)
+
+
+def _assert_matches_bisection(lib, cfg):
+    sol = solve_p1(lib, cfg)
+    with mock.patch.object(optimizer, "_root_pair", _bisected):
+        ref = solve_p1(lib, cfg)
+    assert np.array_equal(sol.policy.probs, ref.policy.probs)
+    assert np.array_equal(sol.multiplier, ref.multiplier)
+
+
+class TestMultiplierRoot:
+    """The Newton root finder returns the pair that ulp bisection returns."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_instances())
+    def test_solve_p1_matches_bisection(self, instance):
+        _assert_matches_bisection(*instance)
+
+    @pytest.mark.parametrize("n_files", [5, 6])
+    @pytest.mark.parametrize("beta", [0.0, 0.25, 0.5, 1.0, 1.5, 2.0])
+    def test_oracle_probe_shapes_match_bisection(self, ref_cfg, n_files, beta):
+        _assert_matches_bisection(ContentLibrary.from_zipf(n_files, beta, 2), ref_cfg)
+
+    def test_large_library_matches_bisection(self, ref_cfg):
+        _assert_matches_bisection(ContentLibrary.from_zipf(10_000, 0.8, 50), ref_cfg)
+
+    def test_evaluations_per_root(self, ref_cfg, ref_library):
+        roots = []
+
+        def counted(residual, lo, hi, start=None):
+            roots.append((lo, hi))
+            return _root_pair(residual, lo, hi, start)
+
+        with mock.patch.object(optimizer, "_root_pair", counted):
+            sol = solve_p1(ref_library, ref_cfg)
+        assert roots
+        assert sol.diagnostics["multiplier_evaluations"] / len(roots) <= 16
+
+    @staticmethod
+    def _check(g, lo, hi, slope=lambda v: 0.0, tol=lambda v: 0.0):
+        a, b = _root_pair(lambda v: (g(v), slope(v), tol(v)), lo, hi)
+        assert lo <= a < b <= hi and b == np.nextafter(a, np.inf)
+        assert g(a) >= 0.0 > g(b)
+        assert (a, b) == float_bisect(lambda v: g(v) >= 0.0, lo, hi)
+        return a, b
+
+    def test_subnormal_root(self):
+        root = 5e-320
+        a, _ = self._check(lambda v: root - v, 0.0, 1.0, slope=lambda v: -1.0)
+        assert a == root
+
+    def test_negative_root(self):
+        # as at theta = 30 dB, where phi(c_b) < 0 and so can the multiplier be
+        a, _ = self._check(lambda v: -0.3 - v**3, -1.0, 1.0, slope=lambda v: -3.0 * v * v)
+        assert a < 0.0
+
+    def test_residual_flat_over_most_of_its_bracket(self):
+        def g(v):
+            return min(1.0, max(-1.0, 100.0 * (0.71 - v)))
+
+        def slope(v):
+            return -100.0 if abs(v - 0.71) < 0.01 else 0.0
+
+        a, _ = self._check(g, 0.0, 1.0, slope=slope)
+        assert abs(a - 0.71) < 1e-15
+
+    def test_residual_zero_over_an_interval(self):
+        def g(v):
+            return 0.2 - v if v < 0.2 else 0.6 - v if v > 0.6 else 0.0
+
+        def slope(v):
+            return 0.0 if 0.2 <= v <= 0.6 else -1.0
+
+        a, _ = self._check(g, 0.0, 1.0, slope=slope)
+        assert a == 0.6
+
+    @pytest.mark.parametrize("root", np.linspace(0.1, 0.9, 17))
+    def test_rounding_noise_within_tol(self, root):
+        # a residual that is non-increasing only up to +-1e-13 has many sign
+        # changes near its root; whatever the start, the pair is bisection's
+        def g(v):
+            return root - v + (_key_hash(v) % 2001 - 1000) * 1e-16
+
+        for start in (None, root, root + 5e-14):
+            pair = _root_pair(lambda v: (g(v), -1.0, 2e-13), 0.0, 1.0, start)
+            assert pair == float_bisect(lambda v: g(v) >= 0.0, 0.0, 1.0)
+
+
+def _key_hash(v):
+    """A deterministic pseudo-random integer per float."""
+    bits = int(np.float64(v).view(np.int64))
+    return (bits * 0x9E3779B97F4A7C15 >> 17) & 0xFFFF_FFFF
+
+
 class TestGridSearchOracle:
     def test_validates_resolution_and_size(self, ref_cfg):
         lib = ContentLibrary.from_zipf(5, 0.5, 2)
@@ -248,6 +349,13 @@ class TestConcavityReport:
         after = np.linspace(c_inflect, 1.0, 101)[1:]
         assert np.all(_unit_marginal_prime(before, 8.0, Z_REF) < 0.0)
         assert np.all(_unit_marginal_prime(after, 8.0, Z_REF) > 0.0)
+
+    def test_shared_exponential_matches_the_marginals(self):
+        branch = optimizer._ConcaveBranch(8.0, Z_REF)
+        c = np.linspace(0.0, 1.0, 1001)
+        phi, prime, _ = branch._phi_and_prime(c)
+        assert np.array_equal(phi, _unit_marginal(c, 8.0, Z_REF))
+        assert np.array_equal(prime, _unit_marginal_prime(c, 8.0, Z_REF))
 
     def test_concave_at_small_cluster_size(self):
         assert _inflection_point(0.8) > 1.0
