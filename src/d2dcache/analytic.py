@@ -280,47 +280,66 @@ def _window_halfwidth(cfg: NetworkConfig, quad: QuadratureSpec) -> float:
 
 
 class _ZetaRows:
-    """The zeta(v, t_gamma) integrand on a fixed array of center distances v.
+    """The zeta(v, t_gamma) integrand on an array of center distances v.
 
     Everything but the SIR kernel is t-independent: the inner u nodes and
-    weights, the Rician density and u**alpha are computed once here, so
+    weights, the Rician density and u**alpha are computed once per row, so
     each evaluation costs the kernel t/(u^alpha + t), two products and a
     sum, all in one buffer. Row i is the inner quadrature for center
-    distance v[i]. Evaluations only read the arrays, so threads may share
-    one instance.
+    distance v[i]. Rows are computed elementwise in blocks (block), which
+    add puts below the rows held, so a row's values do not depend on its
+    block. Evaluations only read the blocks, so threads may share one
+    instance, and rows added during an evaluation do not disturb it.
     """
 
     def __init__(self, v, cfg: NetworkConfig, half_width: float, order: int):
-        lo = np.maximum(v - half_width, 0.0)
-        span = v + half_width - lo
-        s_nodes, s_weights = _u_template(order)
-        u = span[:, None] * s_nodes[None, :]
+        self._cfg, self._half_width = cfg, half_width
+        self._s_nodes, self._s_weights = _u_template(order)
+        self._blocks = []  # (u**alpha, Rician density, inner weights) per block
+        self.rows = 0
+        # center distances per evaluation step: a kernel buffer of about 1 MB
+        self._step = max(1, _ZETA_BUFFER // self._s_nodes.size)
+        self.add(self.block(v))
+
+    def block(self, v) -> tuple:
+        """The rows of center distances v, for add."""
+        lo = np.maximum(v - self._half_width, 0.0)
+        span = v + self._half_width - lo
+        u = span[:, None] * self._s_nodes[None, :]
         u += lo[:, None]
-        self._wu = span[:, None] * s_weights[None, :]
-        self._rician = rician_pdf(u, v[:, None], cfg.sigma)
+        wu = span[:, None] * self._s_weights[None, :]
+        rician = rician_pdf(u, v[:, None], self._cfg.sigma)
         # where u**alpha overflows to inf the kernel t/(inf + t) is exactly 0
         with np.errstate(over="ignore"):
-            u **= cfg.alpha
-        self._u_alpha = u
-        # center distances per evaluation step: a kernel buffer of about 1 MB
-        self._step = max(1, _ZETA_BUFFER // u.shape[1])
+            u **= self._cfg.alpha
+        return u, rician, wu
+
+    def add(self, block) -> None:
+        """Put a block's rows below the rows held."""
+        self._blocks.append(block)
+        self.rows += block[0].shape[0]
 
     def __call__(self, t_gamma, rows=None):
         """zeta at one t_gamma for the first `rows` center distances (all by default)."""
-        rows = self._u_alpha.shape[0] if rows is None else rows
+        rows = self.rows if rows is None else rows
         zeta = np.empty(rows)
-        kernel = np.empty((min(rows, self._step), self._u_alpha.shape[1]))
-        for start in range(0, rows, self._step):
-            part = slice(start, min(start + self._step, rows))
-            buf = kernel[:part.stop - start]
-            np.add(self._u_alpha[part], t_gamma, out=buf)
-            np.divide(t_gamma, buf, out=buf)
-            # multiply in this order: pre-multiplying density and weight moves
-            # the last bit of small-t transforms, whose frozen references
-            # resolve it
-            buf *= self._rician[part]
-            buf *= self._wu[part]
-            buf.sum(axis=1, out=zeta[part])
+        kernel = np.empty((min(rows, self._step), self._s_nodes.size))
+        offset = 0  # first row of the block
+        for u_alpha, rician, wu in self._blocks:
+            for start in range(0, min(u_alpha.shape[0], rows - offset), self._step):
+                part = slice(start, min(start + self._step, u_alpha.shape[0], rows - offset))
+                buf = kernel[:part.stop - start]
+                np.add(u_alpha[part], t_gamma, out=buf)
+                np.divide(t_gamma, buf, out=buf)
+                # multiply in this order: pre-multiplying density and weight moves
+                # the last bit of small-t transforms, whose frozen references
+                # resolve it
+                buf *= rician[part]
+                buf *= wu[part]
+                buf.sum(axis=1, out=zeta[offset + part.start:offset + part.stop])
+            offset += u_alpha.shape[0]
+            if offset >= rows:
+                break
         return np.clip(zeta, 0.0, 1.0, out=zeta)
 
 
@@ -368,82 +387,109 @@ def _exponent_ppp(t_gamma: float, cfg: NetworkConfig) -> float:
     )
 
 
-def _exponents_exact(t_gamma, cfg: NetworkConfig, quad: QuadratureSpec,
-                     v_inner: float = 0.0):
-    """Exponents E(t) = -ln L_I(t) of the exact cluster-process transform
-    at a 1-D array of positive t_gamma.
+class _OuterGrid:
+    """The t-independent half of _exponents_exact for one (cfg, quad,
+    v_inner): the outer panel edges over the cluster-center distance and,
+    per Gauss order, the nodes, weights and zeta rows (_ZetaRows) on them.
 
-    Uses the identity 2 pi lambda_p n_bar * integral(zeta(v) v dv) =
-    exponent_ppp (the Rician density in u has first moment u over center
-    distances), so the cluster exponent is computed as the closed-form
-    term minus a non-negative correction whose integrand
-    n_bar*zeta - 1 + exp(-n_bar*zeta) decays like v^(2 - 2 alpha). The
-    split subtracts the slowly decaying part analytically, leaving a
-    rapidly convergent outer integral, and makes the bound ordering exact
-    by construction.
-
-    Every t shares one nested outer grid: linear panels across the window,
-    log panels up to the t-independent radius floor, then
-    _LOG_PANELS_PER_DECADE log panels per decade beyond it. Each t
+    The edges are nested: linear panels across the window, log panels up to
+    the t-independent radius floor, then _LOG_PANELS_PER_DECADE log panels
+    per decade beyond it, edge j of these at v_floor 10^(j/8). A t_gamma
     integrates over the prefix of the grid up to its own truncation radius,
-    rounded up to a panel edge, so the zeta integrand's t-independent part
-    is built once per Gauss order for the whole batch, and a t's result
-    does not depend on the other members of the batch, nor on how the
-    nodes are spread over threads (_thread_map).
-
-    With v_inner > 0 the result is the far-field exponent: only clusters
-    centered beyond v_inner count. v_inner becomes a grid edge, and on the
-    panels inside it the correction integrand is replaced by n_bar*zeta, so
-    the closed-form term minus the near-disc mean leaves
-    2 pi lambda_p * integral from v_inner of (1 - exp(-n_bar zeta)) v dv.
-    Its truncation tolerance is abs_tol: the far exponent enters a
-    probability as exp(-F), so its absolute error is what counts.
-
-    Returns (exponents, error_estimates) as two arrays.
+    rounded up to a panel edge (exponent). The grid grows only by the
+    panels a new t needs, and every edge, node, weight and row is computed
+    elementwise, so a grown grid equals one built at its final size, bit
+    for bit: a t's exponent does not depend on which t grew the grid, nor
+    on how the nodes are spread over threads. Growth appends row blocks
+    under a lock, so threads may integrate and grow one grid at once.
     """
-    sigma, alpha = cfg.sigma, cfg.alpha
-    lam, n_bar = cfg.lambda_p, cfg.n_bar
-    half_width = _window_halfwidth(cfg, quad)
-    # radius floor: twice the window, and ten cluster spreads plus five radii
-    # of the disc that holds one parent on average
-    v_floor = max(2.0 * half_width, 10.0 * sigma + 5.0 / math.sqrt(math.pi * lam), v_inner)
-    n_lin = max(1, math.ceil(half_width / sigma))
-    n_log = max(2, math.ceil(_LOG_PANELS_PER_DECADE * math.log10(v_floor / half_width)))
-    base_edges = np.concatenate([
-        np.linspace(0.0, half_width, n_lin + 1),
-        np.geomspace(half_width, v_floor, n_log + 1)[1:],
-    ])
-    if v_inner > 0:
-        base_edges = np.union1d(base_edges, [v_inner])
-    n_near = int(np.searchsorted(base_edges, v_inner))  # panels inside v_inner
 
-    nodes = []
-    for t in np.asarray(t_gamma, dtype=float):
+    def __init__(self, cfg: NetworkConfig, quad: QuadratureSpec, v_inner: float = 0.0):
+        self.cfg, self.quad = cfg, quad
+        half_width = _window_halfwidth(cfg, quad)
+        # radius floor: twice the window, and ten cluster spreads plus five radii
+        # of the disc that holds one parent on average
+        self.v_floor = max(2.0 * half_width,
+                           10.0 * cfg.sigma + 5.0 / math.sqrt(math.pi * cfg.lambda_p), v_inner)
+        n_lin = max(1, math.ceil(half_width / cfg.sigma))
+        n_log = max(2, math.ceil(_LOG_PANELS_PER_DECADE * math.log10(self.v_floor / half_width)))
+        base_edges = np.concatenate([
+            np.linspace(0.0, half_width, n_lin + 1),
+            np.geomspace(half_width, self.v_floor, n_log + 1)[1:],
+        ])
+        if v_inner > 0:
+            base_edges = np.union1d(base_edges, [v_inner])
+        self.base_edges = base_edges
+        self.n_near = int(np.searchsorted(base_edges, v_inner))  # panels inside v_inner
+        self.edges = base_edges[:1]  # the edges held: none of the panels yet
+        # per Gauss order: (order, nodes, weights, zeta rows) of the panels held
+        self._rules = [(order, np.empty(0), np.empty(0),
+                        _ZetaRows(np.empty(0), cfg, half_width, order))
+                       for order in (_ORDER_FINE, _ORDER_COARSE)]
+        self._growth = threading.Lock()  # held while the grid grows (_grow)
+
+    def truncation(self, t: float) -> tuple[float, float, int]:
+        """(closed-form exponent, tail coefficient, log panels beyond the
+        floor) of t: the grid's prefix that t integrates over."""
+        cfg = self.cfg
+        alpha, n_bar = cfg.alpha, cfg.n_bar
         e_ppp = _exponent_ppp(t, cfg)
-        tol = quad.abs_tol if n_near else max(quad.abs_tol, quad.rel_tol * e_ppp)
+        tol = self.quad.abs_tol if self.n_near else max(self.quad.abs_tol,
+                                                        self.quad.rel_tol * e_ppp)
         # truncation radius: correction integrand <= (n_bar*zeta)^2/2 with
         # zeta <= 2^alpha t_gamma v^-alpha once v exceeds twice the window
-        tail_coeff = math.pi * lam * n_bar**2 * 4.0**alpha * t**2 / (2 * alpha - 2)
+        tail_coeff = math.pi * cfg.lambda_p * n_bar**2 * 4.0**alpha * t**2 / (2 * alpha - 2)
         v_tail = (tail_coeff / tol) ** (1.0 / (2 * alpha - 2))
-        v_max = max(v_floor, 2.0 * t ** (1.0 / alpha), v_tail)
-        n_extra = math.ceil(_LOG_PANELS_PER_DECADE * math.log10(v_max / v_floor))
-        nodes.append((t, e_ppp, tail_coeff, n_extra))
+        v_max = max(self.v_floor, 2.0 * t ** (1.0 / alpha), v_tail)
+        n_extra = math.ceil(_LOG_PANELS_PER_DECADE * math.log10(v_max / self.v_floor))
+        return e_ppp, tail_coeff, n_extra
 
-    n_extra_max = max((n_extra for *_, n_extra in nodes), default=0)
-    edges = np.concatenate([
-        base_edges,
-        v_floor * 10.0 ** (np.arange(1, n_extra_max + 1) / _LOG_PANELS_PER_DECADE),
-    ])
-    grids = []
-    for order in (_ORDER_FINE, _ORDER_COARSE):
-        v_nodes, v_weights = _panel_rule(edges, order)
-        grids.append((order, v_nodes, v_weights, _ZetaRows(v_nodes, cfg, half_width, order)))
+    def extent(self, t_gamma) -> int:
+        """Log panels beyond the floor that every t in t_gamma integrates
+        over: those of the largest t, as the truncation radius rises with t."""
+        return self.truncation(max(t_gamma))[2] if len(t_gamma) else 0
 
-    def node(args):
-        t, e_ppp, tail_coeff, n_extra = args
-        n_panels = base_edges.size - 1 + n_extra
+    def _grow(self, n_extra: int) -> None:
+        """Make the grid hold at least n_extra log panels beyond the floor,
+        building only the panels it lacks. Under the lock: a thread that
+        needs panels another thread is building waits for them. The grid
+        changes only once every part of the growth is built, the edges
+        last, so a growth that raises leaves it as it was, and a grid whose
+        edges suffice needs no lock."""
+        if self.edges.size >= self.base_edges.size + n_extra:
+            return
+        with self._growth:
+            held, n_base = self.edges.size - 1, self.base_edges.size - 1
+            if held >= n_base + n_extra:
+                return
+            edges = np.concatenate([
+                self.base_edges,
+                self.v_floor * 10.0 ** (np.arange(1, n_extra + 1) / _LOG_PANELS_PER_DECADE),
+            ])
+            more = []
+            for order, *_, zeta_rows in self._rules:
+                v_nodes, v_weights = _panel_rule(edges[held:], order)
+                more.append((v_nodes, v_weights, zeta_rows.block(v_nodes)))
+            rules = []
+            for (order, v_nodes, v_weights, zeta_rows), (more_nodes, more_weights, block) \
+                    in zip(self._rules, more):
+                # the 1-D nodes and weights are joined, the zeta rows added
+                zeta_rows.add(block)
+                rules.append((order, np.concatenate([v_nodes, more_nodes]),
+                              np.concatenate([v_weights, more_weights]), zeta_rows))
+            self._rules, self.edges = rules, edges
+
+    def exponent(self, t: float, extent: int = 0) -> tuple[float, float]:
+        """(exponent, error estimate) of _exponents_exact at one t_gamma > 0,
+        on this grid, grown first to t's truncation radius and at least
+        `extent` log panels beyond the floor (the same value either way)."""
+        cfg = self.cfg
+        lam, n_bar, n_near = cfg.lambda_p, cfg.n_bar, self.n_near
+        e_ppp, tail_coeff, n_extra = self.truncation(t)
+        self._grow(max(n_extra, extent))
+        n_panels = self.base_edges.size - 1 + n_extra
         results = []
-        for order, v_nodes, v_weights, zeta_rows in grids:
+        for order, v_nodes, v_weights, zeta_rows in self._rules:
             rows = n_panels * order
             nz = n_bar * zeta_rows(t, rows)
             correction_integrand = nz + np.expm1(-nz)
@@ -454,7 +500,7 @@ def _exponents_exact(t_gamma, cfg: NetworkConfig, quad: QuadratureSpec,
             results.append(e_ppp - correction)
         exponent_fine, exponent_coarse = results
 
-        tail_bound = tail_coeff * float(edges[n_panels]) ** (2.0 - 2.0 * alpha)
+        tail_bound = tail_coeff * float(self.edges[n_panels]) ** (2.0 - 2.0 * cfg.alpha)
         err = abs(exponent_fine - exponent_coarse) + tail_bound
         if not math.isfinite(exponent_fine) or err > max(1e-6, 1e-3 * (1.0 + e_ppp)):
             raise NumericalError(
@@ -467,7 +513,45 @@ def _exponents_exact(t_gamma, cfg: NetworkConfig, quad: QuadratureSpec,
             )
         return max(exponent_fine, 0.0), err
 
-    exponents, errors = np.array(_thread_map(node, nodes), dtype=float).reshape(-1, 2).T
+
+def _exponents_exact(t_gamma, cfg: NetworkConfig, quad: QuadratureSpec,
+                     v_inner: float = 0.0, grid: _OuterGrid | None = None):
+    """Exponents E(t) = -ln L_I(t) of the exact cluster-process transform
+    at a 1-D array of positive t_gamma.
+
+    Uses the identity 2 pi lambda_p n_bar * integral(zeta(v) v dv) =
+    exponent_ppp (the Rician density in u has first moment u over center
+    distances), so the cluster exponent is computed as the closed-form
+    term minus a non-negative correction whose integrand
+    n_bar*zeta - 1 + exp(-n_bar*zeta) decays like v^(2 - 2 alpha). The
+    split subtracts the slowly decaying part analytically, leaving a
+    rapidly convergent outer integral, and makes the bound ordering exact
+    by construction.
+
+    The t-independent half, the outer grid with its zeta rows, is an
+    _OuterGrid: a fresh one, or `grid`, one held for the same (cfg, quad,
+    v_inner) across batches (_ExponentLattice). It is grown on the calling
+    thread to the batch's largest truncation radius, and the per-t
+    integrals are then spread over the threads (_thread_map). A t's result
+    does not depend on the other members of the batch, on the grid's
+    earlier growth, nor on the thread count.
+
+    With v_inner > 0 the result is the far-field exponent: only clusters
+    centered beyond v_inner count. v_inner becomes a grid edge, and on the
+    panels inside it the correction integrand is replaced by n_bar*zeta, so
+    the closed-form term minus the near-disc mean leaves
+    2 pi lambda_p * integral from v_inner of (1 - exp(-n_bar zeta)) v dv.
+    Its truncation tolerance is abs_tol: the far exponent enters a
+    probability as exp(-F), so its absolute error is what counts.
+
+    Returns (exponents, error_estimates) as two arrays.
+    """
+    if grid is None:
+        grid = _OuterGrid(cfg, quad, v_inner)
+    t_gamma = list(np.asarray(t_gamma, dtype=float))
+    grid._grow(grid.extent(t_gamma))
+    exponents, errors = np.array(_thread_map(grid.exponent, t_gamma),
+                                 dtype=float).reshape(-1, 2).T
     return exponents, errors
 
 
@@ -524,39 +608,66 @@ class _ExponentLattice:
     """Exact exponents on the fixed node lattice t_j = 10^(j/8) for one
     (cfg, quad, v_inner).
 
-    _exponents_exact gives a node the same value, bit for bit, whatever
-    batch it is computed in, so node values are kept by lattice index and
-    reused. A table over a window of the lattice is then a pure function of
-    (cfg, quad, v_inner, window), whatever calls came before it. One
-    lattice can serve every call at the same configuration; a caller that
-    builds its own pays for its window's nodes, as a one-off table would.
+    The lattice holds the quadrature grid of its nodes (_OuterGrid), grown
+    only by the panels a new node needs, and the node values by lattice
+    index. A node has the same value, bit for bit, whatever batch or thread
+    computes it and however the grid grew, so a table over a window of the
+    lattice is a pure function of (cfg, quad, v_inner, window), whatever
+    calls came before it. One lattice can serve every call at the same
+    configuration; a caller that builds its own pays for its window's
+    nodes, as a one-off table would.
     """
 
     def __init__(self, cfg: NetworkConfig, quad: QuadratureSpec, v_inner: float = 0.0):
         self.cfg, self.quad, self.v_inner = cfg, quad, v_inner
+        self._grid = _OuterGrid(cfg, quad, v_inner)
         self._nodes = {}  # lattice index -> (exponent, error estimate)
+
+    @staticmethod
+    def _window(t_lo, t_hi) -> range:
+        """Lattice indices of a table over [t_lo, t_hi], padded by
+        _TABLE_PAD and rounded out to lattice nodes (at least 8)."""
+        j_lo = math.floor(_TABLE_NODES_PER_DECADE * math.log10(t_lo / _TABLE_PAD))
+        j_hi = math.ceil(_TABLE_NODES_PER_DECADE * math.log10(t_hi * _TABLE_PAD))
+        short = max(0, 8 - (j_hi - j_lo + 1))
+        return range(j_lo - short // 2, j_hi + short - short // 2 + 1)
+
+    def missing(self, t_lo, t_hi) -> list[int]:
+        """Lattice indices that table(t_lo, t_hi) needs and the lattice lacks."""
+        return [j for j in self._window(t_lo, t_hi) if j not in self._nodes]
+
+    def node_tasks(self, indices) -> list:
+        """One task per lattice index: a callable that returns the node's
+        (exponent, error estimate), for the caller to keep (add). The first
+        task to run grows the lattice's grid for all of them, under its
+        lock, so threads may run the tasks in any order."""
+        t_gamma = [np.float64(_lattice_t(j)) for j in indices]
+        extent = self._grid.extent(t_gamma)
+        return [partial(self._grid.exponent, t, extent) for t in t_gamma]
+
+    def add(self, indices, nodes) -> None:
+        """Keep the values `nodes` (from node) of the lattice indices."""
+        self._nodes.update(zip(indices, nodes))
 
     def table(self, t_lo, t_hi, log: bool = False):
         """Exact exponents tabulated over [t_lo, t_hi], padded by _TABLE_PAD
         and rounded out to lattice nodes (at least 8).
 
-        Computes the window's missing nodes in one _exponents_exact(...,
-        v_inner) batch and joins the window's nodes in ln t by a degree-5
-        interpolating spline of ln E (log=True) or of E itself. Over t_gamma
-        in [1e-8, 1e9] at alpha 2.5, 3 and 4 it moves L by under 2.6e-10,
-        less than a cubic at 24 nodes per decade. The piecewise-polynomial
-        form evaluates about twice as fast as the B-spline one. Returns
-        (spline, t_nodes, error_estimates).
+        Computes the window's missing nodes in one _exponents_exact batch on
+        the lattice's grid and joins the window's nodes in ln t by a
+        degree-5 interpolating spline of ln E (log=True) or of E itself.
+        Over t_gamma in [1e-8, 1e9] at alpha 2.5, 3 and 4 it moves L by under
+        2.6e-10, less than a cubic at 24 nodes per decade. The
+        piecewise-polynomial form evaluates about twice as fast as the
+        B-spline one. Returns (spline, t_nodes, error_estimates).
         """
-        j_lo = math.floor(_TABLE_NODES_PER_DECADE * math.log10(t_lo / _TABLE_PAD))
-        j_hi = math.ceil(_TABLE_NODES_PER_DECADE * math.log10(t_hi * _TABLE_PAD))
-        short = max(0, 8 - (j_hi - j_lo + 1))
-        window = range(j_lo - short // 2, j_hi + short - short // 2 + 1)
-        missing = [j for j in window if j not in self._nodes]
+        window = self._window(t_lo, t_hi)
+        missing = self.missing(t_lo, t_hi)
         if missing:
             exponents, errors = _exponents_exact(
-                np.array([_lattice_t(j) for j in missing]), self.cfg, self.quad, self.v_inner)
-            self._nodes.update(zip(missing, zip(exponents.tolist(), errors.tolist())))
+                np.array([_lattice_t(j) for j in missing]), self.cfg, self.quad, self.v_inner,
+                self._grid)
+            self.add(missing, zip(exponents.tolist(), errors.tolist()))
         t_nodes = np.array([_lattice_t(j) for j in window])
         exponents, errors = np.array([self._nodes[j] for j in window]).T
         if log and np.any(exponents <= 0):

@@ -148,9 +148,13 @@ class _ConcaveBranch:
         v >= q phi(0), c_b where v <= q phi(c_b). Broadcasts v against q."""
         return self.solve(v, q)[0]
 
-    def solve(self, v, q):
-        """(c, slope, error): c as in __call__; slope = dc/dv and error, a
-        bound on c's rounding error, where 0 < c < c_b, and 0 elsewhere."""
+    def solve(self, v, q, scale=1.0):
+        """(c, slope, error): c as in __call__; slope = scale dc/dv and
+        error, a bound on c's rounding error, where 0 < c < c_b, and 0
+        elsewhere. dc/dv = 1 / (q phi') overflows at subnormal q; with a
+        scale at or below every q the slope stays finite, and with a power
+        of two it is dc/dv times scale, bit for bit, wherever both are
+        normal."""
         v, q = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(q, dtype=float))
         c = np.where(v <= q * self.phi_b, self.c_b, 0.0)
         slope, error = np.zeros(c.shape), np.zeros(c.shape)
@@ -173,7 +177,7 @@ class _ConcaveBranch:
             # phi and phi' at the last iterate, less than 1e-15 from c
             prime = np.minimum(prime, -1e-300)
             with np.errstate(over="ignore", divide="ignore"):
-                slope[inside] = 1.0 / (q[inside] * prime)
+                slope[inside] = 1.0 / (q[inside] / scale * prime)
                 error[inside] = _ROUNDING * size / -prime
         return c, slope, error
 
@@ -190,14 +194,17 @@ def _value(k: int) -> float:
     return float(np.int64(k if k >= 0 else -k - 2**63).view(np.float64))
 
 
-def _root_pair(residual, lo: float, hi: float, start=None) -> tuple[float, float]:
+def _root_pair(residual, lo: float, hi: float, start=None,
+               scale: float = 1.0) -> tuple[float, float]:
     """Adjacent floats lo <= a < b <= hi with g(a) >= 0 > g(b), given
     g(lo) >= 0 > g(hi) and a residual g that is non-increasing up to its
     rounding.
 
-    residual(v) returns (g, slope, tol): g(v), dg/dv and a margin past which
-    the sign of g is monotone, so that g(v) >= tol implies g >= 0 at every
-    smaller v and g(v) < -tol implies g < 0 at every larger v.
+    residual(v) returns (g, slope, tol): g(v), scale times dg/dv and a
+    margin past which the sign of g is monotone, so that g(v) >= tol
+    implies g >= 0 at every smaller v and g(v) < -tol implies g < 0 at
+    every larger v. A power-of-two scale keeps a slope that would overflow
+    finite and leaves every step as it would be without it.
 
     The pair is the one that bisecting the keys of [lo, hi] to one ulp
     returns, so it does not depend on how the root is approached. Newton
@@ -251,15 +258,16 @@ def _root_pair(residual, lo: float, hi: float, start=None) -> tuple[float, float
         else:
             b = x
         v = _value(x)
-        step = g / slope if -math.inf < slope < 0.0 and tol < math.inf else math.nan
+        step = g / slope * scale if -math.inf < slope < 0.0 and tol < math.inf else math.nan
         root = v - step
         if math.isfinite(root):
             # the error left after this step, from the last two Newton steps
             error = abs(step) * (step / newton_old) ** 2 if newton_old else math.inf
             key_step = abs(_key(root) - x)
-            if abs(g) <= tol or error <= tol / -slope or key_step <= 2:
+            if abs(g) <= tol or error <= tol / -slope * scale or key_step <= 2:
                 # floats where g is about +-1.25 tol, past the root's error
-                margin = (1.25 * tol + (2.0 * error * -slope if error < math.inf else 0.0)) / slope
+                margin = (1.25 * tol * scale
+                          + (2.0 * error * -slope if error < math.inf else 0.0)) / slope
                 k_root, k_t, k_f = _key(root), _key(root + margin), _key(root - margin)
                 break
             inside = _value(a) < root < _value(b)
@@ -346,14 +354,18 @@ def _candidates(q, sizes, budget, branch, counts):
             yield c, q[k] * branch.phi0
             return
         free_q, free_n = q[k:], sizes[k:]
+        # dg/dv = sum of n / (q phi') overflows where a popularity is
+        # subnormal; scaled by the power of two at or below the largest free
+        # popularity it stays finite unless popularities span 300 decades
+        scale = math.ldexp(0.5, math.frexp(free_q[0])[1]) if free_q[0] > 0.0 else 1.0
         seen = {}
 
         def budget_gap(v):
-            """(c, g, dg/dv, tol) for the free groups at multiplier v, where
-            g = budget(v) - rest and tol bounds how far rounding moves g."""
+            """(c, g, scale dg/dv, tol) for the free groups at multiplier v,
+            where g = budget(v) - rest and tol bounds how far rounding moves g."""
             if v not in seen:
                 counts["multiplier_evaluations"] += 1
-                c_free, slope, error = branch.solve(v, free_q)
+                c_free, slope, error = branch.solve(v, free_q, scale)
                 used = c_free @ free_n
                 # with no group strictly inside, c moves only toward its
                 # clamps as v moves away from it, so the sign of g is exact
@@ -369,7 +381,7 @@ def _candidates(q, sizes, budget, branch, counts):
         if budget_gap(v_lo)[1] >= 0.0 and (
                 k == 0 or budget_gap(q[k - 1] * float(branch.phi(1.0)))[1] <= 0.0):
             pair = _root_pair(lambda v: budget_gap(v)[1:], v_lo, v_hi,
-                              _first_guess(free_q, free_n, rest, branch))
+                              _first_guess(free_q, free_n, rest, branch), scale)
             v = min(pair, key=lambda x: abs(budget_gap(x)[1]))
             concave = c.copy()
             concave[k:] = budget_gap(v)[0]

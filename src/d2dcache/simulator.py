@@ -25,9 +25,9 @@ coverage. Its nodes sit on a fixed lattice held per (cfg, r_sim)
 (analytic._ExponentLattice). Each call builds its own, or
 estimate_offloading is handed one shared with other calls at the same
 (cfg, r_sim), which then compute each node once; a call's result does
-not depend on which lattice it is given. The table is built on a second
-thread while the near field is sampled (analytic._thread_map); the
-results do not depend on the thread count.
+not depend on which lattice it is given. The lattice's missing nodes are
+computed on every thread beside the near-field sampling, in one
+analytic._thread_map; the results do not depend on the thread count.
 Replacing the success indicator by its conditional expectation
 (conditional Monte Carlo) removes the fading draws and lowers the
 per-trial variance; half-widths come from the sample variance of the
@@ -217,18 +217,24 @@ def _conditional_coverage(t: np.ndarray, lattice: _ExponentLattice,
     Samples the clusters centered within r0 for every trial with caterers
     and returns exp(-sum_j ln(1 + t d_j^-alpha) - F(t)): the interferers'
     Rayleigh fading and the desired signal's are averaged out exactly.
-    Trials without caterers are 0. The far-field table is built on a
-    second thread (_thread_map) while the near field is sampled; the values
-    do not depend on whether it is.
+    Trials without caterers are 0. The near-field sampling and the far-field
+    lattice nodes that the served t range lacks are the items of one
+    _thread_map, the sampling first, so a thread that finishes one takes
+    the next node; the values do not depend on the thread count. If an item
+    fails, the first failure in item order is raised and the lattice keeps
+    none of the nodes computed here.
     """
     values = np.zeros(t.size)
     served = np.isfinite(t)
     t_served = t[served]
     if t_served.size:
-        far, near = _thread_map(lambda task: task(), [
-            lambda: _far_field(t_served, lattice),
+        missing = lattice.missing(t_served.min(), t_served.max())
+        near, *nodes = _thread_map(lambda task: task(), [
             lambda: _near_exponents(t_served, cfg, r0, rng),
+            *lattice.node_tasks(missing),
         ])
+        lattice.add(missing, nodes)
+        far = _far_field(t_served, lattice)
         values[served] = np.exp(-(near + far(t_served)))
     return values
 

@@ -382,6 +382,85 @@ class TestExponentLattice:
         _, above, _ = lattice.table(1.0, 1e5)
         assert batches == [wide.size, np.setdiff1d(above, wide).size]
 
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
+    @pytest.mark.parametrize("inner", ["none", "far"])
+    def test_grid_grown_in_steps_equals_one_batch(self, ref_cfg, alpha, inner):
+        cfg = ref_cfg.with_(alpha=alpha)
+        v_inner = 0.0 if inner == "none" else default_sim_radius(cfg)
+        lattice = _ExponentLattice(cfg, QUAD, v_inner)
+        held = []
+        for t_hi in (1e3, 1e6, 1e9):  # each window reaches further out in v
+            lattice.table(1e-3, t_hi)
+            held.append(lattice._grid.edges.size)
+        assert held[0] < held[1] < held[2]
+        j = sorted(lattice._nodes)
+        once = _exponents_exact(np.array([analytic._lattice_t(i) for i in j]), cfg, QUAD,
+                                v_inner)
+        grown = np.array([lattice._nodes[i] for i in j]).T
+        assert _hexes(*grown) == _hexes(*once)
+
+    def test_each_grid_row_built_once(self, ref_cfg, monkeypatch):
+        built = {}
+        block = analytic._ZetaRows.block
+
+        def counted(zeta_rows, v):
+            built[id(zeta_rows)] = built.get(id(zeta_rows), 0) + v.size
+            return block(zeta_rows, v)
+
+        monkeypatch.setattr(analytic._ZetaRows, "block", counted)
+        lattice = _ExponentLattice(ref_cfg, QUAD, default_sim_radius(ref_cfg))
+        for window in [(1.0, 10.0), (1e-2, 1e4), (1.0, 1e2), (1e-3, 1e7)]:
+            lattice.table(*window)
+        n_panels = lattice._grid.edges.size - 1
+        rules = lattice._grid._rules
+        assert n_panels > lattice._grid.base_edges.size - 1
+        assert built == {id(zeta_rows): n_panels * order
+                         for order, *_, zeta_rows in rules}
+        assert [zeta_rows.rows for *_, zeta_rows in rules] == list(built.values())
+
+    def test_threads_grow_one_grid_at_once(self, ref_cfg, monkeypatch):
+        # more threads than cores, switching often: every row is built
+        # once, and every node has the value of a serial batch
+        cfg = ref_cfg.with_(alpha=2.5)
+        r0 = default_sim_radius(cfg)
+        t_gamma = [analytic._lattice_t(j) for j in range(-24, 72, 3)]
+        serial = _exponents_exact(np.array(t_gamma), cfg, QUAD, r0)
+        built, counting = {}, threading.Lock()
+        block = analytic._ZetaRows.block
+
+        def counted(zeta_rows, v):
+            with counting:
+                built[id(zeta_rows)] = built.get(id(zeta_rows), 0) + v.size
+            return block(zeta_rows, v)
+
+        monkeypatch.setattr(analytic._ZetaRows, "block", counted)
+        grid = analytic._OuterGrid(cfg, QUAD, r0)
+        extent = grid.extent(t_gamma)
+        todo = iter(np.random.default_rng(3).permutation(len(t_gamma)).tolist())
+        values = {}
+
+        def work():
+            for i in todo:
+                # half the calls grow only as far as their own node needs
+                values[i] = grid.exponent(np.float64(t_gamma[i]), extent * (i % 2))
+
+        # daemon threads, so that a deadlock fails the test, not the run
+        threads = [threading.Thread(target=work, daemon=True) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(values) == list(range(len(t_gamma)))
+        assert _hexes(*np.array([values[i] for i in range(len(t_gamma))]).T) == _hexes(*serial)
+        assert built == {id(zeta_rows): zeta_rows.rows for *_, zeta_rows in grid._rules}
+        assert grid.edges.size - 1 == grid.base_edges.size - 1 + extent
+
     @pytest.mark.parametrize("window", [(0.3, 0.3), (2e-3, 7e4), (1.0, 10.0)])
     def test_window_rounded_out_to_lattice(self, ref_cfg, window):
         lattice = _ExponentLattice(ref_cfg, QUAD)

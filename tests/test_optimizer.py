@@ -204,7 +204,7 @@ def test_solve_p1_properties(instance):
     assert np.array_equal(solve_p1(lib, cfg.with_(gamma_d=7.5)).policy.probs, c)
 
 
-def _bisected(residual, lo, hi, start=None):
+def _bisected(residual, lo, hi, start=None, scale=1.0):
     """_root_pair's reference: ulp bisection of the residual's sign."""
     return float_bisect(lambda v: residual(v)[0] >= 0.0, lo, hi)
 
@@ -233,17 +233,30 @@ class TestMultiplierRoot:
     def test_large_library_matches_bisection(self, ref_cfg):
         _assert_matches_bisection(ContentLibrary.from_zipf(10_000, 0.8, 50), ref_cfg)
 
-    def test_evaluations_per_root(self, ref_cfg, ref_library):
+    @staticmethod
+    def _evaluations_per_root(lib, cfg):
         roots = []
 
-        def counted(residual, lo, hi, start=None):
+        def counted(residual, lo, hi, start=None, scale=1.0):
             roots.append((lo, hi))
-            return _root_pair(residual, lo, hi, start)
+            return _root_pair(residual, lo, hi, start, scale)
 
         with mock.patch.object(optimizer, "_root_pair", counted):
-            sol = solve_p1(ref_library, ref_cfg)
+            sol = solve_p1(lib, cfg)
         assert roots
-        assert sol.diagnostics["multiplier_evaluations"] / len(roots) <= 16
+        return sol.diagnostics["multiplier_evaluations"] / len(roots)
+
+    def test_evaluations_per_root(self, ref_cfg, ref_library):
+        assert self._evaluations_per_root(ref_library, ref_cfg) <= 16
+
+    def test_subnormal_popularities_keep_newton_steps(self, ref_cfg):
+        # at Zipf 400 the popularities past rank 5 are subnormal, where the
+        # slope dc/dv = 1 / (q phi') overflows; unscaled, the root takes 46
+        lib = ContentLibrary.from_zipf(20, 400.0, 5)
+        cfg = ref_cfg.with_(n_bar=2.0)
+        assert 0.0 < lib.popularity[5] < np.finfo(float).tiny
+        assert self._evaluations_per_root(lib, cfg) <= 16
+        _assert_matches_bisection(lib, cfg)
 
     @staticmethod
     def _check(g, lo, hi, slope=lambda v: 0.0, tol=lambda v: 0.0):

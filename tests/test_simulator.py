@@ -23,6 +23,7 @@ from brute_force import (
 )
 from d2dcache import analytic
 from d2dcache.analytic import (
+    NumericalError,
     QuadratureSpec,
     coverage_content,
     offloading_closed_form_k1,
@@ -364,3 +365,97 @@ class TestThreadCount:
         assert trials * float(q @ ((1 - c) * -np.expm1(-c * ref_cfg.n_bar))) > _CHUNK
         self.at_each_count(
             monkeypatch, lambda: estimate_offloading(pol, lib, ref_cfg, trials=trials, seed=5))
+
+    def test_offload_sequence_sharing_one_lattice(self, ref_cfg, monkeypatch):
+        # as offload-vs-beta runs them at the benchmark's library: every call
+        # reads one far-field lattice and computes, beside its near field,
+        # the nodes it lacks, growing the lattice's grid as it goes
+        calls = []
+        for beta in (0.5, 1.0):
+            lib = ContentLibrary.from_zipf(100, beta, 5)
+            for pol in (solve_p1(lib, ref_cfg).policy, policy_zipf_proportional(lib),
+                        policy_cpf(lib)):
+                calls.append((pol, lib))
+
+        def run(lattice=None):
+            results, held = [], []
+            for seed, (pol, lib) in enumerate(calls):
+                est = estimate_offloading(pol, lib, ref_cfg, trials=1000, seed=seed,
+                                          _lattice=lattice)
+                results.append((est.mean.hex(), est.half_width_95.hex()))
+                held.append((len(lattice._nodes), lattice._grid.edges.size) if lattice else 0)
+            return results, held
+
+        shared = set()
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(analytic, "_thread_count", lambda: threads)
+            results, held = run(_far_lattice(ref_cfg, default_sim_radius(ref_cfg)))
+            # later calls added nodes, and grew the grid
+            assert held[0][0] < held[-1][0] and held[0][1] < held[-1][1]
+            shared.add(tuple(results))
+        assert len(shared) == 1
+        # each call with a lattice of its own gives the same bits
+        assert tuple(run()[0]) == shared.pop()
+
+    def test_failing_node_raises_and_is_not_kept(self, ref_cfg, monkeypatch):
+        lib = ContentLibrary.from_zipf(20, 0.8, 3)
+        pol = policy_zipf_proportional(lib)
+
+        def offload(lattice):
+            return estimate_offloading(pol, lib, ref_cfg, trials=3000, seed=5,
+                                       _lattice=lattice)
+
+        window = _far_lattice(ref_cfg, default_sim_radius(ref_cfg))
+        offload(window)
+        j_first, j_second = sorted(window._nodes)[2:10:7]
+        exponent = analytic._OuterGrid.exponent
+        bad = {analytic._lattice_t(j): j for j in (j_first, j_second)}
+
+        def failing(grid, t, *args):
+            if t in bad:
+                raise NumericalError("injected", diagnostics={"t_gamma": t})
+            return exponent(grid, t, *args)
+
+        monkeypatch.setattr(analytic._OuterGrid, "exponent", failing)
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(analytic, "_thread_count", lambda: threads)
+            lattice = _far_lattice(ref_cfg, default_sim_radius(ref_cfg))
+            with pytest.raises(NumericalError) as raised:
+                offload(lattice)
+            # the first failing node in lattice order, with its diagnostics
+            assert raised.value.diagnostics == {"t_gamma": analytic._lattice_t(j_first)}
+            assert not set(bad.values()) & set(lattice._nodes)
+
+    def test_failed_growth_leaves_the_grid_as_it_was(self, ref_cfg, monkeypatch):
+        # the far-field grid's second row block (its coarse rows) fails once:
+        # the call raises, the grid holds whole panels only, and the lattice
+        # then serves a call as a fresh one would
+        lib = ContentLibrary.from_zipf(20, 0.8, 3)
+        pol = policy_zipf_proportional(lib)
+        block = analytic._ZetaRows.block
+        blocks = []
+
+        def flaky(zeta_rows, v):
+            blocks.extend([v.size] if v.size else [])  # a new grid's empty rows
+            if len(blocks) == 2:
+                raise RuntimeError("injected")
+            return block(zeta_rows, v)
+
+        def offload(lattice):
+            est = estimate_offloading(pol, lib, ref_cfg, trials=3000, seed=5, _lattice=lattice)
+            return est.mean.hex(), est.half_width_95.hex()
+
+        fresh = offload(None)
+        monkeypatch.setattr(analytic._ZetaRows, "block", flaky)
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(analytic, "_thread_count", lambda: threads)
+            blocks.clear()
+            lattice = _far_lattice(ref_cfg, default_sim_radius(ref_cfg))
+            with pytest.raises(RuntimeError, match="injected"):
+                offload(lattice)
+            # the map's later nodes grew the grid again, whole
+            grid = lattice._grid
+            assert [zeta_rows.rows for *_, zeta_rows in grid._rules] == [
+                (grid.edges.size - 1) * order for order, *_ in grid._rules]
+            assert not lattice._nodes
+            assert offload(lattice) == fresh
