@@ -49,7 +49,10 @@ COVERAGE_METHODS = ("exact-tcp", "ppp-bound", "closed-form-k1")
 # Gauss-Legendre orders for the production pass and the embedded error check.
 _ORDER_FINE = 16
 _ORDER_COARSE = 8
+# outer log panels per decade: up to the radius floor, and beyond it, where
+# the correction integrand is a smooth power law
 _LOG_PANELS_PER_DECADE = 8
+_TAIL_PANELS_PER_DECADE = 4
 # exponent tables: quintic-spline nodes per decade of t_gamma, which fixes the
 # node lattice t_j = 10^(j / 8), and the padding factor on each end of the
 # requested range
@@ -393,19 +396,22 @@ class _OuterGrid:
     per Gauss order, the nodes, weights and zeta rows (_ZetaRows) on them.
 
     The edges are nested: linear panels across the window, log panels up to
-    the t-independent radius floor, then _LOG_PANELS_PER_DECADE log panels
-    per decade beyond it, edge j of these at v_floor 10^(j/8). A t_gamma
-    integrates over the prefix of the grid up to its own truncation radius,
-    rounded up to a panel edge (exponent). The grid grows only by the
-    panels a new t needs, and every edge, node, weight and row is computed
-    elementwise, so a grown grid equals one built at its final size, bit
-    for bit: a t's exponent does not depend on which t grew the grid, nor
-    on how the nodes are spread over threads. Growth appends row blocks
-    under a lock, so threads may integrate and grow one grid at once.
+    the t-independent radius floor, then _TAIL_PANELS_PER_DECADE log panels
+    per decade beyond it, edge j of these at v_floor 10^(j/4). A far-field
+    grid (v_inner > 0) keeps only the edges beyond v_inner, with v_inner as
+    its first edge, and holds the rows of its near-disc term as well
+    (exponent). A t_gamma integrates over the prefix of the grid up to its
+    own truncation radius, rounded up to a panel edge (exponent). The grid
+    grows only by the panels a new t needs, and every edge, node, weight
+    and row is computed elementwise, so a grown grid equals one built at
+    its final size, bit for bit: a t's exponent does not depend on which t
+    grew the grid, nor on how the nodes are spread over threads. Growth
+    appends row blocks under a lock, so threads may integrate and grow one
+    grid at once.
     """
 
     def __init__(self, cfg: NetworkConfig, quad: QuadratureSpec, v_inner: float = 0.0):
-        self.cfg, self.quad = cfg, quad
+        self.cfg, self.quad, self.v_inner = cfg, quad, v_inner
         half_width = _window_halfwidth(cfg, quad)
         # radius floor: twice the window, and ten cluster spreads plus five radii
         # of the disc that holds one parent on average
@@ -417,10 +423,27 @@ class _OuterGrid:
             np.linspace(0.0, half_width, n_lin + 1),
             np.geomspace(half_width, self.v_floor, n_log + 1)[1:],
         ])
+        self._near = None
         if v_inner > 0:
-            base_edges = np.union1d(base_edges, [v_inner])
+            base_edges = np.concatenate([[v_inner], base_edges[base_edges > v_inner]])
+            # the near-disc term's rows per Gauss order: r^alpha and the weight
+            # times Q_1(r / sigma, v_inner / sigma) r, on [0, r_max] beyond which
+            # Q_1 is 1 to within exp(-13^2 / 2). A geometric head like the u
+            # template's, at twice its density, resolves the kernel's knee near
+            # r = 0, where Q_1 is exp(-v_inner^2 / 2 sigma^2) (at r_sim = sigma
+            # the template's own head left 1e-6 of fine/coarse disagreement); a
+            # uniform body of panels at most sigma wide resolves the step of
+            # Q_1 at v_inner.
+            self._r_max = v_inner + half_width
+            head = self._r_max * np.concatenate([[0.0], np.geomspace(1e-4, 0.06, 13)])
+            n_body = max(25, math.ceil((self._r_max - head[-1]) / cfg.sigma))
+            r_edges = np.concatenate([head, np.linspace(head[-1], self._r_max, n_body + 1)[1:]])
+            self._near = []
+            for order in (_ORDER_FINE, _ORDER_COARSE):
+                r, w = _panel_rule(r_edges, order)
+                marcum = stats.ncx2.sf((v_inner / cfg.sigma) ** 2, 2, (r / cfg.sigma) ** 2)
+                self._near.append((r**cfg.alpha, w * marcum * r))
         self.base_edges = base_edges
-        self.n_near = int(np.searchsorted(base_edges, v_inner))  # panels inside v_inner
         self.edges = base_edges[:1]  # the edges held: none of the panels yet
         # per Gauss order: (order, nodes, weights, zeta rows) of the panels held
         self._rules = [(order, np.empty(0), np.empty(0),
@@ -434,14 +457,16 @@ class _OuterGrid:
         cfg = self.cfg
         alpha, n_bar = cfg.alpha, cfg.n_bar
         e_ppp = _exponent_ppp(t, cfg)
-        tol = self.quad.abs_tol if self.n_near else max(self.quad.abs_tol,
-                                                        self.quad.rel_tol * e_ppp)
+        # the far exponent enters a probability as exp(-F): its absolute error
+        # is what counts
+        tol = self.quad.abs_tol if self.v_inner > 0 else max(self.quad.abs_tol,
+                                                             self.quad.rel_tol * e_ppp)
         # truncation radius: correction integrand <= (n_bar*zeta)^2/2 with
         # zeta <= 2^alpha t_gamma v^-alpha once v exceeds twice the window
         tail_coeff = math.pi * cfg.lambda_p * n_bar**2 * 4.0**alpha * t**2 / (2 * alpha - 2)
         v_tail = (tail_coeff / tol) ** (1.0 / (2 * alpha - 2))
         v_max = max(self.v_floor, 2.0 * t ** (1.0 / alpha), v_tail)
-        n_extra = math.ceil(_LOG_PANELS_PER_DECADE * math.log10(v_max / self.v_floor))
+        n_extra = math.ceil(_TAIL_PANELS_PER_DECADE * math.log10(v_max / self.v_floor))
         return e_ppp, tail_coeff, n_extra
 
     def extent(self, t_gamma) -> int:
@@ -464,7 +489,7 @@ class _OuterGrid:
                 return
             edges = np.concatenate([
                 self.base_edges,
-                self.v_floor * 10.0 ** (np.arange(1, n_extra + 1) / _LOG_PANELS_PER_DECADE),
+                self.v_floor * 10.0 ** (np.arange(1, n_extra + 1) / _TAIL_PANELS_PER_DECADE),
             ])
             more = []
             for order, *_, zeta_rows in self._rules:
@@ -479,12 +504,25 @@ class _OuterGrid:
                               np.concatenate([v_weights, more_weights]), zeta_rows))
             self._rules, self.edges = rules, edges
 
+    def _leading(self, t: float, e_ppp: float, order: int) -> float:
+        """The far field's leading term at t: 2 pi lambda_p n_bar times the
+        integral over r of t r / (r^alpha + t) Q_1(r/sigma, v_inner/sigma),
+        on the near-disc rows of one Gauss order up to r_max. Beyond r_max
+        Q_1 is 1, and the term is e_ppp I_x(1 - 2/alpha, 2/alpha) with
+        x = t / (r_max^alpha + t), a regularized incomplete beta function."""
+        cfg = self.cfg
+        r_alpha, weight = self._near[order != _ORDER_FINE]
+        near = float((weight * (t / (r_alpha + t))).sum())
+        x = t / (self._r_max**cfg.alpha + t)
+        beyond = float(special.betainc(1.0 - 2.0 / cfg.alpha, 2.0 / cfg.alpha, x))
+        return 2.0 * math.pi * cfg.lambda_p * cfg.n_bar * near + e_ppp * beyond
+
     def exponent(self, t: float, extent: int = 0) -> tuple[float, float]:
         """(exponent, error estimate) of _exponents_exact at one t_gamma > 0,
         on this grid, grown first to t's truncation radius and at least
         `extent` log panels beyond the floor (the same value either way)."""
         cfg = self.cfg
-        lam, n_bar, n_near = cfg.lambda_p, cfg.n_bar, self.n_near
+        lam, n_bar = cfg.lambda_p, cfg.n_bar
         e_ppp, tail_coeff, n_extra = self.truncation(t)
         self._grow(max(n_extra, extent))
         n_panels = self.base_edges.size - 1 + n_extra
@@ -493,11 +531,11 @@ class _OuterGrid:
             rows = n_panels * order
             nz = n_bar * zeta_rows(t, rows)
             correction_integrand = nz + np.expm1(-nz)
-            correction_integrand[:n_near * order] = nz[:n_near * order]
             correction = 2.0 * math.pi * lam * float(
                 (v_weights[:rows] * correction_integrand * v_nodes[:rows]).sum()
             )
-            results.append(e_ppp - correction)
+            leading = e_ppp if self._near is None else self._leading(t, e_ppp, order)
+            results.append(leading - correction)
         exponent_fine, exponent_coarse = results
 
         tail_bound = tail_coeff * float(self.edges[n_panels]) ** (2.0 - 2.0 * cfg.alpha)
@@ -526,7 +564,8 @@ def _exponents_exact(t_gamma, cfg: NetworkConfig, quad: QuadratureSpec,
     n_bar*zeta - 1 + exp(-n_bar*zeta) decays like v^(2 - 2 alpha). The
     split subtracts the slowly decaying part analytically, leaving a
     rapidly convergent outer integral, and makes the bound ordering exact
-    by construction.
+    by construction. Beyond the radius floor the integrand is a smooth
+    power law, and 4 log panels per decade integrate it (_OuterGrid).
 
     The t-independent half, the outer grid with its zeta rows, is an
     _OuterGrid: a fresh one, or `grid`, one held for the same (cfg, quad,
@@ -536,13 +575,24 @@ def _exponents_exact(t_gamma, cfg: NetworkConfig, quad: QuadratureSpec,
     does not depend on the other members of the batch, on the grid's
     earlier growth, nor on the thread count.
 
-    With v_inner > 0 the result is the far-field exponent: only clusters
-    centered beyond v_inner count. v_inner becomes a grid edge, and on the
-    panels inside it the correction integrand is replaced by n_bar*zeta, so
-    the closed-form term minus the near-disc mean leaves
-    2 pi lambda_p * integral from v_inner of (1 - exp(-n_bar zeta)) v dv.
-    Its truncation tolerance is abs_tol: the far exponent enters a
-    probability as exp(-F), so its absolute error is what counts.
+    With v_inner > 0 the result is the far-field exponent F, of the
+    clusters centered beyond v_inner only:
+    F = 2 pi lambda_p * integral from v_inner of (1 - exp(-n_bar zeta)) v dv.
+    By Fubini, the mean part 2 pi lambda_p n_bar * integral from v_inner of
+    zeta v dv is a 1-D integral over the member distance r,
+    2 pi lambda_p n_bar * integral of t r / (r^alpha + t) Q_1(r/sigma,
+    v_inner/sigma) dr, where the Marcum function Q_1 is the probability
+    that a member at distance r belongs to a cluster centered beyond
+    v_inner (Afshang, Dhillon & Chong, TWC 2016). So
+    F = that integral - 2 pi lambda_p * integral from v_inner of
+    (n_bar zeta - 1 + exp(-n_bar zeta)) v dv: a sum of the 1-D term, on a
+    fixed r grid up to v_inner + 13 sigma and in closed form beyond, and
+    the correction on outer panels from v_inner outward. No term is
+    subtracted from one of its own size, so F keeps its relative accuracy
+    at small t (the two-dimensional near-disc mean, subtracted from the
+    closed-form term, lost it there). Its truncation tolerance is
+    abs_tol: the far exponent enters a probability as exp(-F), so its
+    absolute error is what counts.
 
     Returns (exponents, error_estimates) as two arrays.
     """

@@ -27,6 +27,8 @@ estimate of the root. The result is the pair of adjacent floats that
 bisecting the multiplier's bit patterns to one ulp returns; that bisection
 is replayed at the end, evaluating only its midpoints within the budget's
 rounding error of the root, so about ten evaluations find each multiplier.
+A convex-branch group's c_j is found the same way, by safeguarded Newton
+steps inside its scan bracket on the budget residual's analytic slope.
 
 A brute-force simplex enumeration oracle certifies solutions on small
 instances instead of assuming global concavity.
@@ -38,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .analytic import NumericalError, _k1_gain, compute_Z, offloading_closed_form_k1
 from .model import (
@@ -78,8 +79,9 @@ class KktSolution:
     in file order), 'concavity_warnings', 'candidates' (number of
     structural candidates solved), 'multiplier_evaluations' (number of
     budget evaluations on the concave branch, the bracket checks of every
-    candidate included). Tied popularities always get identical caching
-    probabilities.
+    candidate included), 'convex_evaluations' (number of budget residual
+    evaluations on the convex branch, its bracket checks included). Tied
+    popularities always get identical caching probabilities.
     """
 
     policy: CachingPolicy
@@ -340,7 +342,8 @@ def _candidates(q, sizes, budget, branch, counts):
     tie groups differ in size. A concave-branch shape whose
     v exceeds the marginal q phi(1) of its last group at 1 is no maximum
     (that group would rather give budget away) and is skipped. Each budget
-    evaluation on the concave branch adds one to counts["multiplier_evaluations"].
+    evaluation on the concave branch adds one to counts["multiplier_evaluations"],
+    and each on the convex branch to counts["convex_evaluations"].
     """
     n_groups = q.size
     prefix = np.concatenate([[0], np.cumsum(sizes)])
@@ -391,15 +394,15 @@ def _candidates(q, sizes, budget, branch, counts):
         if np.any(sizes[k:] != sizes[k]):
             # tie groups of unequal size can put the convex group anywhere
             for j in range(k, n_groups):
-                yield from _convex_candidates(q, sizes, k, j, rest, c, branch)
+                yield from _convex_candidates(q, sizes, k, j, rest, c, branch, counts)
             continue
-        yield from _convex_candidates(q, sizes, k, k, rest, c, branch)
+        yield from _convex_candidates(q, sizes, k, k, rest, c, branch, counts)
         if branch.phi_b < 0.0 and k < n_groups - 1:
-            last = _convex_candidates(q, sizes, k, n_groups - 1, rest, c, branch)
+            last = _convex_candidates(q, sizes, k, n_groups - 1, rest, c, branch, counts)
             yield from ((cand, v) for cand, v in last if v < 0.0)
 
 
-def _convex_candidates(q, sizes, k, j, rest, c, branch):
+def _convex_candidates(q, sizes, k, j, rest, c, branch, counts):
     """Candidates with groups k.. free and group j on the convex branch.
 
     The convex branch is (c_inflect, 1). With v = q_j phi(c_j) >= 0 the
@@ -409,20 +412,29 @@ def _convex_candidates(q, sizes, k, j, rest, c, branch):
     take more budget, and the convex group, whose f is lowest, is the least
     popular one. The budget residual R(c_j) has dR/dc_j >= 0 exactly when
     the second-order condition for a maximum holds, so only its upward sign
-    changes on a scan of c_j are refined to roots. Since
+    changes on a scan of c_j are refined to roots (_convex_root). Since
     v >= q_j phi(c_inflect), a group with q phi(0) at or below that value
-    stays at 0 and is left out of R.
+    stays at 0 and is left out of R. Each evaluation of R adds one to
+    counts["convex_evaluations"].
     """
     others = np.r_[k:j, j + 1:q.size]
     act = others[q[others] * branch.phi0 > q[j] * branch.phi_b]
     act_q, act_n = q[act], sizes[act]
     c = c.copy()
+    # dc/dv = 1 / (q phi') of the other groups, scaled by the power of two at
+    # or below q_j, stays finite where q_j dc/dv does (_ConcaveBranch.solve)
+    scale = math.ldexp(0.5, math.frexp(q[j])[1])
 
     def budget_gap(c_j, v):
         return sizes[j] * c_j + branch(v, act_q) @ act_n - rest
 
     def residual(c_j):
-        return budget_gap(c_j, q[j] * branch.phi(c_j))
+        """(R, dR/dc_j) with dR/dc_j = n_j + q_j phi'(c_j) sum of n dc/dv."""
+        counts["convex_evaluations"] += 1
+        phi, prime, _ = branch._phi_and_prime(c_j)
+        c_act, slope, _ = branch.solve(q[j] * phi, act_q, scale)
+        return (sizes[j] * c_j + c_act @ act_n - rest,
+                sizes[j] + q[j] / scale * prime * (slope @ act_n))
 
     # the other groups shrink as v = q_j phi(c_j) grows, so R(c_j) lies
     # between these two values on the whole branch
@@ -436,13 +448,41 @@ def _convex_candidates(q, sizes, k, j, rest, c, branch):
     scan = sizes[j] * grid + branch.interp(y) @ act_n - rest
     for i in np.flatnonzero((scan[:-1] < 0.0) & (scan[1:] >= 0.0)):
         lo, hi = grid[i], grid[i + 1]
-        if residual(lo) > 0.0 or residual(hi) < 0.0:
+        if residual(lo)[0] > 0.0 or residual(hi)[0] < 0.0:
             continue
-        c_j = brentq(residual, lo, hi, xtol=1e-15)
+        c_j = _convex_root(residual, lo, hi)
         v = q[j] * float(branch.phi(c_j))
         c[j] = c_j
         c[act] = branch(v, act_q)
         yield c.copy(), v
+
+
+def _convex_root(residual, lo: float, hi: float) -> float:
+    """A root of R in [lo, hi], given R(lo) <= 0 <= R(hi), to within 1e-15.
+
+    residual(x) returns (R(x), dR/dx). Newton steps from the midpoint
+    narrow the bracket to the side of each iterate's sign; a step that
+    leaves the bracket, or meets a slope that is not positive, falls back
+    to the bracket's midpoint. Ends once a step or the bracket is below
+    1e-15, at most 100 evaluations.
+    """
+    x = 0.5 * (lo + hi)
+    for _ in range(100):
+        r, slope = residual(x)
+        if r == 0.0:
+            return x
+        if r < 0.0:
+            lo = x
+        else:
+            hi = x
+        step = r / slope if 0.0 < slope < math.inf else math.inf
+        nxt = x - step
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - x) <= 1e-15 or hi - lo <= 1e-15:
+            return nxt
+        x = nxt
+    return x
 
 
 def solve_p1(library: ContentLibrary, cfg: NetworkConfig) -> KktSolution:
@@ -470,7 +510,7 @@ def solve_p1(library: ContentLibrary, cfg: NetworkConfig) -> KktSolution:
     q_g = q[starts]
     positive = q_g > 0
     n_candidates = 0
-    counts = {"multiplier_evaluations": 0}
+    counts = {"multiplier_evaluations": 0, "convex_evaluations": 0}
     if sizes[positive].sum() <= budget:
         # only zero-popularity files are left to take the remaining budget
         c_g = positive.astype(float)

@@ -25,9 +25,9 @@ coverage. Its nodes sit on a fixed lattice held per (cfg, r_sim)
 (analytic._ExponentLattice). Each call builds its own, or
 estimate_offloading is handed one shared with other calls at the same
 (cfg, r_sim), which then compute each node once; a call's result does
-not depend on which lattice it is given. The lattice's missing nodes are
-computed on every thread beside the near-field sampling, in one
-analytic._thread_map; the results do not depend on the thread count.
+not depend on which lattice it is given. The near field is sampled in
+chunks of _CHUNK trials; the chunks and the lattice's missing nodes are
+the items of one analytic._thread_map, so both run on every core.
 Replacing the success indicator by its conditional expectation
 (conditional Monte Carlo) removes the fading draws and lowers the
 per-trial variance; half-widths come from the sample variance of the
@@ -46,15 +46,20 @@ cache and meet at least one caterer are simulated, each file in
 proportion to its share of them (conditional Monte Carlo).
 
 t = theta / S is free of the transmit power, so results are bit-for-bit
-independent of the configured power scaling. All randomness flows from a
-counter-based Philox generator keyed by the caller's seed; fixed seed and
-trial count reproduce results exactly.
+independent of the configured power scaling. The caterers come from a
+counter-based Philox generator keyed by the caller's seed, and each
+near-field chunk from a Philox stream keyed by one draw of that generator
+and the chunk's index. So a fixed seed and trial count give the same bytes
+at any thread count. (Earlier versions drew the near field from the seed's
+generator too, in trial order: their simulated numbers differ from these
+and are statistically equivalent.)
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -155,10 +160,9 @@ def _far_field(t: np.ndarray, lattice: _ExponentLattice):
     positive) t of all served trials.
 
     The table is a quintic spline in ln t over the lattice's nodes at 8 per
-    decade (_ExponentLattice.table). F itself is interpolated, not ln F: at
-    small t it is a prefix difference many orders of magnitude below the
-    full exponent, so its relative rounding noise is large while its
-    absolute value is negligible. The evaluator raises outside the table.
+    decade (_ExponentLattice.table). F itself is interpolated, not ln F:
+    exp(-F) needs F's absolute accuracy, and at small t F is negligible.
+    The evaluator raises outside the table.
     """
     spline, t_nodes, errors = lattice.table(t.min(), t.max())
     worst = int(np.argmax(errors))
@@ -175,38 +179,35 @@ def _far_field(t: np.ndarray, lattice: _ExponentLattice):
     return far
 
 
-def _near_exponents(t: np.ndarray, cfg: NetworkConfig, r0: float,
-                    rng: np.random.Generator) -> np.ndarray:
+def _near_exponents(t: np.ndarray, cfg: NetworkConfig, r0: float, key: int,
+                    index: int) -> np.ndarray:
     """sum_j ln(1 + t d_j^-alpha) over the interferers of the clusters
-    centered within r0, sampled for each (finite) t; averaging the
-    interferers' Rayleigh fading exactly gives the factor exp(-that sum).
+    centered within r0, sampled for each (finite) t of chunk `index` (at
+    most _CHUNK trials) from its own Philox stream, keyed by (key, index);
+    averaging the interferers' Rayleigh fading exactly gives the factor
+    exp(-that sum).
     """
-    near = np.empty(t.size)
-    mean_clusters = cfg.lambda_p * math.pi * r0**2
-    for start in range(0, t.size, _CHUNK):
-        t_chunk = t[start:start + _CHUNK]
-        n = t_chunk.size
-        n_clusters = rng.poisson(mean_clusters, n)
-        total_c = int(n_clusters.sum())
-        radii = r0 * np.sqrt(rng.random(total_c))
-        counts = rng.poisson(cfg.n_bar, total_c)
-        # only distances matter and the member scatter is isotropic, so each
-        # cluster's center can sit on the x-axis at its distance
-        scatter = rng.normal(0.0, cfg.sigma, (2, int(counts.sum())))
-        # in place from here on: d^-alpha = (x^2 + y^2)^(-alpha/2), then the
-        # log term of each member
-        d = np.repeat(radii, counts)
-        d += scatter[0]
-        d *= d
-        scatter[1] *= scatter[1]
-        d += scatter[1]
-        d **= -cfg.alpha / 2.0
-        del scatter
-        trial_of_member = np.repeat(np.repeat(np.arange(n), n_clusters), counts)
-        d *= t_chunk[trial_of_member]
-        near[start:start + n] = np.bincount(trial_of_member, weights=np.log1p(d, out=d),
-                                            minlength=n)
-    return near
+    rng = _as_generator([key, index])
+    n = t.size
+    n_clusters = rng.poisson(cfg.lambda_p * math.pi * r0**2, n)
+    total_c = int(n_clusters.sum())
+    radii = r0 * np.sqrt(rng.random(total_c))
+    counts = rng.poisson(cfg.n_bar, total_c)
+    # only distances matter and the member scatter is isotropic, so each
+    # cluster's center can sit on the x-axis at its distance
+    scatter = rng.normal(0.0, cfg.sigma, (2, int(counts.sum())))
+    # in place from here on: d^-alpha = (x^2 + y^2)^(-alpha/2), then the
+    # log term of each member
+    d = np.repeat(radii, counts)
+    d += scatter[0]
+    d *= d
+    scatter[1] *= scatter[1]
+    d += scatter[1]
+    d **= -cfg.alpha / 2.0
+    del scatter
+    trial_of_member = np.repeat(np.repeat(np.arange(n), n_clusters), counts)
+    d *= t[trial_of_member]
+    return np.bincount(trial_of_member, weights=np.log1p(d, out=d), minlength=n)
 
 
 def _conditional_coverage(t: np.ndarray, lattice: _ExponentLattice,
@@ -217,23 +218,30 @@ def _conditional_coverage(t: np.ndarray, lattice: _ExponentLattice,
     Samples the clusters centered within r0 for every trial with caterers
     and returns exp(-sum_j ln(1 + t d_j^-alpha) - F(t)): the interferers'
     Rayleigh fading and the desired signal's are averaged out exactly.
-    Trials without caterers are 0. The near-field sampling and the far-field
+    Trials without caterers are 0. The served trials are sampled in chunks
+    of _CHUNK, each from its own Philox stream keyed by one draw of rng and
+    the chunk's index (_near_exponents). The chunks and the far-field
     lattice nodes that the served t range lacks are the items of one
-    _thread_map, the sampling first, so a thread that finishes one takes
-    the next node; the values do not depend on the thread count. If an item
-    fails, the first failure in item order is raised and the lattice keeps
-    none of the nodes computed here.
+    _thread_map: first the node task that grows the lattice's grid, so that
+    growth never holds up the sampling, then the chunks, then the other
+    nodes. A thread that finishes one item takes the next, and the values
+    do not depend on the thread count. If an item fails, the first failure
+    in item order is raised and the lattice keeps none of the nodes
+    computed here.
     """
     values = np.zeros(t.size)
     served = np.isfinite(t)
     t_served = t[served]
+    key = int(rng.integers(2**63))
     if t_served.size:
         missing = lattice.missing(t_served.min(), t_served.max())
-        near, *nodes = _thread_map(lambda task: task(), [
-            lambda: _near_exponents(t_served, cfg, r0, rng),
-            *lattice.node_tasks(missing),
-        ])
-        lattice.add(missing, nodes)
+        nodes = lattice.node_tasks(missing)
+        chunks = [partial(_near_exponents, t_served[start:start + _CHUNK], cfg, r0, key, i)
+                  for i, start in enumerate(range(0, t_served.size, _CHUNK))]
+        done = _thread_map(lambda task: task(), [*nodes[:1], *chunks, *nodes[1:]])
+        first = min(len(nodes), 1)
+        near = np.concatenate(done[first:first + len(chunks)])
+        lattice.add(missing, done[:first] + done[first + len(chunks):])
         far = _far_field(t_served, lattice)
         values[served] = np.exp(-(near + far(t_served)))
     return values

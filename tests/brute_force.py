@@ -9,6 +9,10 @@ pairwise distances, as in the estimators and the analysis.
 
 float_bisect is the optimizer's reference root finder: it bisects the bit
 patterns of the multiplier to one ulp.
+
+far_exponent_2d is the far-field exponent's reference: the two-dimensional
+near-disc quadrature, which subtracts the near clusters' mean from the
+closed-form exponent over every center distance.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from d2dcache import analytic
 from d2dcache.model import CachingPolicy, NetworkConfig
 from d2dcache.simulator import _as_generator, default_sim_radius
 
@@ -58,6 +63,41 @@ def float_bisect(holds, lo: float, hi: float) -> tuple[float, float]:
         else:
             b = mid
     return value(a), value(b)
+
+
+def far_exponent_2d(t_gamma: float, cfg: NetworkConfig, quad, r0: float):
+    """(F, error estimate) of the clusters centered beyond r0 at one
+    t_gamma > 0, by the two-dimensional near-disc quadrature.
+
+    F = e_ppp - 2 pi lambda_p * integral over v of g(v) v dv, where g is
+    n_bar zeta inside r0 (the near clusters' mean, so that the closed-form
+    term e_ppp minus it leaves the clusters beyond r0) and the correction
+    n_bar zeta - 1 + exp(-n_bar zeta) beyond. The outer panels are linear
+    across the zeta window, 8 log panels per decade beyond it up to the
+    truncation radius of absolute tolerance quad.abs_tol, with r0 as an
+    edge; zeta is the inner quadrature of analytic._ZetaRows. The error
+    estimate is the order-16/order-8 disagreement plus the tail bound.
+    """
+    alpha, n_bar, lam = cfg.alpha, cfg.n_bar, cfg.lambda_p
+    half_width = analytic._window_halfwidth(cfg, quad)
+    v_floor = max(2.0 * half_width, 10.0 * cfg.sigma + 5.0 / math.sqrt(math.pi * lam), r0)
+    e_ppp = analytic._exponent_ppp(t_gamma, cfg)
+    tail_coeff = math.pi * lam * n_bar**2 * 4.0**alpha * t_gamma**2 / (2 * alpha - 2)
+    v_max = max(v_floor, 2.0 * t_gamma ** (1.0 / alpha),
+                (tail_coeff / quad.abs_tol) ** (1.0 / (2 * alpha - 2)))
+    n_log = max(2, math.ceil(8 * math.log10(v_max / half_width)))
+    edges = np.union1d(np.concatenate([
+        np.linspace(0.0, half_width, max(1, math.ceil(half_width / cfg.sigma)) + 1),
+        np.geomspace(half_width, v_max, n_log + 1)[1:],
+    ]), [r0])
+    results = []
+    for order in (16, 8):
+        v, w = analytic._panel_rule(edges, order)
+        nz = n_bar * analytic._ZetaRows(v, cfg, half_width, order)(t_gamma)
+        integrand = np.where(v < r0, nz, nz + np.expm1(-nz))
+        results.append(e_ppp - 2.0 * math.pi * lam * float((w * integrand * v).sum()))
+    tail_bound = tail_coeff * v_max ** (2.0 - 2.0 * alpha)
+    return results[0], abs(results[0] - results[1]) + tail_bound
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ import pytest
 from scipy import integrate, stats
 from scipy.stats import qmc
 
+from brute_force import far_exponent_2d
 from d2dcache import analytic
 from d2dcache.analytic import (
     CoverageResult,
@@ -276,6 +277,45 @@ class TestSharedOuterGrid:
             expected = 2 * math.pi * cfg.lambda_p * cfg.n_bar * (head + tail)
             assert err <= 1e-6
             assert got == pytest.approx(expected, rel=1e-7)
+
+
+class TestFarExponent:
+    """The far-field exponent F (v_inner > 0), built from r0 outward with a
+    one-dimensional near-disc term, against the two-dimensional near-disc
+    quadrature it replaced (brute_force.far_exponent_2d)."""
+
+    @staticmethod
+    def radius(cfg, which):
+        r0 = default_sim_radius(cfg)
+        return {"sigma": cfg.sigma, "default": r0, "triple": 3.0 * r0}[which]
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
+    @pytest.mark.parametrize("which", ["sigma", "default", "triple"])
+    def test_matches_two_dimensional_quadrature(self, ref_cfg, alpha, which):
+        cfg = ref_cfg.with_(alpha=alpha)
+        r0 = self.radius(cfg, which)
+        t_grid = 10.0 ** np.arange(-8.0, 13.0)  # 20 decades
+        far, errors = _exponents_exact(t_grid, cfg, QUAD, v_inner=r0)
+        for t, got, err in zip(t_grid, far, errors):
+            expected, expected_err = far_exponent_2d(t, cfg, QUAD, r0)
+            # the reference subtracts the near mean from the closed-form
+            # term, so it carries a few ulps of that term besides its estimate
+            rounding = 4.0 * np.finfo(float).eps * analytic._exponent_ppp(t, cfg)
+            assert abs(got - expected) <= err + expected_err + rounding, t
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
+    def test_linear_at_small_t(self, ref_cfg, alpha):
+        # at three times the default radius no far member comes near the
+        # origin (Q_1(0, r0 / sigma) underflows) and t r0^-alpha < 1e-13, so
+        # F is linear in t to far below 1e-12; the two-dimensional form is
+        # off by factors of 1e3 to 1e11 here, its near mean cancelling the
+        # closed-form term. (At the default radius F/t is not flat: far
+        # members near the origin add a t^(2/alpha) term.)
+        cfg = ref_cfg.with_(alpha=alpha)
+        t_grid = 10.0 ** np.arange(-12.0, -5.9, 0.5)
+        far, _ = _exponents_exact(t_grid, cfg, QUAD, v_inner=self.radius(cfg, "triple"))
+        slope = far / t_grid
+        assert np.max(np.abs(slope / slope[-1] - 1.0)) <= 1e-12
 
 
 class TestExponentTable:

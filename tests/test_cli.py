@@ -1,6 +1,7 @@
 """Config loading, result emission, experiment runners, and the CLI."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from d2dcache.experiments import (
     run_experiment,
 )
 from d2dcache.model import CachingPolicy, ContentLibrary, NetworkConfig
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 def write_config(tmp_path, text, name="config.yaml"):
@@ -128,6 +131,15 @@ network:
             load_config(path)
         assert main(["solve", "--config", path]) == 2
         assert key in capsys.readouterr().err
+
+
+    def test_sweep_demo_runs_several_near_field_chunks(self):
+        # CI runs this config pinned to one CPU and not, and compares bytes
+        settings = load_config(str(DEMOS / "sweep_example.yaml"))
+        params = settings.experiment_params[settings.experiment]
+        assert settings.experiment == "custom-sweep"
+        assert params["metric"] == "coverage-sim" and len(params["values"]) >= 3
+        assert settings.trials >= 3000
 
 
 class TestEmitResults:

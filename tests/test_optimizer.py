@@ -13,6 +13,7 @@ import pytest
 from brute_force import float_bisect
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from d2dcache import optimizer
 from d2dcache.analytic import _k1_gain, compute_Z, offloading_closed_form_k1
@@ -26,6 +27,7 @@ from d2dcache.model import (
     validate_policy,
 )
 from d2dcache.optimizer import (
+    _convex_root,
     _inflection_point,
     _root_pair,
     _unit_marginal,
@@ -306,6 +308,48 @@ class TestMultiplierRoot:
         for start in (None, root, root + 5e-14):
             pair = _root_pair(lambda v: (g(v), -1.0, 2e-13), 0.0, 1.0, start)
             assert pair == float_bisect(lambda v: g(v) >= 0.0, 0.0, 1.0)
+
+
+def _brentq_root(residual, lo, hi):
+    """_convex_root's reference: brentq on the residual's value alone."""
+    return brentq(lambda x: residual(x)[0], lo, hi, xtol=1e-15)
+
+
+def _assert_matches_brentq(lib, cfg):
+    sol = solve_p1(lib, cfg)
+    with mock.patch.object(optimizer, "_convex_root", _brentq_root):
+        ref = solve_p1(lib, cfg)
+    # the multiplier of a policy without interior files is not unique, so
+    # only the policies and their objectives are compared
+    assert np.max(np.abs(sol.policy.probs - ref.policy.probs)) <= 1e-14
+    assert abs(sol.objective - ref.objective) <= 1e-14
+    return sol, ref
+
+
+class TestConvexRoot:
+    """Newton steps on the convex branch find brentq's roots."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_instances())
+    def test_solve_p1_matches_brentq(self, instance):
+        _assert_matches_brentq(*instance)
+
+    @pytest.mark.parametrize("n_files", [5, 6])
+    @pytest.mark.parametrize("beta", [0.0, 0.25, 0.5, 1.0, 1.5, 2.0])
+    def test_oracle_probe_shapes_match_brentq(self, ref_cfg, n_files, beta):
+        _assert_matches_brentq(ContentLibrary.from_zipf(n_files, beta, 2), ref_cfg)
+
+    def test_fewer_evaluations_than_brentq(self, ref_cfg, ref_library):
+        # both counts take in the two bracket checks per root
+        sol, ref = _assert_matches_brentq(ref_library, ref_cfg)
+        assert 0 < sol.diagnostics["convex_evaluations"] < ref.diagnostics["convex_evaluations"]
+
+    @pytest.mark.parametrize("root", [0.3, 0.5 + 1e-13, 0.9])
+    def test_kinked_and_flat_residuals(self, root):
+        # a slope that is wrong, zero or negative still ends at the root
+        for slope in (lambda x: 1.0, lambda x: 0.0, lambda x: -1.0, lambda x: 1e-300):
+            x = _convex_root(lambda x: (math.tanh(50.0 * (x - root)), slope(x)), 0.0, 1.0)
+            assert abs(x - root) <= 2e-15
 
 
 def _key_hash(v):

@@ -21,7 +21,7 @@ from brute_force import (
     sample_network,
     simulate_request,
 )
-from d2dcache import analytic
+from d2dcache import analytic, simulator
 from d2dcache.analytic import (
     NumericalError,
     QuadratureSpec,
@@ -335,9 +335,56 @@ def test_realization_is_frozen(small_cfg):
         real.r_sim = 10.0
 
 
+class TestNearFieldStreams:
+    """Each near-field chunk draws from its own Philox stream, keyed by one
+    draw of the call's generator and the chunk's index."""
+
+    # _run_coverage(C, small_cfg, 30.0, seed=29) caterer counts, computed
+    # when the near field still drew from the call's own generator: the
+    # caterers come first from that generator, as they did then
+    FROZEN_K_SUM = 4365
+    FROZEN_K_COUNTS = [230, 264, 231, 208, 194, 182, 88, 57, 26, 12, 5, 1, 1, 1]
+    FROZEN_K_AT_1018 = [5, 7, 1, 5, 2, 2, 2, 0, 0, 4, 5, 1]
+
+    def test_caterer_counts_frozen(self, small_cfg):
+        c = np.full(1500, 0.5)
+        c[::3] = 0.1
+        _, k = _run_coverage(c, small_cfg, 30.0, seed=29)
+        assert int(k.sum()) == self.FROZEN_K_SUM
+        assert np.bincount(k).tolist() == self.FROZEN_K_COUNTS
+        assert k[1018:1030].tolist() == self.FROZEN_K_AT_1018
+
+    def test_chunk_unchanged_when_later_trials_dropped(self, ref_cfg, monkeypatch):
+        sums = []
+        near = simulator._near_exponents
+
+        def recorded(t, cfg, r0, key, index):
+            sums.append((index, near(t, cfg, r0, key, index)))
+            return sums[-1][1]
+
+        monkeypatch.setattr(simulator, "_near_exponents", recorded)
+        t = simulator._draw_caterers(np.full(3 * _CHUNK + 100, 1.0), ref_cfg,
+                                     simulator._as_generator(4))[0]
+        r0 = default_sim_radius(ref_cfg)
+        runs = []
+        for trials in (t.size, 2 * _CHUNK):
+            sums.clear()
+            simulator._conditional_coverage(t[:trials], _far_lattice(ref_cfg, r0), ref_cfg, r0,
+                                            simulator._as_generator(5))
+            runs.append(dict(sums))
+        assert sorted(runs[0]) == [0, 1, 2, 3] and sorted(runs[1]) == [0, 1]
+        for index in (0, 1):
+            assert _hexes(runs[1][index]) == _hexes(runs[0][index])
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
 class TestThreadCount:
     """Estimates are the same, to the last bit, at 1, 2 and 3 threads: the
-    far-field table is built beside the near-field sampling or after it."""
+    near-field chunks and the far-field nodes share the threads in any
+    interleaving."""
 
     @staticmethod
     def at_each_count(monkeypatch, run):
@@ -351,9 +398,10 @@ class TestThreadCount:
 
     @pytest.mark.parametrize("c_m", [1.0, 0.3, 0.0])
     def test_estimate_coverage(self, ref_cfg, monkeypatch, c_m):
+        # 20 near-field chunks, spread over the threads beside the far nodes
         cfg = ref_cfg.with_(alpha=2.5)
         mean, half_width = self.at_each_count(
-            monkeypatch, lambda: estimate_coverage(c_m, cfg, trials=3000, seed=11))
+            monkeypatch, lambda: estimate_coverage(c_m, cfg, trials=20_000, seed=11))
         if c_m == 0.0:  # no trial is served
             assert (mean, half_width) == ((0.0).hex(), (0.0).hex())
 
@@ -369,9 +417,10 @@ class TestThreadCount:
     def test_offload_sequence_sharing_one_lattice(self, ref_cfg, monkeypatch):
         # as offload-vs-beta runs them at the benchmark's library: every call
         # reads one far-field lattice and computes, beside its near field,
-        # the nodes it lacks, growing the lattice's grid as it goes
+        # the nodes it lacks, growing the lattice's grid as it goes. The
+        # first call, at beta 1, needs one tail panel fewer than a later one.
         calls = []
-        for beta in (0.5, 1.0):
+        for beta in (1.0, 0.5, 1.0):
             lib = ContentLibrary.from_zipf(100, beta, 5)
             for pol in (solve_p1(lib, ref_cfg).policy, policy_zipf_proportional(lib),
                         policy_cpf(lib)):
