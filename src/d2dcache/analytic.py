@@ -23,9 +23,8 @@ from functools import partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import special, stats
+from scipy import special
 from scipy.interpolate import PPoly, make_interp_spline
-from scipy.stats import qmc
 
 from .model import CachingPolicy, ContentLibrary, NetworkConfig
 
@@ -49,6 +48,9 @@ COVERAGE_METHODS = ("exact-tcp", "ppp-bound", "closed-form-k1")
 # Gauss-Legendre orders for the production pass and the embedded error check.
 _ORDER_FINE = 16
 _ORDER_COARSE = 8
+# production order of the far field's 2-D correction rows (_OuterGrid with
+# v_inner > 0); the check stays at _ORDER_COARSE
+_ORDER_FAR_FINE = 10
 # outer log panels per decade: up to the radius floor, and beyond it, where
 # the correction integrand is a smooth power law
 _LOG_PANELS_PER_DECADE = 8
@@ -408,6 +410,23 @@ class _OuterGrid:
     grew the grid, nor on how the nodes are spread over threads. Growth
     appends row blocks under a lock, so threads may integrate and grow one
     grid at once.
+
+    Each value is a production (fine) and a check (coarse) Gauss pass, and
+    the error it reports is |fine - coarse|, set by the order-8 check. The
+    exact grid (v_inner = 0) runs orders 16 and 8. A far-field grid builds
+    its correction rows, outer panels and inner u template alike, at
+    orders _ORDER_FAR_FINE = 10 and 8, at 10/16 of the rows: order 16 is
+    about 100 times more accurate than the error the check reports, and
+    order 10 lies within that error of order 16 at every lattice node over
+    t = 1e-8..1e12 at alpha 2.5, 3 and 4 and at sigma = 10 m with
+    n_bar = 20 (moving nodes by at most 1e-10 at the reference scenario).
+    At alpha 6 with v_inner = sigma, where the u template's panels miss the
+    kernel's t^(1/alpha) knee, four of those nodes lie up to 18 times
+    their reported error from order 16, by at most 3.4e-9. The near-disc
+    rows stay at orders 16 and 8: at order 10 they miss that knee (1.8e-10
+    off at v_inner = sigma, alpha 2.5, t = 1e-8, against a reported
+    9e-11). The exact grid keeps order 16, bit for bit, because
+    bench/references.json resolves the last bit of its small-t transforms.
     """
 
     def __init__(self, cfg: NetworkConfig, quad: QuadratureSpec, v_inner: float = 0.0):
@@ -438,17 +457,20 @@ class _OuterGrid:
             head = self._r_max * np.concatenate([[0.0], np.geomspace(1e-4, 0.06, 13)])
             n_body = max(25, math.ceil((self._r_max - head[-1]) / cfg.sigma))
             r_edges = np.concatenate([head, np.linspace(head[-1], self._r_max, n_body + 1)[1:]])
+            from scipy.stats import ncx2  # 0.5 s to import, so only where needed
+
             self._near = []
             for order in (_ORDER_FINE, _ORDER_COARSE):
                 r, w = _panel_rule(r_edges, order)
-                marcum = stats.ncx2.sf((v_inner / cfg.sigma) ** 2, 2, (r / cfg.sigma) ** 2)
-                self._near.append((r**cfg.alpha, w * marcum * r))
+                marcum = ncx2.sf((v_inner / cfg.sigma) ** 2, 2, (r / cfg.sigma) ** 2)
+                self._near.append((order, r**cfg.alpha, w * marcum * r))
         self.base_edges = base_edges
         self.edges = base_edges[:1]  # the edges held: none of the panels yet
-        # per Gauss order: (order, nodes, weights, zeta rows) of the panels held
+        # fine, then coarse: (order, nodes, weights, zeta rows) of the panels held
+        fine = _ORDER_FINE if v_inner == 0 else _ORDER_FAR_FINE
         self._rules = [(order, np.empty(0), np.empty(0),
                         _ZetaRows(np.empty(0), cfg, half_width, order))
-                       for order in (_ORDER_FINE, _ORDER_COARSE)]
+                       for order in (fine, _ORDER_COARSE)]
         self._growth = threading.Lock()  # held while the grid grows (_grow)
 
     def truncation(self, t: float) -> tuple[float, float, int]:
@@ -504,14 +526,15 @@ class _OuterGrid:
                               np.concatenate([v_weights, more_weights]), zeta_rows))
             self._rules, self.edges = rules, edges
 
-    def _leading(self, t: float, e_ppp: float, order: int) -> float:
+    def _leading(self, t: float, e_ppp: float, rule: int) -> float:
         """The far field's leading term at t: 2 pi lambda_p n_bar times the
         integral over r of t r / (r^alpha + t) Q_1(r/sigma, v_inner/sigma),
-        on the near-disc rows of one Gauss order up to r_max. Beyond r_max
-        Q_1 is 1, and the term is e_ppp I_x(1 - 2/alpha, 2/alpha) with
-        x = t / (r_max^alpha + t), a regularized incomplete beta function."""
+        on the near-disc rows of one rule (0 fine, 1 coarse) up to r_max.
+        Beyond r_max Q_1 is 1, and the term is e_ppp I_x(1 - 2/alpha,
+        2/alpha) with x = t / (r_max^alpha + t), a regularized incomplete
+        beta function."""
         cfg = self.cfg
-        r_alpha, weight = self._near[order != _ORDER_FINE]
+        _, r_alpha, weight = self._near[rule]
         near = float((weight * (t / (r_alpha + t))).sum())
         x = t / (self._r_max**cfg.alpha + t)
         beyond = float(special.betainc(1.0 - 2.0 / cfg.alpha, 2.0 / cfg.alpha, x))
@@ -527,14 +550,14 @@ class _OuterGrid:
         self._grow(max(n_extra, extent))
         n_panels = self.base_edges.size - 1 + n_extra
         results = []
-        for order, v_nodes, v_weights, zeta_rows in self._rules:
+        for rule, (order, v_nodes, v_weights, zeta_rows) in enumerate(self._rules):
             rows = n_panels * order
             nz = n_bar * zeta_rows(t, rows)
             correction_integrand = nz + np.expm1(-nz)
             correction = 2.0 * math.pi * lam * float(
                 (v_weights[:rows] * correction_integrand * v_nodes[:rows]).sum()
             )
-            leading = e_ppp if self._near is None else self._leading(t, e_ppp, order)
+            leading = e_ppp if self._near is None else self._leading(t, e_ppp, rule)
             results.append(leading - correction)
         exponent_fine, exponent_coarse = results
 
@@ -593,6 +616,15 @@ def _exponents_exact(t_gamma, cfg: NetworkConfig, quad: QuadratureSpec,
     closed-form term, lost it there). Its truncation tolerance is
     abs_tol: the far exponent enters a probability as exp(-F), so its
     absolute error is what counts.
+
+    Gauss orders: the exact route runs a fine pass at order 16 and a check
+    at order 8. The far field runs its correction at 10 and 8, its 1-D
+    near-disc term at 16 and 8. The order-8 check sets the reported error
+    either way, and order 10 is within it on the correction but for a
+    kernel knee the u template misses (_OuterGrid). The exact route keeps
+    order 16 so that its values stay the same to the last bit, which the
+    frozen Laplace references resolve; it can follow once those
+    references have a tolerance floor of a few ulps.
 
     Returns (exponents, error_estimates) as two arrays.
     """
@@ -841,6 +873,8 @@ def _caterer_means(k_max: int, cfg: NetworkConfig, quad: QuadratureSpec, laplace
     at any thread count. A non-finite transform raises NumericalError for
     the lowest bad block, with that block's index, rows and first bad k.
     """
+    from scipy.stats import qmc  # 0.5 s to import, so only where needed
+
     n = quad.mc_integration_samples
     blocks = [slice(start, min(start + _QMC_BLOCK_ROWS, n))
               for start in range(0, n, _QMC_BLOCK_ROWS)]
@@ -895,12 +929,33 @@ def _caterer_means(k_max: int, cfg: NetworkConfig, quad: QuadratureSpec, laplace
     return lap.mean(axis=0), lap[:half].mean(axis=0), lap[half:].mean(axis=0)
 
 
+def _poisson_pmf(k: np.ndarray, mean: float) -> np.ndarray:
+    """P(K = k) for K ~ Poisson(mean), as scipy.stats.poisson.pmf computes
+    it, bit for bit: exp(xlogy(k, mean) - gammaln(k + 1) - mean)."""
+    return np.exp(special.xlogy(k, mean) - special.gammaln(k + 1) - mean)
+
+
+def _poisson_sf(k: int, mean: float) -> float:
+    """P(K > k) for K ~ Poisson(mean), as scipy.stats.poisson.sf."""
+    return float(special.pdtrc(k, mean))
+
+
+def _poisson_isf(q: float, mean: float) -> int:
+    """Smallest k with P(K > k) <= q, as scipy.stats.poisson.isf computes
+    it: the quantile at 1 - q, ceil(pdtrik), stepped down by one where
+    pdtr shows the smaller k suffices."""
+    p = 1.0 - q
+    k = math.ceil(special.pdtrik(p, mean))
+    below = max(k - 1, 0)
+    return below if special.pdtr(below, mean) >= p else k
+
+
 def _poisson_k_max(mean: float, tail_mass: float) -> int:
     """Smallest k with P(K > k) < tail_mass for K ~ Poisson(mean)."""
     if mean <= 0:
         return 0
-    k = int(stats.poisson.isf(tail_mass, mean)) + 1
-    while stats.poisson.sf(k, mean) >= tail_mass:  # isf rounding guard
+    k = _poisson_isf(tail_mass, mean) + 1
+    while _poisson_sf(k, mean) >= tail_mass:  # isf rounding guard
         k += 1
     return k
 
@@ -932,11 +987,11 @@ def coverage_content(
 
     laplace_fn = partial(laplace_ppp_bound, cfg=cfg) if method == "ppp-bound" else None
     means, means_a, means_b = _caterer_means(k_max, cfg, quad, laplace_fn)
-    pmf = stats.poisson.pmf(np.arange(1, k_max + 1), mean_k)
+    pmf = _poisson_pmf(np.arange(1, k_max + 1), mean_k)
     value = float(means @ pmf)
     value_a = float(means_a @ pmf)
     value_b = float(means_b @ pmf)
-    tail = float(stats.poisson.sf(k_max, mean_k))
+    tail = _poisson_sf(k_max, mean_k)
     err = 0.5 * abs(value_a - value_b) + tail
     return CoverageResult(min(max(value, 0.0), 1.0), method, err)
 

@@ -11,10 +11,13 @@ path).
 
 import functools
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -302,6 +305,41 @@ class TestFarExponent:
             # term, so it carries a few ulps of that term besides its estimate
             rounding = 4.0 * np.finfo(float).eps * analytic._exponent_ppp(t, cfg)
             assert abs(got - expected) <= err + expected_err + rounding, t
+
+    def test_gauss_orders(self, ref_cfg):
+        # fine and coarse orders: the exact route (16, 8), the far field's
+        # 2-D correction (10, 8), inner u template included, and its 1-D
+        # near-disc rows (16, 8)
+        exact = analytic._OuterGrid(ref_cfg, QUAD)
+        far = analytic._OuterGrid(ref_cfg, QUAD, default_sim_radius(ref_cfg))
+        template_panels = analytic._U_TEMPLATE_EDGES.size - 1
+        for grid, orders in ((exact, [16, 8]), (far, [10, 8])):
+            assert [order for order, *_ in grid._rules] == orders
+            assert [rows._s_nodes.size for *_, rows in grid._rules] == [
+                template_panels * order for order in orders]
+        assert exact._near is None
+        assert [order for order, *_ in far._near] == [16, 8]
+
+    @pytest.mark.parametrize("scenario", [{}, {"alpha": 3.0}, {"alpha": 2.5},
+                                          {"sigma": 10.0, "n_bar": 20.0}],
+                             ids=["reference", "alpha3", "alpha2.5", "sigma10-nbar20"])
+    @pytest.mark.parametrize("which", ["default", "sigma"])
+    def test_correction_order_within_reported_error(self, ref_cfg, monkeypatch, scenario,
+                                                    which):
+        # every lattice node over t = 1e-8..1e12 lies within its reported
+        # error of the same node with the correction at fine order 16. F is
+        # the leading term minus the correction, both of e_ppp's size at
+        # large t, so the two sums round apart by a few ulps of e_ppp
+        # (5.9 measured at alpha 2.5, t = 4.2e11)
+        cfg = ref_cfg.with_(**scenario)
+        r0 = self.radius(cfg, which)
+        grid = analytic._OuterGrid(cfg, QUAD, r0)
+        monkeypatch.setattr(analytic, "_ORDER_FAR_FINE", 16)
+        reference = analytic._OuterGrid(cfg, QUAD, r0)
+        for t in (analytic._lattice_t(j) for j in range(-64, 97)):
+            (got, err), (expected, _) = grid.exponent(t), reference.exponent(t)
+            rounding = 8.0 * np.finfo(float).eps * analytic._exponent_ppp(t, cfg)
+            assert abs(got - expected) <= err + rounding, t
 
     @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
     def test_linear_at_small_t(self, ref_cfg, alpha):
@@ -819,6 +857,52 @@ class TestOffloading:
         partial = CachingPolicy(np.array([0.5, 0.5, 0.0, 0.0]))
         value = offloading_closed_form_k1(partial, lib, ref_cfg)
         assert 0.0 < value < 1.0
+
+
+class TestPoissonHelpers:
+    """The caterer-count helpers compute what scipy.stats.poisson does, bit
+    for bit, from scipy.special."""
+
+    MEANS = np.geomspace(1e-8, 40.0, 25)
+    TAILS = np.geomspace(1e-12, 1e-3, 10)
+
+    def test_k_max_matches_scipy_stats(self):
+        for mean in self.MEANS:
+            for tail_mass in self.TAILS:
+                k = int(stats.poisson.isf(tail_mass, mean)) + 1
+                while stats.poisson.sf(k, mean) >= tail_mass:
+                    k += 1
+                assert _poisson_k_max(mean, tail_mass) == k, (mean, tail_mass)
+                assert analytic._poisson_isf(tail_mass, mean) == stats.poisson.isf(
+                    tail_mass, mean), (mean, tail_mass)
+
+    def test_isf_matches_scipy_stats_at_tail_values(self):
+        # at q = P(K > j) itself, ceil(pdtrik) can land one above j, and
+        # the step down by pdtr applies
+        for mean in self.MEANS:
+            for j in range(_poisson_k_max(mean, self.TAILS[0])):
+                q = float(stats.poisson.sf(j, mean))
+                if 0.0 < 1.0 - q < 1.0:
+                    assert analytic._poisson_isf(q, mean) == stats.poisson.isf(q, mean), (
+                        mean, j)
+
+    def test_pmf_and_tail_match_scipy_stats(self):
+        for mean in self.MEANS:
+            k = np.arange(1, _poisson_k_max(mean, self.TAILS[0]) + 1)
+            assert _hexes(analytic._poisson_pmf(k, mean)) == _hexes(stats.poisson.pmf(k, mean))
+            assert _hexes([analytic._poisson_sf(int(j), mean) for j in k]) == _hexes(
+                stats.poisson.sf(k, mean))
+
+    def test_import_leaves_out_scipy_stats(self):
+        # scipy.stats takes about half a second to import: only the QMC draw
+        # and a far-field grid load it, when they run
+        src = str(Path(analytic.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys, d2dcache; print('scipy.stats' in sys.modules)"
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert run.stdout.strip() == "False"
 
 
 class TestNumericsPlumbing:

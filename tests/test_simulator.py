@@ -336,7 +336,7 @@ def test_realization_is_frozen(small_cfg):
 
 
 class TestNearFieldStreams:
-    """Each near-field chunk draws from its own Philox stream, keyed by one
+    """Each near-field chunk draws from its own SFC64 stream, keyed by one
     draw of the call's generator and the chunk's index."""
 
     # _run_coverage(C, small_cfg, 30.0, seed=29) caterer counts, computed
