@@ -92,7 +92,8 @@ class QuadratureSpec:
         the window decays like exp(-mult^2/2) and is negligible at the
         default.
     k_max_tail_mass : float
-        Residual Poisson mass at which the caterer-count sum is cut.
+        Residual Poisson mass at which the caterer-count sum is cut; at
+        least machine epsilon.
     mc_integration_samples : int
         Quasi-Monte-Carlo draws for the fading-distance integral.
     qmc_seed : int
@@ -112,9 +113,10 @@ class QuadratureSpec:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        if not 0.0 < self.k_max_tail_mass < 1.0:
-            raise ValueError(
-                f"k_max_tail_mass must lie in (0, 1), got {self.k_max_tail_mass!r}")
+        # below machine epsilon the Poisson quantile at 1 - tail is taken at 1
+        if not np.finfo(float).eps <= self.k_max_tail_mass < 1.0:
+            raise ValueError("k_max_tail_mass must lie in [machine epsilon "
+                             f"2.2e-16, 1), got {self.k_max_tail_mass!r}")
         if not _is_int(self.mc_integration_samples) or self.mc_integration_samples < 1_000:
             raise ValueError("mc_integration_samples must be an integer >= 1000, "
                              f"got {self.mc_integration_samples!r}")
@@ -392,6 +394,14 @@ def _exponent_ppp(t_gamma: float, cfg: NetworkConfig) -> float:
     )
 
 
+def _marcum_q1(a, b):
+    """Marcum Q_1(a, b), the survival function at b^2 of a noncentral
+    chi-square with 2 degrees of freedom and noncentrality a^2, as
+    1 - special.chndtr: within 1e-14 absolute of scipy.stats.ncx2.sf, all
+    that the far grid's near-disc rows need, and without scipy.stats."""
+    return 1.0 - special.chndtr(b**2, 2, a**2)
+
+
 class _OuterGrid:
     """The t-independent half of _exponents_exact for one (cfg, quad,
     v_inner): the outer panel edges over the cluster-center distance and,
@@ -457,12 +467,10 @@ class _OuterGrid:
             head = self._r_max * np.concatenate([[0.0], np.geomspace(1e-4, 0.06, 13)])
             n_body = max(25, math.ceil((self._r_max - head[-1]) / cfg.sigma))
             r_edges = np.concatenate([head, np.linspace(head[-1], self._r_max, n_body + 1)[1:]])
-            from scipy.stats import ncx2  # 0.5 s to import, so only where needed
-
             self._near = []
             for order in (_ORDER_FINE, _ORDER_COARSE):
                 r, w = _panel_rule(r_edges, order)
-                marcum = ncx2.sf((v_inner / cfg.sigma) ** 2, 2, (r / cfg.sigma) ** 2)
+                marcum = _marcum_q1(r / cfg.sigma, v_inner / cfg.sigma)
                 self._near.append((order, r**cfg.alpha, w * marcum * r))
         self.base_edges = base_edges
         self.edges = base_edges[:1]  # the edges held: none of the panels yet

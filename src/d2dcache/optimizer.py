@@ -21,14 +21,13 @@ such shape is enumerated, each is solved for its multiplier, and the best
 one is kept.
 
 A concave-branch multiplier is the root of budget(v) = rest, a
-non-increasing sum over the groups. It is found by safeguarded Newton
-steps on the analytic slope, dc/dv = 1 / (q phi'(c)), from a table
-estimate of the root. The result is the pair of adjacent floats that
-bisecting the multiplier's bit patterns to one ulp returns; that bisection
-is replayed at the end, evaluating only its midpoints within the budget's
-rounding error of the root, so about ten evaluations find each multiplier.
-A convex-branch group's c_j is found the same way, by safeguarded Newton
-steps inside its scan bracket on the budget residual's analytic slope.
+non-increasing sum over the groups, and a convex-branch group's c_j is a
+root of the budget residual inside its scan bracket. One root finder,
+_root, serves both: safeguarded Newton steps on the analytic slope (for the
+multiplier dc/dv = 1 / (q phi'(c)) per group), from a table estimate of the
+multiplier, until a step moves at most 2 ulps. At the reference library
+(100 files, Zipf 0.5, budget 5) a multiplier takes about 5 budget
+evaluations, its bracket checks included.
 
 A brute-force simplex enumeration oracle certifies solutions on small
 instances instead of assuming global concavity.
@@ -64,10 +63,6 @@ BASELINE_TOL = 1e-12
 _CLAMP_EPS = 1e-9
 _SCAN_POINTS = 257
 _ORACLE_MAX_POINTS = 20_000_000
-# rounding error of phi per unit size of its terms, and of the budget sum
-# per unit of its size, with margin: the budget's measured departures from
-# monotone stayed under a tenth of the tolerance this gives
-_ROUNDING = 2.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -82,6 +77,14 @@ class KktSolution:
     candidate included), 'convex_evaluations' (number of budget residual
     evaluations on the convex branch, its bracket checks included). Tied
     popularities always get identical caching probabilities.
+
+    multiplier is the common marginal q_m f'(c_m) of the interior files.
+    With no interior file it is not unique: KKT holds for any value between
+    the largest q f'(0) of the files at 0 and the smallest q f'(1) of those
+    at 1. The value returned is then q f'(0) of the most popular file at 0
+    where whole files fill the budget, 0 where files of zero popularity take
+    the leftover budget, and otherwise the point of that interval where the
+    root finder stopped.
     """
 
     policy: CachingPolicy
@@ -133,13 +136,11 @@ class _ConcaveBranch:
 
     def _phi_and_prime(self, c):
         """phi and phi' from one shared exponential, bit for bit equal to
-        _unit_marginal and _unit_marginal_prime, and the size of phi's terms,
-        which bounds its rounding error."""
+        _unit_marginal and _unit_marginal_prime."""
         n_bar = self.n_bar
         a = (n_bar / self.Z) * np.exp(-c * n_bar)
-        shape = c * (2.0 + n_bar - n_bar * c)
         poly = -2.0 - 2.0 * n_bar + 4.0 * n_bar * c + n_bar**2 * c - n_bar**2 * c**2
-        return 1.0 + a * (1.0 - shape), a * poly, 1.0 + a * (1.0 + shape)
+        return 1.0 + a * (1.0 - c * (2.0 + n_bar - n_bar * c)), a * poly
 
     def interp(self, y):
         """Table estimate of the root of phi(c) = y, clamped to [0, c_b]."""
@@ -151,24 +152,23 @@ class _ConcaveBranch:
         return self.solve(v, q)[0]
 
     def solve(self, v, q, scale=1.0):
-        """(c, slope, error): c as in __call__; slope = scale dc/dv and
-        error, a bound on c's rounding error, where 0 < c < c_b, and 0
-        elsewhere. dc/dv = 1 / (q phi') overflows at subnormal q; with a
-        scale at or below every q the slope stays finite, and with a power
-        of two it is dc/dv times scale, bit for bit, wherever both are
-        normal."""
+        """(c, slope): c as in __call__; slope = scale dc/dv where
+        0 < c < c_b, and 0 elsewhere. dc/dv = 1 / (q phi') overflows at
+        subnormal q; with a scale at or below every q the slope stays
+        finite, and with a power of two it is dc/dv times scale, bit for
+        bit, wherever both are normal."""
         v, q = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(q, dtype=float))
         c = np.where(v <= q * self.phi_b, self.c_b, 0.0)
-        slope, error = np.zeros(c.shape), np.zeros(c.shape)
+        slope = np.zeros(c.shape)
         inside = (v > q * self.phi_b) & (v < q * self.phi0)
         if inside.any():
             y = v[inside] / q[inside]  # < phi0, so tiny q cannot overflow it
             guess = self.interp(y)
-            prime, size = np.empty(y.size), np.empty(y.size)
+            prime = np.empty(y.size)
             todo = np.arange(y.size)
             for _ in range(60):
                 g = guess[todo]
-                phi, prime[todo], size[todo] = self._phi_and_prime(g)
+                phi, prime[todo] = self._phi_and_prime(g)
                 # the slope vanishes only at c_inflect, never at a root left of it
                 step = (phi - y[todo]) / np.minimum(prime[todo], -1e-300)
                 guess[todo] = np.clip(g - step, 0.0, self.c_b)
@@ -180,8 +180,7 @@ class _ConcaveBranch:
             prime = np.minimum(prime, -1e-300)
             with np.errstate(over="ignore", divide="ignore"):
                 slope[inside] = 1.0 / (q[inside] / scale * prime)
-                error[inside] = _ROUNDING * size / -prime
-        return c, slope, error
+        return c, slope
 
 
 def _key(x: float) -> int:
@@ -196,112 +195,46 @@ def _value(k: int) -> float:
     return float(np.int64(k if k >= 0 else -k - 2**63).view(np.float64))
 
 
-def _root_pair(residual, lo: float, hi: float, start=None,
-               scale: float = 1.0) -> tuple[float, float]:
-    """Adjacent floats lo <= a < b <= hi with g(a) >= 0 > g(b), given
-    g(lo) >= 0 > g(hi) and a residual g that is non-increasing up to its
-    rounding.
+def _root(residual, lo: float, hi: float, start=None, scale: float = 1.0) -> float:
+    """A root of g in [lo, hi], given g(lo) >= 0 >= g(hi) and a residual g
+    that is non-increasing up to its rounding.
 
-    residual(v) returns (g, slope, tol): g(v), scale times dg/dv and a
-    margin past which the sign of g is monotone, so that g(v) >= tol
-    implies g >= 0 at every smaller v and g(v) < -tol implies g < 0 at
-    every larger v. A power-of-two scale keeps a slope that would overflow
-    finite and leaves every step as it would be without it.
-
-    The pair is the one that bisecting the keys of [lo, hi] to one ulp
-    returns, so it does not depend on how the root is approached. Newton
-    steps from start (by default the midpoint) first find floats of certain
-    sign on either side of the root. A step that leaves the bracket, meets a
-    zero slope or fails to halve the last step falls back to a midpoint,
-    alternately of the values and of the keys, so a root at subnormal or
-    negative scale is reached too; a step that leaves the bracket first
-    tries the float at the square root of the bracket's key width from that
-    end, which finds a root at a kink next to it. The bisection is then
-    replayed: its midpoints outside the floats of certain sign are decided
-    without evaluating g. Each of the three stages is capped, at 2 x 64
-    evaluations, 64 per side and 64.
+    residual(x) returns (g(x), scale dg/dx); a power-of-two scale keeps a
+    slope that would overflow finite and leaves every step as it would be
+    without it. Newton steps from start (by default the midpoint) narrow
+    the bracket to the side of each iterate's sign. A step that leaves the
+    bracket, meets a slope that is not negative or fails to halve the last
+    step falls back to a midpoint, alternately of the values and of the
+    keys (_key), so a root at subnormal or negative scale is reached too.
+    Ends at a zero of g, once a step moves at most 2 ulps (returning the
+    step's end), or once the bracket closes to adjacent floats, at most
+    128 evaluations.
     """
-    k_lo, k_hi = _key(lo), _key(hi)
-    sure_t, sure_f = k_lo, k_hi  # g >= 0 at and below sure_t, g < 0 at and above sure_f
-    seen = {}
-
-    def probe(k):
-        nonlocal sure_t, sure_f
-        g, slope, tol = residual(_value(k))
-        seen[k] = g
-        if g >= tol:
-            sure_t = max(sure_t, k)
-        elif g < -tol:
-            sure_f = min(sure_f, k)
-        return g, slope, tol
-
-    def reach(k_root, k, holds):
-        # gallop away from the root until a float of certain sign is found
-        span = max(abs(k - k_root), 1)
-        k = min(max(k, sure_t), sure_f)
-        while (sure_t < k) if holds else (sure_f > k):
-            probe(k)
-            span *= 2
-            k = max(k_root - span, sure_t) if holds else min(k_root + span, sure_f)
-
-    # Newton on the bracket a < b of floats with g(a) >= 0 > g(b)
-    a, b = k_lo, k_hi
-    x = _key(0.5 * lo + 0.5 * hi if start is None else start)
-    k_root = None
-    key_step_old, newton_old, arithmetic, near_end = b - a, None, True, False
-    for _ in range(2 * 64):
+    a, b = _key(lo), _key(hi)
+    x = start if start is not None and lo < start < hi else 0.5 * lo + 0.5 * hi
+    last, arithmetic = b - a, True
+    for _ in range(128):
+        g, slope = residual(x)
+        if g == 0.0:
+            return x
+        k = _key(x)
+        if g > 0.0:
+            a = k
+        else:
+            b = k
         if b - a <= 1:
-            break
-        if not a < x < b:
-            x = (a + b) // 2
-        g, slope, tol = probe(x)
-        if g >= 0.0:
-            a = x
-        else:
-            b = x
-        v = _value(x)
-        step = g / slope * scale if -math.inf < slope < 0.0 and tol < math.inf else math.nan
-        root = v - step
-        if math.isfinite(root):
-            # the error left after this step, from the last two Newton steps
-            error = abs(step) * (step / newton_old) ** 2 if newton_old else math.inf
-            key_step = abs(_key(root) - x)
-            if abs(g) <= tol or error <= tol / -slope * scale or key_step <= 2:
-                # floats where g is about +-1.25 tol, past the root's error
-                margin = (1.25 * tol * scale
-                          + (2.0 * error * -slope if error < math.inf else 0.0)) / slope
-                k_root, k_t, k_f = _key(root), _key(root + margin), _key(root - margin)
-                break
-            inside = _value(a) < root < _value(b)
-            if inside and key_step <= key_step_old // 2:
-                x, key_step_old, newton_old, near_end = _key(root), key_step, abs(step), False
+            return x
+        nxt = x - g / slope * scale if -math.inf < slope < 0.0 else math.nan
+        if math.isfinite(nxt):
+            moved = abs(_key(nxt) - k)
+            if moved <= 2:
+                return min(max(nxt, _value(a)), _value(b))
+            if _value(a) < nxt < _value(b) and moved <= last // 2:
+                x, last = nxt, moved
                 continue
-            if not (inside or near_end):
-                near = math.isqrt(b - a)
-                x = a + near if root <= _value(a) else b - near
-                newton_old, near_end = None, True
-                continue
-        x = _key(0.5 * _value(a) + 0.5 * _value(b)) if arithmetic else (a + b) // 2
-        arithmetic, key_step_old, newton_old, near_end = not arithmetic, b - a, None, False
-    if k_root is None:
-        k_root, k_t, k_f = b, a, b
-    reach(k_root, min(k_t, k_root - 1), True)
-    reach(k_root, max(k_f, k_root + 1), False)
-    # replay the bisection
-    a, b = k_lo, k_hi
-    while b - a > 1:
-        mid = (a + b) // 2
-        if mid <= sure_t:
-            holds = True
-        elif mid >= sure_f:
-            holds = False
-        else:
-            holds = (seen[mid] if mid in seen else probe(mid)[0]) >= 0.0
-        if holds:
-            a = mid
-        else:
-            b = mid
-    return _value(a), _value(b)
+        x = 0.5 * _value(a) + 0.5 * _value(b) if arithmetic else _value((a + b) // 2)
+        arithmetic, last = not arithmetic, b - a
+    return x
 
 
 def _first_guess(q, sizes, rest, branch):
@@ -364,18 +297,12 @@ def _candidates(q, sizes, budget, branch, counts):
         seen = {}
 
         def budget_gap(v):
-            """(c, g, scale dg/dv, tol) for the free groups at multiplier v,
-            where g = budget(v) - rest and tol bounds how far rounding moves g."""
+            """(c, g, scale dg/dv) for the free groups at multiplier v, where
+            g = budget(v) - rest."""
             if v not in seen:
                 counts["multiplier_evaluations"] += 1
-                c_free, slope, error = branch.solve(v, free_q, scale)
-                used = c_free @ free_n
-                # with no group strictly inside, c moves only toward its
-                # clamps as v moves away from it, so the sign of g is exact
-                tol = error @ free_n
-                if tol:
-                    tol += _ROUNDING * (used + rest)
-                seen[v] = c_free, used - rest, slope @ free_n, tol
+                c_free, slope = branch.solve(v, free_q, scale)
+                seen[v] = c_free, c_free @ free_n - rest, slope @ free_n
             return seen[v]
 
         # below v_lo every free group sits at c_b; the multiplier is negative
@@ -383,9 +310,8 @@ def _candidates(q, sizes, budget, branch, counts):
         v_lo, v_hi = q[k] * min(branch.phi_b, 0.0), q[k] * branch.phi0
         if budget_gap(v_lo)[1] >= 0.0 and (
                 k == 0 or budget_gap(q[k - 1] * float(branch.phi(1.0)))[1] <= 0.0):
-            pair = _root_pair(lambda v: budget_gap(v)[1:], v_lo, v_hi,
-                              _first_guess(free_q, free_n, rest, branch), scale)
-            v = min(pair, key=lambda x: abs(budget_gap(x)[1]))
+            v = _root(lambda v: budget_gap(v)[1:], v_lo, v_hi,
+                      _first_guess(free_q, free_n, rest, branch), scale)
             concave = c.copy()
             concave[k:] = budget_gap(v)[0]
             yield concave, v
@@ -412,7 +338,7 @@ def _convex_candidates(q, sizes, k, j, rest, c, branch, counts):
     take more budget, and the convex group, whose f is lowest, is the least
     popular one. The budget residual R(c_j) has dR/dc_j >= 0 exactly when
     the second-order condition for a maximum holds, so only its upward sign
-    changes on a scan of c_j are refined to roots (_convex_root). Since
+    changes on a scan of c_j are refined to roots (_root, on -R). Since
     v >= q_j phi(c_inflect), a group with q phi(0) at or below that value
     stays at 0 and is left out of R. Each evaluation of R adds one to
     counts["convex_evaluations"].
@@ -429,12 +355,12 @@ def _convex_candidates(q, sizes, k, j, rest, c, branch, counts):
         return sizes[j] * c_j + branch(v, act_q) @ act_n - rest
 
     def residual(c_j):
-        """(R, dR/dc_j) with dR/dc_j = n_j + q_j phi'(c_j) sum of n dc/dv."""
+        """(-R, -dR/dc_j) with dR/dc_j = n_j + q_j phi'(c_j) sum of n dc/dv."""
         counts["convex_evaluations"] += 1
-        phi, prime, _ = branch._phi_and_prime(c_j)
-        c_act, slope, _ = branch.solve(q[j] * phi, act_q, scale)
-        return (sizes[j] * c_j + c_act @ act_n - rest,
-                sizes[j] + q[j] / scale * prime * (slope @ act_n))
+        phi, prime = branch._phi_and_prime(c_j)
+        c_act, slope = branch.solve(q[j] * phi, act_q, scale)
+        return (-(sizes[j] * c_j + c_act @ act_n - rest),
+                -(sizes[j] + q[j] / scale * prime * (slope @ act_n)))
 
     # the other groups shrink as v = q_j phi(c_j) grows, so R(c_j) lies
     # between these two values on the whole branch
@@ -448,41 +374,13 @@ def _convex_candidates(q, sizes, k, j, rest, c, branch, counts):
     scan = sizes[j] * grid + branch.interp(y) @ act_n - rest
     for i in np.flatnonzero((scan[:-1] < 0.0) & (scan[1:] >= 0.0)):
         lo, hi = grid[i], grid[i + 1]
-        if residual(lo)[0] > 0.0 or residual(hi)[0] < 0.0:
+        if residual(lo)[0] < 0.0 or residual(hi)[0] > 0.0:
             continue
-        c_j = _convex_root(residual, lo, hi)
+        c_j = _root(residual, lo, hi)
         v = q[j] * float(branch.phi(c_j))
         c[j] = c_j
         c[act] = branch(v, act_q)
         yield c.copy(), v
-
-
-def _convex_root(residual, lo: float, hi: float) -> float:
-    """A root of R in [lo, hi], given R(lo) <= 0 <= R(hi), to within 1e-15.
-
-    residual(x) returns (R(x), dR/dx). Newton steps from the midpoint
-    narrow the bracket to the side of each iterate's sign; a step that
-    leaves the bracket, or meets a slope that is not positive, falls back
-    to the bracket's midpoint. Ends once a step or the bracket is below
-    1e-15, at most 100 evaluations.
-    """
-    x = 0.5 * (lo + hi)
-    for _ in range(100):
-        r, slope = residual(x)
-        if r == 0.0:
-            return x
-        if r < 0.0:
-            lo = x
-        else:
-            hi = x
-        step = r / slope if 0.0 < slope < math.inf else math.inf
-        nxt = x - step
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - x) <= 1e-15 or hi - lo <= 1e-15:
-            return nxt
-        x = nxt
-    return x
 
 
 def solve_p1(library: ContentLibrary, cfg: NetworkConfig) -> KktSolution:

@@ -18,6 +18,7 @@ import threading
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -291,6 +292,28 @@ class TestFarExponent:
     def radius(cfg, which):
         r0 = default_sim_radius(cfg)
         return {"sigma": cfg.sigma, "default": r0, "triple": 3.0 * r0}[which]
+
+    def test_marcum_function_matches_ncx2(self):
+        for b in np.linspace(1.0, 60.0, 60):
+            a = np.linspace(0.0, b + 13.0, 1000)
+            assert np.max(np.abs(analytic._marcum_q1(a, b)
+                                 - stats.ncx2.sf(b**2, 2, a**2))) <= 1e-14
+
+    @pytest.mark.parametrize("which", ["sigma", "default", "triple"])
+    def test_near_disc_rows_match_ncx2(self, ref_cfg, which):
+        r0 = self.radius(ref_cfg, which)
+
+        def rows():
+            return [row for _, _, row in analytic._OuterGrid(ref_cfg, QUAD, r0)._near]
+
+        got = rows()
+        with mock.patch.object(analytic, "_marcum_q1", lambda a, b: np.ones_like(a)):
+            weights = rows()  # the Gauss weight times r of every node
+        with mock.patch.object(analytic, "_marcum_q1",
+                               lambda a, b: stats.ncx2.sf(b**2, 2, a**2)):
+            reference = rows()
+        for row, weight, ref in zip(got, weights, reference):
+            assert np.all(np.abs(row - ref) <= 1e-14 * weight)
 
     @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
     @pytest.mark.parametrize("which", ["sigma", "default", "triple"])
@@ -893,16 +916,28 @@ class TestPoissonHelpers:
             assert _hexes([analytic._poisson_sf(int(j), mean) for j in k]) == _hexes(
                 stats.poisson.sf(k, mean))
 
-    def test_import_leaves_out_scipy_stats(self):
-        # scipy.stats takes about half a second to import: only the QMC draw
-        # and a far-field grid load it, when they run
+    @staticmethod
+    def _loads_scipy_stats(code):
         src = str(Path(analytic.__file__).resolve().parents[1])
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        code = "import sys, d2dcache; print('scipy.stats' in sys.modules)"
+        code = f"import sys, d2dcache; {code}; print('scipy.stats' in sys.modules)"
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
-        assert run.stdout.strip() == "False"
+        return run.stdout.strip().splitlines()[-1] == "True"
+
+    def test_import_leaves_out_scipy_stats(self):
+        # scipy.stats takes about half a second to import: only the QMC draw
+        # of exact coverage loads it, when it runs
+        assert not self._loads_scipy_stats("pass")
+
+    def test_simulator_leaves_out_scipy_stats(self):
+        # the far grid's Marcum function comes from scipy.special
+        assert not self._loads_scipy_stats(
+            "from d2dcache.model import NetworkConfig; "
+            "from d2dcache.simulator import estimate_coverage; "
+            "estimate_coverage(1.0, NetworkConfig(lambda_p=40e-6, n_bar=8.0, sigma=50.0, "
+            "alpha=4.0, theta=1.0), 1000)")
 
 
 class TestNumericsPlumbing:
@@ -911,12 +946,20 @@ class TestNumericsPlumbing:
             {"rel_tol": 0.0}, {"rel_tol": math.inf}, {"abs_tol": math.nan},
             {"v_max_sigma_mult": math.inf}, {"k_max_tail_mass": 0.0},
             {"k_max_tail_mass": 1.0}, {"k_max_tail_mass": 2.0},
+            {"k_max_tail_mass": 5e-17}, {"k_max_tail_mass": 1e-17},
             {"mc_integration_samples": 10}, {"mc_integration_samples": 2000.5},
             {"mc_integration_samples": 2000.0}, {"mc_integration_samples": True},
             {"qmc_seed": -1}, {"qmc_seed": 0.5}, {"qmc_seed": False},
         ):
             with pytest.raises(ValueError):
                 QuadratureSpec(**kwargs)
+
+    def test_tail_mass_at_machine_epsilon_accepted(self):
+        # below it 1 - tail rounds to 1, where the Poisson quantile is NaN
+        quad = QuadratureSpec(k_max_tail_mass=np.finfo(float).eps)
+        assert _poisson_k_max(8.0, quad.k_max_tail_mass) > 8
+        with pytest.raises(ValueError, match="k_max_tail_mass"):
+            QuadratureSpec(k_max_tail_mass=np.finfo(float).eps / 2)
 
     def test_quadrature_spec_accepts_numpy_integers(self):
         spec = QuadratureSpec(mc_integration_samples=np.int64(4096), qmc_seed=np.int32(7))

@@ -344,6 +344,12 @@ experiments:
         assert main(["run", "--config", path]) == 0
         assert out.read_text() == capsys.readouterr().out
 
+    def test_tail_mass_below_machine_epsilon_is_usage_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, "quadrature:\n  k_max_tail_mass: 1e-17\n")
+        assert main(["solve", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "k_max_tail_mass" in err
+
     def test_missing_config_is_usage_error(self, capsys):
         assert main(["run", "--config", "/nonexistent/nope.yaml"]) == 2
         assert "configuration error" in capsys.readouterr().err
