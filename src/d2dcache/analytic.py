@@ -19,7 +19,7 @@ import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -258,9 +258,19 @@ def rician_pdf(u, v, sigma):
     return out
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of one order on [-1, 1], computed
+    once per order (leggauss takes 0.15-0.2 ms) and read-only, so that no
+    caller can change another's rule."""
+    x, w = leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _panel_rule(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes and weights over consecutive panels."""
-    x, w = leggauss(order)
+    x, w = _gauss_legendre(order)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -706,6 +716,11 @@ class _ExponentLattice:
     calls came before it. One lattice can serve every call at the same
     configuration; a caller that builds its own pays for its window's
     nodes, as a one-off table would.
+
+    An exact lattice (v_inner = 0) tabulates every node, 8 per decade. A
+    far-field lattice (v_inner > 0) tabulates only the even j, 4 per
+    decade: its table interpolates ln F (simulator._far_field), which at
+    half the nodes is about as accurate as F itself was at all of them.
     """
 
     def __init__(self, cfg: NetworkConfig, quad: QuadratureSpec, v_inner: float = 0.0):
@@ -713,14 +728,22 @@ class _ExponentLattice:
         self._grid = _OuterGrid(cfg, quad, v_inner)
         self._nodes = {}  # lattice index -> (exponent, error estimate)
 
-    @staticmethod
-    def _window(t_lo, t_hi) -> range:
+    def _window(self, t_lo, t_hi) -> range:
         """Lattice indices of a table over [t_lo, t_hi], padded by
-        _TABLE_PAD and rounded out to lattice nodes (at least 8)."""
-        j_lo = math.floor(_TABLE_NODES_PER_DECADE * math.log10(t_lo / _TABLE_PAD))
-        j_hi = math.ceil(_TABLE_NODES_PER_DECADE * math.log10(t_hi * _TABLE_PAD))
-        short = max(0, 8 - (j_hi - j_lo + 1))
-        return range(j_lo - short // 2, j_hi + short - short // 2 + 1)
+        _TABLE_PAD and rounded out to the lattice's nodes (at least 8).
+
+        A far-field lattice steps over every other index (even j only) and
+        adds two more of its nodes at each end: a quintic's end intervals
+        are its least accurate, and without them exp(-F) at alpha 4 strays
+        by 2.5e-7 near the top of the table."""
+        stride, extra = (2, 2) if self.v_inner > 0 else (1, 0)
+        x_lo = _TABLE_NODES_PER_DECADE * math.log10(t_lo / _TABLE_PAD)
+        x_hi = _TABLE_NODES_PER_DECADE * math.log10(t_hi * _TABLE_PAD)
+        j_lo = stride * (math.floor(x_lo / stride) - extra)
+        j_hi = stride * (math.ceil(x_hi / stride) + extra)
+        short = max(0, 8 - ((j_hi - j_lo) // stride + 1))
+        return range(j_lo - stride * (short // 2),
+                     j_hi + stride * (short - short // 2) + 1, stride)
 
     def missing(self, t_lo, t_hi) -> list[int]:
         """Lattice indices that table(t_lo, t_hi) needs and the lattice lacks."""
@@ -739,17 +762,19 @@ class _ExponentLattice:
         """Keep the values `nodes` (from node) of the lattice indices."""
         self._nodes.update(zip(indices, nodes))
 
-    def table(self, t_lo, t_hi, log: bool = False):
-        """Exact exponents tabulated over [t_lo, t_hi], padded by _TABLE_PAD
-        and rounded out to lattice nodes (at least 8).
+    def table(self, t_lo, t_hi):
+        """Exact exponents tabulated over [t_lo, t_hi] at the nodes of
+        _window: the range padded by _TABLE_PAD and rounded out to the
+        lattice's nodes (at least 8).
 
         Computes the window's missing nodes in one _exponents_exact batch on
         the lattice's grid and joins the window's nodes in ln t by a
-        degree-5 interpolating spline of ln E (log=True) or of E itself.
-        Over t_gamma in [1e-8, 1e9] at alpha 2.5, 3 and 4 it moves L by under
-        2.6e-10, less than a cubic at 24 nodes per decade. The
-        piecewise-polynomial form evaluates about twice as fast as the
-        B-spline one. Returns (spline, t_nodes, error_estimates).
+        degree-5 interpolating spline of ln E, so every node must be
+        positive (NumericalError otherwise). Over t_gamma in [1e-8, 1e9] at
+        alpha 2.5, 3 and 4 it moves L by under 2.6e-10, less than a cubic at
+        24 nodes per decade. The piecewise-polynomial form evaluates about
+        twice as fast as the B-spline one. Returns (spline, t_nodes,
+        error_estimates).
         """
         window = self._window(t_lo, t_hi)
         missing = self.missing(t_lo, t_hi)
@@ -760,10 +785,12 @@ class _ExponentLattice:
             self.add(missing, zip(exponents.tolist(), errors.tolist()))
         t_nodes = np.array([_lattice_t(j) for j in window])
         exponents, errors = np.array([self._nodes[j] for j in window]).T
-        if log and np.any(exponents <= 0):
-            raise NumericalError("non-positive exponent in spline table")
-        y = np.log(exponents) if log else exponents
-        spline = PPoly.from_spline(make_interp_spline(np.log(t_nodes), y, k=5))
+        if np.any(exponents <= 0):
+            bad = int(np.argmax(exponents <= 0))
+            raise NumericalError("non-positive exponent in spline table",
+                                 diagnostics={"t_gamma": float(t_nodes[bad]),
+                                              "exponent": float(exponents[bad])})
+        spline = PPoly.from_spline(make_interp_spline(np.log(t_nodes), np.log(exponents), k=5))
         return spline, t_nodes, errors
 
 
@@ -841,7 +868,7 @@ def laplace_fn_exact(cfg: NetworkConfig, quad: QuadratureSpec, t_range):
     (_ExponentLattice). The evaluator raises ValueError for a positive
     t_gamma outside the padded table instead of extrapolating.
     """
-    table, _, _ = _ExponentLattice(cfg, quad).table(*t_range, log=True)
+    table, _, _ = _ExponentLattice(cfg, quad).table(*t_range)
 
     def laplace(t_gamma):
         t_arr = np.asarray(t_gamma, dtype=float)

@@ -374,9 +374,16 @@ def _convex_candidates(q, sizes, k, j, rest, c, branch, counts):
     scan = sizes[j] * grid + branch.interp(y) @ act_n - rest
     for i in np.flatnonzero((scan[:-1] < 0.0) & (scan[1:] >= 0.0)):
         lo, hi = grid[i], grid[i + 1]
-        if residual(lo)[0] < 0.0 or residual(hi)[0] > 0.0:
+        g_lo = residual(lo)[0]
+        if g_lo < 0.0:
             continue
-        c_j = _root(residual, lo, hi)
+        g_hi = residual(hi)[0]
+        if g_hi > 0.0:
+            continue
+        # a root at an end of the bracket is already found: _root's Newton
+        # steps would land on that end, outside its open bracket, and fall
+        # back to midpoints until the bracket closed
+        c_j = hi if g_hi == 0.0 else lo if g_lo == 0.0 else _root(residual, lo, hi)
         v = q[j] * float(branch.phi(c_j))
         c[j] = c_j
         c[act] = branch(v, act_q)

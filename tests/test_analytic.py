@@ -49,7 +49,13 @@ from d2dcache.analytic import (
     zeta_kernel,
 )
 from d2dcache.model import CachingPolicy, ContentLibrary, NetworkConfig
-from d2dcache.simulator import _far_field, _far_lattice, default_sim_radius
+from d2dcache.simulator import (
+    _as_generator,
+    _draw_caterers,
+    _far_field,
+    _far_lattice,
+    default_sim_radius,
+)
 
 QUAD = QuadratureSpec()
 
@@ -343,6 +349,28 @@ class TestFarExponent:
         assert exact._near is None
         assert [order for order, *_ in far._near] == [16, 8]
 
+    def test_gauss_rules_computed_once_per_order(self, ref_cfg, monkeypatch):
+        # every rule is numpy's own, read-only, and leggauss runs once per
+        # order however many grids read it
+        calls = []
+
+        def counted(order):
+            calls.append(order)
+            return np.polynomial.legendre.leggauss(order)
+
+        monkeypatch.setattr(analytic, "leggauss", counted)
+        analytic._gauss_legendre.cache_clear()
+        try:
+            for v_inner in (0.0, default_sim_radius(ref_cfg), 0.0):
+                analytic._OuterGrid(ref_cfg, QUAD, v_inner)
+            assert sorted(calls) == sorted(set(calls)) and {8, 10, 16} <= set(calls)
+            for order in set(calls):
+                x, w = analytic._gauss_legendre(order)
+                assert _hexes(x, w) == _hexes(*np.polynomial.legendre.leggauss(order))
+                assert not (x.flags.writeable or w.flags.writeable)
+        finally:
+            analytic._gauss_legendre.cache_clear()
+
     @pytest.mark.parametrize("scenario", [{}, {"alpha": 3.0}, {"alpha": 2.5},
                                           {"sigma": 10.0, "n_bar": 20.0}],
                              ids=["reference", "alpha3", "alpha2.5", "sigma10-nbar20"])
@@ -385,13 +413,32 @@ class TestExponentTable:
 
     T_RANGE = (1e-4, 1e9)  # 13 decades; the table pads each end
 
+    # the far field's scenarios: the reference at three path losses, tight
+    # dense clusters, and wide clusters of dense parents at alpha 6
+    FAR_SCENARIOS = {
+        "alpha2.5": {"alpha": 2.5},
+        "alpha4": {},
+        "alpha6": {"alpha": 6.0},
+        "sigma10": {"sigma": 10.0, "n_bar": 20.0},
+        "sigma200": {"sigma": 200.0, "lambda_p": 200e-6, "n_bar": 20.0, "alpha": 6.0},
+    }
+
     def views(self, cfg):
-        """(laplace view, far view, far-field radius, table nodes) over T_RANGE."""
+        """(laplace view, far view, far-field radius, exact table nodes) over
+        T_RANGE."""
         r0 = default_sim_radius(cfg)
         _, t_nodes, _ = _ExponentLattice(cfg, QUAD).table(*self.T_RANGE)
         laplace = laplace_fn_exact(cfg, QUAD, self.T_RANGE)
-        far = _far_field(np.array(self.T_RANGE), _far_lattice(cfg, r0))
+        far, _ = self.far_view(cfg, r0, self.T_RANGE)
         return laplace, far, r0, t_nodes
+
+    @staticmethod
+    def far_view(cfg, r0, t_range):
+        """(far view, its own table's nodes) over t_range."""
+        lattice = _far_lattice(cfg, r0)
+        far = _far_field(np.array(t_range), lattice)
+        _, t_nodes, _ = lattice.table(*t_range)
+        return far, t_nodes
 
     @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
     def test_views_match_direct_transform_between_nodes(self, ref_cfg, alpha):
@@ -406,18 +453,38 @@ class TestExponentTable:
         assert np.max(np.abs(laplace(t) - np.exp(-direct_e))) <= 1e-9
         assert np.max(np.abs(np.exp(-far(t)) - np.exp(-direct_f))) <= 1e-7
 
+    @pytest.mark.parametrize("scenario", sorted(FAR_SCENARIOS))
+    @pytest.mark.parametrize("radius", ["default", "sigma"])
+    def test_far_view_matches_direct_exponent_between_nodes(self, ref_cfg, scenario, radius):
+        cfg = ref_cfg.with_(**self.FAR_SCENARIOS[scenario])
+        r0 = default_sim_radius(cfg) if radius == "default" else cfg.sigma
+        t_range = self.T_RANGE
+        if (scenario, radius) == ("sigma200", "sigma"):
+            # nodes from 1e9 up report errors over _FAR_MAX_ERROR (the inner
+            # u template misses the kernel's knee there), so the view
+            # refuses that range
+            t_range = (1e-4, 1e8)
+        far, t_nodes = self.far_view(cfg, r0, t_range)
+        # a quarter, half and three quarters of the way through every interval
+        # of the far table's own nodes, its extra end nodes among them
+        x = np.log(t_nodes)
+        t = np.exp((x[:-1, None] + np.diff(x)[:, None] * [0.25, 0.5, 0.75]).ravel())
+        direct_f, _ = _exponents_exact(t, cfg, QUAD, v_inner=r0)
+        assert np.max(np.abs(np.exp(-far(t)) - np.exp(-direct_f))) <= 1e-7
+
     @pytest.mark.parametrize("alpha", [2.5, 4.0])
     def test_views_reproduce_node_values(self, ref_cfg, alpha):
         cfg = ref_cfg.with_(alpha=alpha)
-        laplace, far, r0, t_nodes = self.views(cfg)
+        laplace, _, r0, t_nodes = self.views(cfg)
+        far, far_nodes = self.far_view(cfg, r0, self.T_RANGE)
         node_e, _ = _exponents_exact(t_nodes, cfg, QUAD)
-        node_f, _ = _exponents_exact(t_nodes, cfg, QUAD, v_inner=r0)
+        node_f, _ = _exponents_exact(far_nodes, cfg, QUAD, v_inner=r0)
         # rounding of the tabulated ln E moves L by E times as much, relatively;
         # beyond E = 700, L is subnormal or 0 and keeps fewer digits
         normal = node_e < 700.0
         lap, exact = laplace(t_nodes[normal]), np.exp(-node_e[normal])
         assert np.all(np.abs(lap / exact - 1.0) <= 1e-14 * (1.0 + node_e[normal]))
-        assert far(t_nodes) == pytest.approx(node_f, rel=1e-12, abs=1e-15)
+        assert far(far_nodes) == pytest.approx(node_f, rel=1e-12, abs=1e-15)
 
     def test_laplace_view_refuses_t_outside_table(self, ref_cfg):
         laplace, _, _, t_nodes = self.views(ref_cfg)
@@ -435,11 +502,25 @@ class TestExponentTable:
         assert np.all(np.diff(laplace(t)) <= 0.0)
 
     def test_far_view_refuses_t_outside_table(self, ref_cfg):
-        _, far, _, t_nodes = self.views(ref_cfg)
+        far, t_nodes = self.far_view(ref_cfg, default_sim_radius(ref_cfg), self.T_RANGE)
         far(t_nodes[[0, -1]])
         for t in (t_nodes[0] * 0.999, t_nodes[-1] * 1.001):
             with pytest.raises(ValueError):
                 far(np.array([t]))
+
+    @pytest.mark.parametrize("value", [0.0, -1e-300])
+    def test_far_view_refuses_non_positive_node(self, ref_cfg, monkeypatch, value):
+        # ln F needs F > 0 at every node: t = 1 (lattice node 0) is patched
+        exponent = analytic._OuterGrid.exponent
+
+        def patched(grid, t, *args):
+            got, error = exponent(grid, t, *args)
+            return (value, error) if t == 1.0 else (got, error)
+
+        monkeypatch.setattr(analytic._OuterGrid, "exponent", patched)
+        with pytest.raises(NumericalError, match="non-positive") as raised:
+            _far_field(np.array([1e-2, 1e4]), _far_lattice(ref_cfg, default_sim_radius(ref_cfg)))
+        assert raised.value.diagnostics == {"t_gamma": 1.0, "exponent": value}
 
 
 class TestExponentLattice:
@@ -576,6 +657,44 @@ class TestExponentLattice:
         assert sorted(lattice._nodes) == j.tolist()
 
 
+class TestFarLatticeWindow:
+    """A far-field table takes every other node of the exact table's
+    lattice, and two more of its own at each end."""
+
+    WINDOWS = [(0.3, 0.3), (2e-3, 7e4), (1.0, 10.0), (1e-4, 1e9), (1e-2, 1e12)]
+
+    def test_even_nodes_and_at_most_half_plus_five(self, ref_cfg):
+        exact_lattice = _ExponentLattice(ref_cfg, QUAD)
+        far_lattice = _far_lattice(ref_cfg, default_sim_radius(ref_cfg))
+        rng = np.random.default_rng(19)
+        ends = np.sort(10.0 ** rng.uniform(-8.0, 12.0, (200, 2)), axis=1)
+        # and the t range of a 5000-trial call at the reference scenario
+        t, _ = _draw_caterers(np.ones(5000), ref_cfg, _as_generator(1))
+        t = t[np.isfinite(t)]
+        for t_lo, t_hi in [*self.WINDOWS, *ends.tolist(), (t.min(), t.max())]:
+            exact = list(exact_lattice._window(t_lo, t_hi))
+            far = list(far_lattice._window(t_lo, t_hi))
+            assert all(j % 2 == 0 for j in far), (t_lo, t_hi)
+            assert np.array_equal(np.diff(far), np.full(len(far) - 1, 2))
+            assert 8 <= len(far) <= math.ceil(len(exact) / 2) + 5, (t_lo, t_hi)
+            # the far table spans the exact one, and has two of its nodes
+            # beyond each end of the padded range
+            assert far[0] <= exact[0] and far[-1] >= exact[-1], (t_lo, t_hi)
+            j_lo = math.floor(8 * math.log10(t_lo / analytic._TABLE_PAD))
+            j_hi = math.ceil(8 * math.log10(t_hi * analytic._TABLE_PAD))
+            assert far[2] <= j_lo and far[-3] >= j_hi, (t_lo, t_hi)
+
+    @pytest.mark.parametrize("window", WINDOWS[:3])
+    def test_table_and_lattice_hold_the_window(self, ref_cfg, window):
+        lattice = _far_lattice(ref_cfg, default_sim_radius(ref_cfg))
+        assert lattice.missing(*window) == list(lattice._window(*window))
+        _, t_nodes, _ = lattice.table(*window)
+        j = sorted(lattice._nodes)
+        assert j == list(lattice._window(*window))
+        assert t_nodes.tolist() == [analytic._lattice_t(i) for i in j]
+        assert lattice.missing(*window) == []
+
+
 def _hexes(*arrays):
     """Every float of the arrays in hex, for comparisons to the last bit."""
     return [[float(v).hex() for v in np.ravel(a)] for a in arrays]
@@ -589,10 +708,8 @@ class TestTableKernel:
     @pytest.mark.parametrize("kind", ["exact", "far"])
     def test_equals_ppoly_bit_for_bit(self, ref_cfg, alpha, kind):
         cfg = ref_cfg.with_(alpha=alpha)
-        if kind == "exact":
-            table, _, _ = _ExponentLattice(cfg, QUAD).table(1e-4, 1e9, log=True)
-        else:
-            table, _, _ = _far_lattice(cfg, default_sim_radius(cfg)).table(1e-4, 1e9)
+        v_inner = 0.0 if kind == "exact" else default_sim_radius(cfg)
+        table, _, _ = _ExponentLattice(cfg, QUAD, v_inner).table(1e-4, 1e9)
         bp = table.x
         lo, hi = bp[0], bp[-1]
         assert np.sum(bp == lo) == 6 and np.sum(bp == hi) == 6  # repeated end knots

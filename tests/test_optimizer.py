@@ -360,6 +360,14 @@ class TestConvexRoot:
         for count in ("convex_evaluations", "multiplier_evaluations"):
             assert 0 < sol.diagnostics[count] < ref.diagnostics[count]
 
+    def test_root_at_bracket_end_taken_from_the_check(self, ref_cfg):
+        # at Zipf 400 with n_bar 2 one convex group's root is c_j = 1, the top
+        # of its scan bracket, where the bracket check already finds R = 0;
+        # refined from there instead, it took 43 of the solve's 45 evaluations
+        lib = ContentLibrary.from_zipf(20, 400.0, 5)
+        sol = solve_p1(lib, ref_cfg.with_(n_bar=2.0))
+        assert sol.diagnostics["convex_evaluations"] <= 8
+
     @pytest.mark.parametrize("root", [0.3, 0.5 + 1e-13, 0.9])
     def test_kinked_and_flat_residuals(self, root):
         # a slope that is wrong, zero or negative still ends at the root
