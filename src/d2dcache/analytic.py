@@ -72,8 +72,6 @@ _ZETA_BUFFER = 2**17
 # threads per _thread_map at most, whatever the CPU count: each holds a few
 # MB of scratch (a coverage thread about 3 MiB), and the cap bounds their sum
 _MAX_THREADS = 4
-# processes sharing this one's CPUs (_share_cpus)
-_cpu_share = 1
 
 
 @dataclass(frozen=True)
@@ -152,21 +150,11 @@ class NumericalError(RuntimeError):
 
 
 def _thread_count() -> int:
-    """This process's share of the CPUs it may run on: its affinity mask
-    where the platform has one, else the machine's CPU count, divided among
-    the _cpu_share processes that run beside it."""
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's CPU count."""
     if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return max(1, cpus // _cpu_share)
-
-
-def _share_cpus(processes: int) -> None:
-    """Process-pool initializer: this process is one of `processes` that
-    share its CPUs, so each takes its own part of them for threads."""
-    global _cpu_share
-    _cpu_share = processes
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _threads(n_items: int) -> int:

@@ -24,21 +24,18 @@ from dataclasses import dataclass, field, replace
 
 import yaml
 
-from .analytic import NumericalError, QuadratureSpec
+from .analytic import NumericalError, QuadratureSpec, _is_int
 from .experiments import EXPERIMENTS, ExperimentSpec, policy_entropy, run_experiment
 from .model import ContentLibrary, NetworkConfig
 from .optimizer import solve_p1
 
 __all__ = [
-    "WORKERS_ENV_VAR",
     "parse_quantity",
     "RunSettings",
     "load_config",
     "emit_results",
     "main",
 ]
-
-WORKERS_ENV_VAR = "D2DCACHE_WORKERS"
 
 _QUANTITY_RE = re.compile(
     r"^\s*(?P<num>[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*(?P<unit>.*?)\s*$"
@@ -102,7 +99,6 @@ class RunSettings:
     experiment: str = "coverage-vs-sigma"
     out: str | None = None
     fmt: str = "csv"
-    workers: int = 1
     experiment_params: dict = field(default_factory=dict)
 
 
@@ -112,6 +108,28 @@ def _require_mapping(section, name):
     if not isinstance(section, dict):
         raise ValueError(f"config section {name!r} must be a mapping")
     return dict(section)
+
+
+def _pop_int(section: dict, key: str, default, name: str) -> int:
+    """section[key] (removed from section), or default; an integer, not a
+    bool or float, since int() would truncate 2500.7 to 2500 unseen."""
+    value = section.pop(key, default)
+    if not _is_int(value):
+        raise ValueError(f"{name} setting {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _refuse_workers(run: dict) -> None:
+    """Reject a worker-process count other than 1 from run.workers or
+    D2DCACHE_WORKERS. The pool they chose is gone; workers: 1, its old
+    default, is still read so that existing configs load."""
+    why = "the worker-process pool has been removed; threads spread each run over the CPUs"
+    workers = run.pop("workers", 1)
+    if not (_is_int(workers) and workers == 1):
+        raise ValueError(f"run setting 'workers' must be 1 or absent, got {workers!r}: {why}")
+    env = os.environ.get("D2DCACHE_WORKERS", "1")
+    if env != "1":
+        raise ValueError(f"D2DCACHE_WORKERS must be 1 or unset, got {env!r}: {why}")
 
 
 def _network_from(section: dict) -> NetworkConfig:
@@ -129,8 +147,7 @@ def _network_from(section: dict) -> NetworkConfig:
 def _library_from(section: dict) -> ContentLibrary:
     kwargs = dict(_DEFAULT_LIBRARY)
     for key in ("n_files", "cache_size"):
-        if key in section:
-            kwargs[key] = int(section.pop(key))
+        kwargs[key] = _pop_int(section, key, kwargs[key], "library")
     if "beta" in section:
         kwargs["beta"] = float(section.pop("beta"))
     if section:
@@ -140,18 +157,12 @@ def _library_from(section: dict) -> ContentLibrary:
 
 
 def _quadrature_from(section: dict) -> QuadratureSpec:
-    known = ("rel_tol", "abs_tol", "v_max_sigma_mult", "k_max_tail_mass",
-             "mc_integration_samples", "qmc_seed")
-    kwargs = {}
-    for key in known:
+    kwargs = {key: float(section.pop(key))  # YAML reads 1e-8 as a string
+              for key in ("rel_tol", "abs_tol", "v_max_sigma_mult", "k_max_tail_mass")
+              if key in section}
+    for key in ("mc_integration_samples", "qmc_seed"):
         if key in section:
-            value = section.pop(key)
-            if key not in ("mc_integration_samples", "qmc_seed"):
-                value = float(value)  # YAML reads 1e-8 as a string
-            elif not isinstance(value, int):
-                raise ValueError(f"quadrature setting {key!r} must be an integer, "
-                                 f"got {value!r}")
-            kwargs[key] = value
+            kwargs[key] = _pop_int(section, key, None, "quadrature")
     if section:
         raise ValueError(f"unknown quadrature settings: {sorted(section)}")
     return QuadratureSpec(**kwargs)
@@ -176,6 +187,9 @@ def _parse_experiment_params(name: str, raw: dict) -> dict:
     if name == "coverage-vs-sigma":
         if "sigma_m" in params:
             params["sigma_m"] = [parse_quantity(v) for v in params["sigma_m"]]
+        if "lambda_p_per_km2" in params and "lambda_p_per_m2" in params:
+            raise ValueError("coverage-vs-sigma takes lambda_p_per_m2 or "
+                             "lambda_p_per_km2, not both")
         if "lambda_p_per_km2" in params:
             params["lambda_p_per_m2"] = [
                 float(v) * 1e-6 for v in params.pop("lambda_p_per_km2")
@@ -199,8 +213,10 @@ def load_config(path: str) -> RunSettings:
     """Read a YAML config file into resolved settings.
 
     Missing sections and an entirely empty file fall back to the reference
-    scenario defaults. Worker count comes from the run section but is
-    overridden by the environment variable named by WORKERS_ENV_VAR.
+    scenario defaults. Counts and seeds must be integers, not floats to be
+    truncated. A worker count other than 1, from run.workers or the
+    D2DCACHE_WORKERS environment variable, is an error: the worker-process
+    pool is gone.
     """
     with open(path, "r", encoding="utf-8") as handle:
         raw = yaml.safe_load(handle)
@@ -220,23 +236,17 @@ def load_config(path: str) -> RunSettings:
         raise ValueError(f"unknown config sections: {sorted(raw)}")
 
     experiment = str(run.pop("experiment", "coverage-vs-sigma"))
-    trials = int(run.pop("trials", 20_000))
-    seed = int(run.pop("seed", 0))
+    trials = _pop_int(run, "trials", 20_000, "run")
+    seed = _pop_int(run, "seed", 0, "run")
     out = run.pop("out", None)
     fmt = str(run.pop("format", "csv"))
-    workers = int(run.pop("workers", 1))
+    _refuse_workers(run)
     if run:
         raise ValueError(f"unknown run settings: {sorted(run)}")
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"format must be 'csv' or 'jsonl', got {fmt!r}")
     if trials < 1:
         raise ValueError("trials must be positive")
-
-    env_workers = os.environ.get(WORKERS_ENV_VAR)
-    if env_workers is not None:
-        workers = int(env_workers)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
 
     params = {
         name: _parse_experiment_params(name, _require_mapping(section, name))
@@ -250,7 +260,7 @@ def load_config(path: str) -> RunSettings:
     return RunSettings(
         network=network, library=library, quadrature=quadrature,
         trials=trials, seed=seed, experiment=experiment, out=out, fmt=fmt,
-        workers=workers, experiment_params=params,
+        experiment_params=params,
     )
 
 
@@ -319,7 +329,6 @@ def _cmd_run(args) -> int:
         seed=settings.seed,
         quadrature=settings.quadrature,
         params=settings.experiment_params.get(settings.experiment, {}),
-        workers=settings.workers,
     )
     columns, rows = run_experiment(spec)
     emit_results(columns, rows, out=settings.out, fmt=settings.fmt)

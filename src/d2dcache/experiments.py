@@ -10,14 +10,13 @@ sweep-point index, so a fixed spec reproduces results byte for byte.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .analytic import (
     QuadratureSpec,
-    _share_cpus,
+    _is_int,
     compute_Z,
     coverage_content,
     laplace_exact,
@@ -65,17 +64,16 @@ class ExperimentSpec:
     seed: int = 0
     quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
     params: dict = field(default_factory=dict)
-    workers: int = 1
 
     def __post_init__(self):
         if self.name not in EXPERIMENTS:
             raise ValueError(
                 f"unknown experiment {self.name!r}; choose from {EXPERIMENTS}"
             )
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if not _is_int(self.trials) or self.trials < 1:
+            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 def policy_entropy(policy: CachingPolicy) -> float:
@@ -92,14 +90,14 @@ def _point_seed(seed: int, index: int) -> int:
     return int(seed + _SEED_STRIDE * index)
 
 
-def _coverage_point(args):
-    """One (sigma, lambda_p) grid point of coverage-vs-sigma; module-level
-    for pickling under process pools."""
-    sigma, lam, c_value, cfg, quad, trials, seed = args
-    point_cfg = cfg.with_(sigma=sigma, lambda_p=lam)
-    exact = coverage_content(c_value, point_cfg, quad, method="exact-tcp")
-    bound = coverage_content(c_value, point_cfg, quad, method="ppp-bound")
-    sim = estimate_coverage(c_value, point_cfg, trials, seed=seed)
+def _coverage_point(spec: ExperimentSpec, sigma, lam, c_value, seed):
+    """The exact, bound and simulated rows of one (sigma, lambda_p) grid
+    point of coverage-vs-sigma. The points run one after another; each
+    evaluation spreads its own work over threads (analytic._thread_map)."""
+    cfg = spec.network.with_(sigma=sigma, lambda_p=lam)
+    exact = coverage_content(c_value, cfg, spec.quadrature, method="exact-tcp")
+    bound = coverage_content(c_value, cfg, spec.quadrature, method="ppp-bound")
+    sim = estimate_coverage(c_value, cfg, spec.trials, seed=seed)
     base = {"sigma_m": sigma, "lambda_p_per_m2": lam}
     return [
         {**base, "method": "exact-tcp", "value": exact.value,
@@ -121,21 +119,9 @@ def _run_coverage_vs_sigma(spec: ExperimentSpec):
                             (10e-6, 20e-6, 40e-6))
     ]
     c_value = float(params.get("c", 1.0))
-    points = [
-        (sig, lam, c_value, spec.network, spec.quadrature, spec.trials,
-         _point_seed(spec.seed, i))
-        for i, (sig, lam) in enumerate(
-            (s, l) for s in sigmas for l in lambdas
-        )
-    ]
-    if spec.workers > 1:
-        # each process takes its share of the CPUs for its own threads
-        with ProcessPoolExecutor(max_workers=spec.workers, initializer=_share_cpus,
-                                 initargs=(spec.workers,)) as pool:
-            chunks = list(pool.map(_coverage_point, points))
-    else:
-        chunks = [_coverage_point(p) for p in points]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = []
+    for i, (sig, lam) in enumerate((s, l) for s in sigmas for l in lambdas):
+        rows += _coverage_point(spec, sig, lam, c_value, _point_seed(spec.seed, i))
     columns = ["sigma_m", "lambda_p_per_m2", "method", "value",
                "ci_half_width", "trials", "seed"]
     return columns, rows

@@ -93,19 +93,13 @@ class KktSolution:
     diagnostics: dict
 
 
-def _unit_marginal(c, n_bar, Z):
-    """d/dc of the per-file gain f = _k1_gain."""
+def _unit_marginals(c, n_bar, Z):
+    """(f', f'') of the per-file gain f = _k1_gain, from one shared
+    exponential; f'' is positive beyond the inflection point."""
     c = np.asarray(c, dtype=float)
-    return 1.0 + (n_bar / Z) * np.exp(-c * n_bar) * (
-        1.0 - c * (2.0 + n_bar - n_bar * c)
-    )
-
-
-def _unit_marginal_prime(c, n_bar, Z):
-    """d^2/dc^2 of the per-file gain f; positive beyond the inflection point."""
-    c = np.asarray(c, dtype=float)
+    a = (n_bar / Z) * np.exp(-c * n_bar)
     poly = -2.0 - 2.0 * n_bar + 4.0 * n_bar * c + n_bar**2 * c - n_bar**2 * c**2
-    return (n_bar / Z) * np.exp(-c * n_bar) * poly
+    return 1.0 + a * (1.0 - c * (2.0 + n_bar - n_bar * c)), a * poly
 
 
 def _inflection_point(n_bar: float) -> float:
@@ -128,19 +122,15 @@ class _ConcaveBranch:
         # nodes cluster quadratically at c_b, where phi flattens when c_b = c_inflect
         u = np.linspace(0.0, 1.0, 1025)
         self._c_table = self.c_b * (1.0 - u * u)
-        self._phi_table = _unit_marginal(self._c_table, n_bar, Z)  # ascending
+        self._phi_table = self.phi(self._c_table)  # ascending
         self.phi_b, self.phi0 = float(self._phi_table[0]), float(self._phi_table[-1])
 
-    def phi(self, c):
-        return _unit_marginal(c, self.n_bar, self.Z)
+    def marginals(self, c):
+        """(phi, phi') at c: _unit_marginals at this branch's n_bar and Z."""
+        return _unit_marginals(c, self.n_bar, self.Z)
 
-    def _phi_and_prime(self, c):
-        """phi and phi' from one shared exponential, bit for bit equal to
-        _unit_marginal and _unit_marginal_prime."""
-        n_bar = self.n_bar
-        a = (n_bar / self.Z) * np.exp(-c * n_bar)
-        poly = -2.0 - 2.0 * n_bar + 4.0 * n_bar * c + n_bar**2 * c - n_bar**2 * c**2
-        return 1.0 + a * (1.0 - c * (2.0 + n_bar - n_bar * c)), a * poly
+    def phi(self, c):
+        return self.marginals(c)[0]
 
     def interp(self, y):
         """Table estimate of the root of phi(c) = y, clamped to [0, c_b]."""
@@ -168,7 +158,7 @@ class _ConcaveBranch:
             todo = np.arange(y.size)
             for _ in range(60):
                 g = guess[todo]
-                phi, prime[todo] = self._phi_and_prime(g)
+                phi, prime[todo] = self.marginals(g)
                 # the slope vanishes only at c_inflect, never at a root left of it
                 step = (phi - y[todo]) / np.minimum(prime[todo], -1e-300)
                 guess[todo] = np.clip(g - step, 0.0, self.c_b)
@@ -357,7 +347,7 @@ def _convex_candidates(q, sizes, k, j, rest, c, branch, counts):
     def residual(c_j):
         """(-R, -dR/dc_j) with dR/dc_j = n_j + q_j phi'(c_j) sum of n dc/dv."""
         counts["convex_evaluations"] += 1
-        phi, prime = branch._phi_and_prime(c_j)
+        phi, prime = branch.marginals(c_j)
         c_act, slope = branch.solve(q[j] * phi, act_q, scale)
         return (-(sizes[j] * c_j + c_act @ act_n - rest),
                 -(sizes[j] + q[j] / scale * prime * (slope @ act_n)))

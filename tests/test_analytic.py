@@ -766,15 +766,12 @@ class TestThreadMap:
 
         assert all(analytic._thread_map(inner_threads, range(3)))
 
-    def test_pool_processes_share_the_cpus(self, monkeypatch):
+    def test_thread_count_is_the_affinity_count_capped_per_map(self, monkeypatch):
         monkeypatch.setattr(analytic.os, "sched_getaffinity", lambda pid: set(range(8)),
                             raising=False)
-        monkeypatch.setattr(analytic, "_cpu_share", 1)
         assert analytic._thread_count() == 8
-        analytic._share_cpus(3)
-        assert analytic._thread_count() == 2
-        analytic._share_cpus(16)
-        assert analytic._thread_count() == 1
+        assert analytic._threads(100) == analytic._MAX_THREADS
+        assert analytic._threads(2) == 2
 
 
 class TestThreadCount:

@@ -7,10 +7,8 @@ import numpy as np
 import pytest
 import yaml
 
-from d2dcache import experiments
-from d2dcache.analytic import QuadratureSpec, _share_cpus
+from d2dcache.analytic import QuadratureSpec
 from d2dcache.cli import (
-    WORKERS_ENV_VAR,
     RunSettings,
     emit_results,
     load_config,
@@ -25,7 +23,8 @@ from d2dcache.experiments import (
 )
 from d2dcache.model import CachingPolicy, ContentLibrary, NetworkConfig
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 
 def write_config(tmp_path, text, name="config.yaml"):
@@ -106,11 +105,24 @@ network:
         with pytest.raises(ValueError, match="offload-vs-beta"):
             load_config(write_config(tmp_path, text))
 
-    def test_env_overrides_workers(self, tmp_path, monkeypatch):
-        path = write_config(tmp_path, "run:\n  workers: 2\n")
-        assert load_config(path).workers == 2
-        monkeypatch.setenv(WORKERS_ENV_VAR, "5")
-        assert load_config(path).workers == 5
+    def test_workers_one_still_loads(self, tmp_path):
+        settings = load_config(write_config(tmp_path, "run:\n  workers: 1\n"))
+        assert not hasattr(settings, "workers")
+        assert load_config(str(ROOT / "bench" / "offload.yaml")).trials == 5000
+
+    @pytest.mark.parametrize("value", ["2", "0", "true", "1.0"])
+    def test_workers_other_than_one_rejected(self, tmp_path, value):
+        path = write_config(tmp_path, f"run:\n  workers: {value}\n")
+        with pytest.raises(ValueError, match="pool has been removed"):
+            load_config(path)
+
+    def test_env_workers_rejected(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, "run:\n  trials: 100\n")
+        monkeypatch.setenv("D2DCACHE_WORKERS", "1")
+        assert load_config(path).trials == 100
+        monkeypatch.setenv("D2DCACHE_WORKERS", "2")
+        with pytest.raises(ValueError, match="D2DCACHE_WORKERS.*pool has been removed"):
+            load_config(path)
 
     def test_bad_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="format"):
@@ -132,6 +144,31 @@ network:
         assert main(["solve", "--config", path]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("run", "trials", "2500.7"), ("run", "seed", "2.9"), ("run", "trials", "true"),
+        ("run", "seed", "false"), ("library", "n_files", "100.7"),
+        ("library", "cache_size", "5.9")])
+    def test_non_integer_count_rejected(self, tmp_path, capsys, section, key, value):
+        # int() would run 2500 trials or seed 2 and report them as asked for
+        path = write_config(tmp_path, f"{section}:\n  {key}: {value}\n")
+        with pytest.raises(ValueError, match=f"'{key}' must be an integer"):
+            load_config(path)
+        assert main(["run", "--config", path]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config_seed, flags", [("-3", []), ("0", ["--seed", "-3"])])
+    def test_negative_seed_is_usage_error_naming_seed(self, tmp_path, capsys,
+                                                      config_seed, flags):
+        path = write_config(tmp_path, "run:\n  experiment: validate-bounds\n"
+                                      f"  seed: {config_seed}\n")
+        assert main(["run", "--config", path, *flags]) == 2
+        assert "seed must be an integer >= 0, got -3" in capsys.readouterr().err
+
+    def test_both_density_units_rejected(self, tmp_path):
+        text = ("experiments:\n  coverage-vs-sigma:\n"
+                "    lambda_p_per_m2: [1.0e-5]\n    lambda_p_per_km2: [40]\n")
+        with pytest.raises(ValueError, match="lambda_p_per_m2 or lambda_p_per_km2"):
+            load_config(write_config(tmp_path, text))
 
     def test_sweep_demo_runs_several_near_field_chunks(self):
         # CI runs this config pinned to one CPU and not, and compares bytes
@@ -192,39 +229,14 @@ class TestExperiments:
         checks = {row["check"] for row in rows}
         assert {"laplace-ordering", "k1-identity", "z-constant"} <= checks
 
-    def test_coverage_rows_independent_of_worker_count(self, ref_cfg, ref_library):
-        def rows(workers):
-            spec = self.spec(
-                ref_cfg, ref_library, "coverage-vs-sigma", trials=1000, seed=4,
-                workers=workers, quadrature=QuadratureSpec(mc_integration_samples=2000),
-                params={"sigma_m": [25.0, 50.0], "lambda_p_per_m2": [40e-6]})
-            return run_experiment(spec)
-
-        assert rows(2) == rows(1)
-
-    def test_worker_processes_share_the_cpus(self, ref_cfg, ref_library, monkeypatch):
-        pools = []
-
-        class InProcessPool:  # records how the pool is made, maps in this process
-            def __init__(self, **kwargs):
-                pools.append(kwargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
-        spec = self.spec(
-            ref_cfg, ref_library, "coverage-vs-sigma", trials=1000, seed=4, workers=3,
-            quadrature=QuadratureSpec(mc_integration_samples=2000),
-            params={"sigma_m": [50.0], "lambda_p_per_m2": [40e-6]})
-        run_experiment(spec)
-        assert pools == [{"max_workers": 3, "initializer": _share_cpus, "initargs": (3,)}]
+    @pytest.mark.parametrize("field, value", [("seed", 2.9), ("seed", True),
+                                              ("trials", 1000.7), ("trials", 0)])
+    def test_spec_rejects_non_integer_or_out_of_range(self, ref_cfg, ref_library,
+                                                      field, value):
+        # from the Python API, seed 2.9 would run and report seed 2
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ExperimentSpec(name="validate-bounds", network=ref_cfg, library=ref_library,
+                           **{field: value})
 
     def test_offload_vs_beta_table_shape(self, ref_cfg):
         lib = ContentLibrary.from_zipf(12, 0.5, 3)

@@ -30,8 +30,7 @@ from d2dcache.optimizer import (
     _inflection_point,
     _key,
     _root,
-    _unit_marginal,
-    _unit_marginal_prime,
+    _unit_marginals,
     _value,
     grid_search_oracle,
     solve_p1,
@@ -52,27 +51,27 @@ class TestMarginalGain:
     to the multiplier."""
 
     def test_frozen_rounded_inputs(self):
-        got = 0.0538 * _unit_marginal(0.5, 8.0, 16.7913)
+        got = 0.0538 * _unit_marginals(0.5, 8.0, 16.7913)[0]
         assert got == pytest.approx(MARGINAL_ROUNDED, rel=1e-12)
 
     def test_frozen_reference_inputs(self):
-        got = Q1 * _unit_marginal(0.5, 8.0, Z_REF)
+        got = Q1 * _unit_marginals(0.5, 8.0, Z_REF)[0]
         assert got == pytest.approx(MARGINAL_Q1, rel=1e-12)
 
     def test_upper_threshold_at_zero(self):
         # marginal at c=0 is 1 + n_bar / Z
-        assert _unit_marginal(0.0, 8.0, Z_REF) == pytest.approx(1.0 + 8.0 / Z_REF, rel=1e-13)
+        assert _unit_marginals(0.0, 8.0, Z_REF)[0] == pytest.approx(1.0 + 8.0 / Z_REF, rel=1e-13)
 
     def test_lower_threshold_at_one(self):
         # marginal at c=1 is 1 - n_bar e^{-n_bar} / Z
-        assert _unit_marginal(1.0, 8.0, Z_REF) == pytest.approx(
+        assert _unit_marginals(1.0, 8.0, Z_REF)[0] == pytest.approx(
             1.0 - 8.0 * math.exp(-8.0) / Z_REF, rel=1e-13
         )
 
     def test_array_input(self):
-        out = _unit_marginal(np.array([0.0, 0.5, 1.0]), 8.0, Z_REF)
+        out = _unit_marginals(np.array([0.0, 0.5, 1.0]), 8.0, Z_REF)[0]
         assert out.shape == (3,)
-        assert out[1] == _unit_marginal(0.5, 8.0, Z_REF)
+        assert out[1] == _unit_marginals(0.5, 8.0, Z_REF)[0]
 
 
 class TestSolveP1:
@@ -432,16 +431,30 @@ class TestConcavityReport:
         assert 0.0 < c_inflect < 1.0
         before = np.linspace(0.0, c_inflect, 101)[:-1]
         after = np.linspace(c_inflect, 1.0, 101)[1:]
-        assert np.all(_unit_marginal_prime(before, 8.0, Z_REF) < 0.0)
-        assert np.all(_unit_marginal_prime(after, 8.0, Z_REF) > 0.0)
+        assert np.all(_unit_marginals(before, 8.0, Z_REF)[1] < 0.0)
+        assert np.all(_unit_marginals(after, 8.0, Z_REF)[1] > 0.0)
+
+    def test_marginals_are_the_gain_derivatives(self):
+        # f' and f'' from the one shared exponential match central
+        # differences of _k1_gain and of f'
+        c, h = np.linspace(0.01, 0.99, 99), 1e-6
+        phi, prime = _unit_marginals(c, 8.0, Z_REF)
+        gain_slope = (_k1_gain(c + h, 8.0, Z_REF) - _k1_gain(c - h, 8.0, Z_REF)) / (2 * h)
+        phi_slope = (_unit_marginals(c + h, 8.0, Z_REF)[0]
+                     - _unit_marginals(c - h, 8.0, Z_REF)[0]) / (2 * h)
+        assert np.allclose(phi, gain_slope, rtol=0.0, atol=1e-8)
+        assert np.allclose(prime, phi_slope, rtol=0.0, atol=1e-7)
 
     def test_shared_exponential_matches_the_marginals(self):
+        # the branch's phi, its table and its Newton steps read _unit_marginals
         branch = optimizer._ConcaveBranch(8.0, Z_REF)
         c = np.linspace(0.0, 1.0, 1001)
-        phi, prime = branch._phi_and_prime(c)
-        assert np.array_equal(phi, _unit_marginal(c, 8.0, Z_REF))
-        assert np.array_equal(prime, _unit_marginal_prime(c, 8.0, Z_REF))
+        phi, prime = _unit_marginals(c, 8.0, Z_REF)
+        got_phi, got_prime = branch.marginals(c)
+        assert np.array_equal(got_phi, phi) and np.array_equal(got_prime, prime)
+        assert np.array_equal(branch.phi(c), phi)
+        assert np.array_equal(branch._phi_table, _unit_marginals(branch._c_table, 8.0, Z_REF)[0])
 
     def test_concave_at_small_cluster_size(self):
         assert _inflection_point(0.8) > 1.0
-        assert np.all(_unit_marginal_prime(np.linspace(0.0, 1.0, 101), 0.8, Z_REF) < 0.0)
+        assert np.all(_unit_marginals(np.linspace(0.0, 1.0, 101), 0.8, Z_REF)[1] < 0.0)
