@@ -21,7 +21,6 @@ from .analytic import (
     laplace_ppp_bound,
     offloading_closed_form_k1,
     offloading_gain,
-    rician_pdf,
     zeta_kernel,
 )
 from .cli import RunSettings, emit_results, load_config, main, parse_quantity
@@ -67,7 +66,6 @@ __all__ = [
     "QuadratureSpec",
     "CoverageResult",
     "NumericalError",
-    "rician_pdf",
     "zeta_kernel",
     "laplace_exact",
     "laplace_ppp_bound",

@@ -177,6 +177,26 @@ _EXPERIMENT_PARAM_KEYS = {
 }
 
 
+def _per_km2(value) -> float:
+    """A plain number of clusters per km^2 in per m^2; the key names the unit."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a plain number of clusters per km^2, got {value!r}")
+    return float(value) * 1e-6
+
+
+def _pair(pair) -> dict:
+    """A policy-histogram pair: its sigma and lambda_p as quantities."""
+    missing = [key for key in ("sigma", "lambda_p") if key not in pair]
+    if missing:
+        raise ValueError(f"pair {pair!r} has no {' or '.join(map(repr, missing))}")
+    return {key: parse_quantity(pair[key]) for key in ("sigma", "lambda_p")}
+
+
+# the list-valued experiment settings, each with the parser of its entries
+_LIST_PARSERS = {"sigma_m": parse_quantity, "lambda_p_per_m2": parse_quantity,
+                 "lambda_p_per_km2": _per_km2, "pairs": _pair, "values": parse_quantity}
+
+
 def _parse_experiment_params(name: str, raw: dict) -> dict:
     params = dict(raw)
     unknown = set(params) - _EXPERIMENT_PARAM_KEYS[name]
@@ -184,28 +204,17 @@ def _parse_experiment_params(name: str, raw: dict) -> dict:
         raise ValueError(
             f"unknown settings for experiment {name!r}: {sorted(unknown)}"
         )
-    if name == "coverage-vs-sigma":
-        if "sigma_m" in params:
-            params["sigma_m"] = [parse_quantity(v) for v in params["sigma_m"]]
-        if "lambda_p_per_km2" in params and "lambda_p_per_m2" in params:
-            raise ValueError("coverage-vs-sigma takes lambda_p_per_m2 or "
-                             "lambda_p_per_km2, not both")
-        if "lambda_p_per_km2" in params:
-            params["lambda_p_per_m2"] = [
-                float(v) * 1e-6 for v in params.pop("lambda_p_per_km2")
-            ]
-        elif "lambda_p_per_m2" in params:
-            params["lambda_p_per_m2"] = [
-                parse_quantity(v) for v in params["lambda_p_per_m2"]
-            ]
-    elif name == "policy-histogram" and "pairs" in params:
-        params["pairs"] = [
-            {"sigma": parse_quantity(p["sigma"]),
-             "lambda_p": parse_quantity(p["lambda_p"])}
-            for p in params["pairs"]
-        ]
-    elif name == "custom-sweep" and "values" in params:
-        params["values"] = [parse_quantity(v) for v in params["values"]]
+    if "lambda_p_per_km2" in params and "lambda_p_per_m2" in params:
+        raise ValueError("coverage-vs-sigma takes lambda_p_per_m2 or "
+                         "lambda_p_per_km2, not both")
+    for key, parse in _LIST_PARSERS.items():
+        if key in params:
+            try:
+                params[key] = [parse(value) for value in params[key]]
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{name} setting {key!r}: {exc}") from None
+    if "lambda_p_per_km2" in params:
+        params["lambda_p_per_m2"] = params.pop("lambda_p_per_km2")
     return params
 
 
@@ -213,7 +222,8 @@ def load_config(path: str) -> RunSettings:
     """Read a YAML config file into resolved settings.
 
     Missing sections and an entirely empty file fall back to the reference
-    scenario defaults. Counts and seeds must be integers, not floats to be
+    scenario defaults. run.experiment must name an experiment, even for
+    `solve`. Counts and seeds must be integers, not floats to be
     truncated. A worker count other than 1, from run.workers or the
     D2DCACHE_WORKERS environment variable, is an error: the worker-process
     pool is gone.
@@ -245,6 +255,9 @@ def load_config(path: str) -> RunSettings:
         raise ValueError(f"unknown run settings: {sorted(run)}")
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"format must be 'csv' or 'jsonl', got {fmt!r}")
+    if experiment not in EXPERIMENTS:
+        raise ValueError(f"run setting 'experiment' must be one of {EXPERIMENTS}, "
+                         f"got {experiment!r}")
     if trials < 1:
         raise ValueError("trials must be positive")
 

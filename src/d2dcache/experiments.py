@@ -33,12 +33,7 @@ from .model import (
     policy_zipf_proportional,
 )
 from .optimizer import solve_p1
-from .simulator import (
-    _far_lattice,
-    default_sim_radius,
-    estimate_coverage,
-    estimate_offloading,
-)
+from .simulator import estimate_coverage, estimate_offloading
 
 __all__ = ["EXPERIMENTS", "ExperimentSpec", "run_experiment", "policy_entropy"]
 
@@ -130,8 +125,6 @@ def _run_coverage_vs_sigma(spec: ExperimentSpec):
 def _run_offload_vs_beta(spec: ExperimentSpec):
     betas = [float(b) for b in spec.params.get(
         "beta", (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5))]
-    # every simulated policy shares one network, so one far-field lattice
-    lattice = _far_lattice(spec.network, default_sim_radius(spec.network))
     rows = []
     for i, beta in enumerate(betas):
         lib = ContentLibrary.from_zipf(
@@ -150,8 +143,7 @@ def _run_offload_vs_beta(spec: ExperimentSpec):
                 "method": "closed-form-k1", "value": closed,
                 "ci_half_width": 0.0, "trials": 0, "seed": seed,
             })
-            sim = estimate_offloading(policy, lib, spec.network, spec.trials,
-                                      seed=seed, _lattice=lattice)
+            sim = estimate_offloading(policy, lib, spec.network, spec.trials, seed=seed)
             rows.append({
                 "beta": beta, "policy": policy_name, "method": "simulation",
                 "value": sim.mean, "ci_half_width": sim.half_width_95,

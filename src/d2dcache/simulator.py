@@ -22,13 +22,11 @@ functional, F(t) = 2 pi lambda_p * integral from r_sim of
 (1 - exp(-n_bar zeta(v, t))) v dv, tabulated over the t range of a
 call's trials by the kind of quintic exponent table that also backs exact
 coverage, here of ln F at every other lattice node, 4 per decade
-(_far_field). Its nodes sit on a fixed lattice held per (cfg, r_sim)
-(analytic._ExponentLattice). Each call builds its own, or
-estimate_offloading is handed one shared with other calls at the same
-(cfg, r_sim), which then compute each node once; a call's result does
-not depend on which lattice it is given. The near field is sampled in
-chunks of _CHUNK trials; the chunks and the lattice's missing nodes are
-the items of one analytic._thread_map, so both run on every core.
+(_far_field). Its nodes sit on a fixed lattice that the process keeps
+per (cfg, r_sim) (analytic._lattice), so calls at one configuration
+compute each node once, and a call's result does not depend on the calls
+before it. The near field is sampled in chunks of _CHUNK trials; the far
+table and the chunks are the items of one analytic._thread_map.
 Replacing the success indicator by its conditional expectation
 (conditional Monte Carlo) removes the fading draws and lowers the
 per-trial variance; half-widths come from the sample variance of the
@@ -70,6 +68,7 @@ from .analytic import (
     QuadratureSpec,
     _eval_table,
     _ExponentLattice,
+    _lattice,
     _thread_map,
 )
 from .model import CachingPolicy, ContentLibrary, NetworkConfig, require_valid_policy
@@ -150,12 +149,6 @@ def _draw_caterers(c_of_trial: np.ndarray, cfg: NetworkConfig,
     return t, k
 
 
-def _far_lattice(cfg: NetworkConfig, r0: float) -> _ExponentLattice:
-    """Node lattice of the far-field exponent F of the clusters centered
-    beyond r0, at the default quadrature."""
-    return _ExponentLattice(cfg, QuadratureSpec(), v_inner=r0)
-
-
 def _far_field(t: np.ndarray, lattice: _ExponentLattice):
     """F(t): exponent of the exact Laplace factor of the clusters centered
     beyond lattice.v_inner, as one table over the range of the (finite,
@@ -220,8 +213,7 @@ def _near_exponents(t: np.ndarray, cfg: NetworkConfig, r0: float, key: int,
     return np.bincount(trial_of_member, weights=np.log1p(d, out=d), minlength=n)
 
 
-def _conditional_coverage(t: np.ndarray, lattice: _ExponentLattice,
-                          cfg: NetworkConfig, r0: float,
+def _conditional_coverage(t: np.ndarray, cfg: NetworkConfig, r0: float,
                           rng: np.random.Generator) -> np.ndarray:
     """Per-trial success probability given the caterers and the near field.
 
@@ -230,30 +222,25 @@ def _conditional_coverage(t: np.ndarray, lattice: _ExponentLattice,
     Rayleigh fading and the desired signal's are averaged out exactly.
     Trials without caterers are 0. The served trials are sampled in chunks
     of _CHUNK, each from its own SFC64 stream keyed by one draw of rng and
-    the chunk's index (_near_exponents). The chunks and the far-field
-    lattice nodes that the served t range lacks are the items of one
-    _thread_map: first the node task that grows the lattice's grid, so that
-    growth never holds up the sampling, then the chunks, then the other
-    nodes. A thread that finishes one item takes the next, and the values
-    do not depend on the thread count. If an item fails, the first failure
-    in item order is raised and the lattice keeps none of the nodes
-    computed here.
+    the chunk's index (_near_exponents). The far-field table over the
+    served t range (_far_field) and the chunks are the items of one
+    _thread_map, the table first: the nodes it lacks run as one serial
+    batch on the thread that takes it (a nested map), beside the sampling
+    on the others. The values do not depend on the thread count. If an
+    item fails, the first failure in item order is raised, and the lattice
+    keeps none of the nodes of a failed batch.
     """
     values = np.zeros(t.size)
     served = np.isfinite(t)
     t_served = t[served]
     key = int(rng.integers(2**63))
     if t_served.size:
-        missing = lattice.missing(t_served.min(), t_served.max())
-        nodes = lattice.node_tasks(missing)
         chunks = [partial(_near_exponents, t_served[start:start + _CHUNK], cfg, r0, key, i)
                   for i, start in enumerate(range(0, t_served.size, _CHUNK))]
-        done = _thread_map(lambda task: task(), [*nodes[:1], *chunks, *nodes[1:]])
-        first = min(len(nodes), 1)
-        near = np.concatenate(done[first:first + len(chunks)])
-        lattice.add(missing, done[:first] + done[first + len(chunks):])
-        far = _far_field(t_served, lattice)
-        values[served] = np.exp(-(near + far(t_served)))
+        lattice = _lattice(cfg, QuadratureSpec(), v_inner=r0)
+        far, *near = _thread_map(lambda task: task(),
+                                 [partial(_far_field, t_served, lattice), *chunks])
+        values[served] = np.exp(-(np.concatenate(near) + far(t_served)))
     return values
 
 
@@ -262,7 +249,7 @@ def _run_coverage(c_of_trial: np.ndarray, cfg: NetworkConfig, r_sim: float,
     """(conditional coverage values, caterer counts) of one trial per entry."""
     rng = _as_generator(seed)
     t, k = _draw_caterers(c_of_trial, cfg, rng)
-    values = _conditional_coverage(t, _far_lattice(cfg, r_sim), cfg, r_sim, rng)
+    values = _conditional_coverage(t, cfg, r_sim, rng)
     return values, k
 
 
@@ -299,8 +286,7 @@ def estimate_coverage(c_m: float, cfg: NetworkConfig, trials: int, seed: int = 0
 
 def estimate_offloading(policy: CachingPolicy, library: ContentLibrary,
                         cfg: NetworkConfig, trials: int, seed: int = 0,
-                        r_sim: float | None = None, *,
-                        _lattice: _ExponentLattice | None = None) -> MonteCarloEstimate:
+                        r_sim: float | None = None) -> MonteCarloEstimate:
     """Simulated offloading probability under a caching policy.
 
     A request is offloaded when the device holds the file itself or the
@@ -315,20 +301,13 @@ def estimate_offloading(policy: CachingPolicy, library: ContentLibrary,
     geometry (module docstring). The mean is sum_m q_m c_m + W mean(v) and
     the half-width W times the sample-variance one of the values v. One
     far-field table serves the whole call; r_sim is the near/far split
-    radius. _lattice is a far-field node lattice (_far_lattice) shared with
-    other calls at the same cfg and r_sim; results equal those without it,
-    bit for bit.
+    radius.
     """
     require_valid_policy(policy, library)
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be >= {MIN_TRIALS}")
     if r_sim is None:
         r_sim = default_sim_radius(cfg)
-    if _lattice is None:
-        _lattice = _far_lattice(cfg, r_sim)
-    elif (_lattice.cfg, _lattice.quad, _lattice.v_inner) != (cfg, QuadratureSpec(), r_sim):
-        raise ValueError("far-field lattice was built for another configuration "
-                         "or split radius")
     q = library.popularity
     c = policy.probs
     mean = float(q @ c)
@@ -346,7 +325,7 @@ def estimate_offloading(policy: CachingPolicy, library: ContentLibrary,
         tau = -np.log1p(rng.random(n) * np.expm1(-mu[files]))
         k = 1 + rng.poisson(np.maximum(mu[files] - tau, 0.0))
         t = _caterer_t(k, cfg, rng)
-        values = _conditional_coverage(t, _lattice, cfg, r_sim, rng)
+        values = _conditional_coverage(t, cfg, r_sim, rng)
         mean += weight * float(values.mean())
         half_width = weight * _half_width(values)
     return MonteCarloEstimate(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from d2dcache import analytic
 from d2dcache.model import ContentLibrary, NetworkConfig
 
 # One line per acceptance criterion, printed in the terminal summary so the
@@ -33,3 +34,10 @@ def ref_cfg():
 def ref_library():
     """Reference library: 100 files, Zipf 0.5, cache budget 5."""
     return ContentLibrary.from_zipf(100, 0.5, 5)
+
+
+@pytest.fixture(autouse=True)
+def empty_lattice_memo():
+    """Every test starts from an empty exponent-lattice memo, so that no
+    test depends on which tests ran before it."""
+    analytic._lattices.cache_clear()

@@ -38,6 +38,7 @@ from d2dcache.analytic import (
     _exponents_exact,
     _gamma_pair,
     _poisson_k_max,
+    _rician_pdf,
     compute_Z,
     coverage_content,
     laplace_exact,
@@ -45,7 +46,6 @@ from d2dcache.analytic import (
     laplace_ppp_bound,
     offloading_closed_form_k1,
     offloading_gain,
-    rician_pdf,
     zeta_kernel,
 )
 from d2dcache.model import CachingPolicy, ContentLibrary, NetworkConfig
@@ -53,7 +53,6 @@ from d2dcache.simulator import (
     _as_generator,
     _draw_caterers,
     _far_field,
-    _far_lattice,
     default_sim_radius,
 )
 
@@ -117,22 +116,22 @@ class TestRicianPdf:
         # QUADPACK is the oracle here; the pdf itself has no closed integral
         for v in (0.1, 30.0, 200.0):
             total, err = integrate.quad(
-                rician_pdf, 0, np.inf, args=(v, 50.0), limit=200
+                _rician_pdf, 0, np.inf, args=(v, 50.0), limit=200
             )
             assert total == pytest.approx(1.0, abs=max(1e-8, 4 * err))
 
     def test_vanishes_at_origin(self):
-        assert rician_pdf(0.0, 10.0, 50.0) == 0.0
+        assert _rician_pdf(0.0, 10.0, 50.0) == 0.0
 
     def test_large_offset_concentrates_near_v(self):
         # for v >> sigma the density approaches a Gaussian ridge at u = v
         u = np.linspace(900, 1100, 2001)
-        pdf = rician_pdf(u, 1000.0, 10.0)
+        pdf = _rician_pdf(u, 1000.0, 10.0)
         assert abs(u[np.argmax(pdf)] - 1000.0) < 5.0
 
     def test_vectorized(self):
         u = np.array([10.0, 50.0, 90.0])
-        out = rician_pdf(u, 40.0, 30.0)
+        out = _rician_pdf(u, 40.0, 30.0)
         assert out.shape == (3,) and np.all(out > 0)
 
 
@@ -173,7 +172,7 @@ def _naive_laplace(t_gamma, cfg):
 
     def zeta(v):
         return quad_vec(
-            lambda u: t / (u**cfg.alpha + t) * rician_pdf(u, v, cfg.sigma),
+            lambda u: t / (u**cfg.alpha + t) * _rician_pdf(u, v, cfg.sigma),
             max(0.0, v - 12 * cfg.sigma), v + 12 * cfg.sigma, epsabs=1e-14,
         )
 
@@ -344,7 +343,7 @@ class TestFarExponent:
         template_panels = analytic._U_TEMPLATE_EDGES.size - 1
         for grid, orders in ((exact, [16, 8]), (far, [10, 8])):
             assert [order for order, *_ in grid._rules] == orders
-            assert [rows._s_nodes.size for *_, rows in grid._rules] == [
+            assert [rows._u_alpha.shape[1] for *_, rows in grid._rules] == [
                 template_panels * order for order in orders]
         assert exact._near is None
         assert [order for order, *_ in far._near] == [16, 8]
@@ -384,9 +383,10 @@ class TestFarExponent:
         # (5.9 measured at alpha 2.5, t = 4.2e11)
         cfg = ref_cfg.with_(**scenario)
         r0 = self.radius(cfg, which)
-        grid = analytic._OuterGrid(cfg, QUAD, r0)
+        t_max = analytic._lattice_t(96)
+        grid = analytic._OuterGrid(cfg, QUAD, r0, t_max)
         monkeypatch.setattr(analytic, "_ORDER_FAR_FINE", 16)
-        reference = analytic._OuterGrid(cfg, QUAD, r0)
+        reference = analytic._OuterGrid(cfg, QUAD, r0, t_max)
         for t in (analytic._lattice_t(j) for j in range(-64, 97)):
             (got, err), (expected, _) = grid.exponent(t), reference.exponent(t)
             rounding = 8.0 * np.finfo(float).eps * analytic._exponent_ppp(t, cfg)
@@ -435,7 +435,7 @@ class TestExponentTable:
     @staticmethod
     def far_view(cfg, r0, t_range):
         """(far view, its own table's nodes) over t_range."""
-        lattice = _far_lattice(cfg, r0)
+        lattice = analytic._lattice(cfg, QUAD, r0)
         far = _far_field(np.array(t_range), lattice)
         _, t_nodes, _ = lattice.table(*t_range)
         return far, t_nodes
@@ -519,7 +519,8 @@ class TestExponentTable:
 
         monkeypatch.setattr(analytic._OuterGrid, "exponent", patched)
         with pytest.raises(NumericalError, match="non-positive") as raised:
-            _far_field(np.array([1e-2, 1e4]), _far_lattice(ref_cfg, default_sim_radius(ref_cfg)))
+            _far_field(np.array([1e-2, 1e4]),
+                       analytic._lattice(ref_cfg, QUAD, default_sim_radius(ref_cfg)))
         assert raised.value.diagnostics == {"t_gamma": 1.0, "exponent": value}
 
 
@@ -564,67 +565,36 @@ class TestExponentLattice:
         _, above, _ = lattice.table(1.0, 1e5)
         assert batches == [wide.size, np.setdiff1d(above, wide).size]
 
-    @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
-    @pytest.mark.parametrize("inner", ["none", "far"])
-    def test_grid_grown_in_steps_equals_one_batch(self, ref_cfg, alpha, inner):
-        cfg = ref_cfg.with_(alpha=alpha)
-        v_inner = 0.0 if inner == "none" else default_sim_radius(cfg)
-        lattice = _ExponentLattice(cfg, QUAD, v_inner)
-        held = []
-        for t_hi in (1e3, 1e6, 1e9):  # each window reaches further out in v
-            lattice.table(1e-3, t_hi)
-            held.append(lattice._grid.edges.size)
-        assert held[0] < held[1] < held[2]
-        j = sorted(lattice._nodes)
-        once = _exponents_exact(np.array([analytic._lattice_t(i) for i in j]), cfg, QUAD,
-                                v_inner)
-        grown = np.array([lattice._nodes[i] for i in j]).T
-        assert _hexes(*grown) == _hexes(*once)
+    def test_memo_keyed_by_what_the_exponent_reads(self, ref_cfg):
+        lattice = analytic._lattice(ref_cfg, QUAD)
+        # neither the threshold nor the transmit power enters the exponent
+        assert analytic._lattice(ref_cfg.with_(theta=4.0, gamma_d=3.0), QUAD) is lattice
+        others = [analytic._lattice(ref_cfg.with_(**{name: value}), QUAD)
+                  for name, value in (("lambda_p", 20e-6), ("n_bar", 4.0),
+                                      ("sigma", 40.0), ("alpha", 3.0))]
+        others += [analytic._lattice(ref_cfg, QuadratureSpec(rel_tol=1e-9)),
+                   analytic._lattice(ref_cfg, QUAD, default_sim_radius(ref_cfg))]
+        assert len({id(other) for other in [lattice, *others]}) == 7
+        # bounded, and an entry holds node values, not a quadrature grid
+        assert analytic._lattices.cache_info().maxsize == 64
+        lattice.table(1e-2, 1e4)
+        assert set(vars(lattice)) == {"cfg", "quad", "v_inner", "_nodes"}
 
-    def test_each_grid_row_built_once(self, ref_cfg, monkeypatch):
-        built = {}
-        block = analytic._ZetaRows.block
-
-        def counted(zeta_rows, v):
-            built[id(zeta_rows)] = built.get(id(zeta_rows), 0) + v.size
-            return block(zeta_rows, v)
-
-        monkeypatch.setattr(analytic._ZetaRows, "block", counted)
-        lattice = _ExponentLattice(ref_cfg, QUAD, default_sim_radius(ref_cfg))
-        for window in [(1.0, 10.0), (1e-2, 1e4), (1.0, 1e2), (1e-3, 1e7)]:
-            lattice.table(*window)
-        n_panels = lattice._grid.edges.size - 1
-        rules = lattice._grid._rules
-        assert n_panels > lattice._grid.base_edges.size - 1
-        assert built == {id(zeta_rows): n_panels * order
-                         for order, *_, zeta_rows in rules}
-        assert [zeta_rows.rows for *_, zeta_rows in rules] == list(built.values())
-
-    def test_threads_grow_one_grid_at_once(self, ref_cfg, monkeypatch):
-        # more threads than cores, switching often: every row is built
-        # once, and every node has the value of a serial batch
-        cfg = ref_cfg.with_(alpha=2.5)
-        r0 = default_sim_radius(cfg)
-        t_gamma = [analytic._lattice_t(j) for j in range(-24, 72, 3)]
-        serial = _exponents_exact(np.array(t_gamma), cfg, QUAD, r0)
-        built, counting = {}, threading.Lock()
-        block = analytic._ZetaRows.block
-
-        def counted(zeta_rows, v):
-            with counting:
-                built[id(zeta_rows)] = built.get(id(zeta_rows), 0) + v.size
-            return block(zeta_rows, v)
-
-        monkeypatch.setattr(analytic._ZetaRows, "block", counted)
-        grid = analytic._OuterGrid(cfg, QUAD, r0)
-        extent = grid.extent(t_gamma)
-        todo = iter(np.random.default_rng(3).permutation(len(t_gamma)).tolist())
-        values = {}
+    def test_threads_share_one_lattice(self, ref_cfg):
+        # more threads than cores, switching often, on overlapping windows of
+        # the memo's lattice: two threads that lack a node may both compute
+        # it, with one value, so every table equals that of a fresh lattice
+        r0 = default_sim_radius(ref_cfg)
+        windows = [(10.0**lo, 10.0 ** (lo + 3)) for lo in range(-4, 4)]
+        expected = [_ExponentLattice(ref_cfg, QUAD, r0).table(*w) for w in windows]
+        lattice = analytic._lattice(ref_cfg, QUAD, r0)
+        todo = iter((np.random.default_rng(5).permutation(2 * len(windows))
+                     % len(windows)).tolist())
+        got = []
 
         def work():
             for i in todo:
-                # half the calls grow only as far as their own node needs
-                values[i] = grid.exponent(np.float64(t_gamma[i]), extent * (i % 2))
+                got.append((i, lattice.table(*windows[i])))
 
         # daemon threads, so that a deadlock fails the test, not the run
         threads = [threading.Thread(target=work, daemon=True) for _ in range(8)]
@@ -638,10 +608,24 @@ class TestExponentLattice:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert sorted(values) == list(range(len(t_gamma)))
-        assert _hexes(*np.array([values[i] for i in range(len(t_gamma))]).T) == _hexes(*serial)
-        assert built == {id(zeta_rows): zeta_rows.rows for *_, zeta_rows in grid._rules}
-        assert grid.edges.size - 1 == grid.base_edges.size - 1 + extent
+        assert sorted(i for i, _ in got) == sorted(2 * list(range(len(windows))))
+        for i, (spline, t_nodes, errors) in got:
+            table, nodes, node_errors = expected[i]
+            assert (_hexes(spline.x, spline.c, t_nodes, errors)
+                    == _hexes(table.x, table.c, nodes, node_errors))
+
+    @pytest.mark.parametrize("inner", ["none", "far"])
+    def test_grid_refuses_t_beyond_its_radius(self, ref_cfg, inner):
+        # a grid built for t_max integrates every t up to it, on a prefix of
+        # its panels, and refuses a t whose truncation radius lies further out
+        v_inner = 0.0 if inner == "none" else default_sim_radius(ref_cfg)
+        grid = analytic._OuterGrid(ref_cfg, QUAD, v_inner, 1e6)
+        below = [analytic._lattice_t(j) for j in (-8, 0, 24, 48)]
+        assert [grid.exponent(t) for t in below] == [
+            analytic._OuterGrid(ref_cfg, QUAD, v_inner, t).exponent(t) for t in below]
+        assert grid.truncation(1e12)[2] > grid.truncation(1e6)[2]
+        with pytest.raises(ValueError, match="truncation radius beyond"):
+            grid.exponent(1e12)
 
     @pytest.mark.parametrize("window", [(0.3, 0.3), (2e-3, 7e4), (1.0, 10.0)])
     def test_window_rounded_out_to_lattice(self, ref_cfg, window):
@@ -665,7 +649,7 @@ class TestFarLatticeWindow:
 
     def test_even_nodes_and_at_most_half_plus_five(self, ref_cfg):
         exact_lattice = _ExponentLattice(ref_cfg, QUAD)
-        far_lattice = _far_lattice(ref_cfg, default_sim_radius(ref_cfg))
+        far_lattice = analytic._lattice(ref_cfg, QUAD, default_sim_radius(ref_cfg))
         rng = np.random.default_rng(19)
         ends = np.sort(10.0 ** rng.uniform(-8.0, 12.0, (200, 2)), axis=1)
         # and the t range of a 5000-trial call at the reference scenario
@@ -685,14 +669,17 @@ class TestFarLatticeWindow:
             assert far[2] <= j_lo and far[-3] >= j_hi, (t_lo, t_hi)
 
     @pytest.mark.parametrize("window", WINDOWS[:3])
-    def test_table_and_lattice_hold_the_window(self, ref_cfg, window):
-        lattice = _far_lattice(ref_cfg, default_sim_radius(ref_cfg))
-        assert lattice.missing(*window) == list(lattice._window(*window))
+    def test_table_and_lattice_hold_the_window(self, ref_cfg, monkeypatch, window):
+        r0 = default_sim_radius(ref_cfg)
+        lattice = analytic._lattice(ref_cfg, QUAD, r0)
+        assert not lattice._nodes
         _, t_nodes, _ = lattice.table(*window)
         j = sorted(lattice._nodes)
         assert j == list(lattice._window(*window))
         assert t_nodes.tolist() == [analytic._lattice_t(i) for i in j]
-        assert lattice.missing(*window) == []
+        # the next table over the window computes nothing
+        monkeypatch.setattr(analytic, "_exponents_exact", None)
+        assert analytic._lattice(ref_cfg, QUAD, r0).table(*window)[1].tolist() == t_nodes.tolist()
 
 
 def _hexes(*arrays):
@@ -782,6 +769,7 @@ class TestThreadCount:
         results = []
         for threads in (1, 2, 3):
             monkeypatch.setattr(analytic, "_thread_count", lambda: threads)
+            analytic._lattices.cache_clear()  # every count computes its own nodes
             results.append(run())
         return results
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
+from d2dcache import analytic
 from d2dcache.analytic import QuadratureSpec
 from d2dcache.cli import (
     RunSettings,
@@ -295,6 +296,32 @@ class TestExperiments:
         # wider scatter weakens the single-caterer bound
         assert rows[0]["value"] > rows[1]["value"]
 
+    def test_custom_sweep_over_theta_computes_each_node_once(self, ref_cfg, ref_library,
+                                                             monkeypatch):
+        # the exponent does not read theta: the points' tables overlap on one
+        # lattice, and no lattice node is computed twice
+        computed, read = [], []
+        exponents, table = analytic._exponents_exact, analytic._ExponentLattice.table
+
+        def counted_exponents(t_gamma, *args):
+            computed.extend(np.asarray(t_gamma).tolist())
+            return exponents(t_gamma, *args)
+
+        def counted_table(lattice, t_lo, t_hi):
+            read.extend(lattice._window(t_lo, t_hi))
+            return table(lattice, t_lo, t_hi)
+
+        monkeypatch.setattr(analytic, "_exponents_exact", counted_exponents)
+        monkeypatch.setattr(analytic._ExponentLattice, "table", counted_table)
+        spec = self.spec(ref_cfg, ref_library, "custom-sweep",
+                         quadrature=QuadratureSpec(mc_integration_samples=2000),
+                         params={"parameter": "theta", "values": [0.5, 1.0, 2.0],
+                                 "metric": "coverage-exact"})
+        _, rows = run_experiment(spec)
+        assert [row["x_value"] for row in rows] == [0.5, 1.0, 2.0]
+        assert len(read) > len(set(read))  # the windows overlap
+        assert sorted(computed) == sorted(analytic._lattice_t(j) for j in set(read))
+
     def test_policy_entropy_values(self):
         flat = CachingPolicy(np.full(4, 0.25))
         assert policy_entropy(flat) == pytest.approx(np.log(4.0), rel=1e-12)
@@ -361,6 +388,29 @@ experiments:
         assert main(["solve", "--config", path]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and "k_max_tail_mass" in err
+
+    def test_unknown_run_experiment_is_usage_error_even_for_solve(self, tmp_path, capsys):
+        path = write_config(tmp_path, "run:\n  experiment: nope\n")
+        assert main(["solve", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "'experiment'" in err and "nope" in err
+
+    def test_density_per_km2_with_unit_names_its_setting(self, tmp_path, capsys):
+        # the entry is already per km^2, so a unit string is refused
+        path = write_config(tmp_path, "experiments:\n  coverage-vs-sigma:\n"
+                                      "    lambda_p_per_km2: [40 per km2]\n")
+        assert main(["run", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "'lambda_p_per_km2'" in err
+
+    @pytest.mark.parametrize("pair, missing", [("{sigma: 10}", "'lambda_p'"),
+                                               ("{lambda_p: 2e-5}", "'sigma'")])
+    def test_histogram_pair_without_a_key_names_it(self, tmp_path, capsys, pair, missing):
+        path = write_config(tmp_path, "experiments:\n  policy-histogram:\n"
+                                      f"    pairs: [{pair}]\n")
+        assert main(["run", "--config", path, "--experiment", "policy-histogram"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "'pairs'" in err and missing in err
 
     def test_missing_config_is_usage_error(self, capsys):
         assert main(["run", "--config", "/nonexistent/nope.yaml"]) == 2

@@ -41,7 +41,6 @@ from d2dcache.simulator import (
     MIN_TRIALS,
     _CHUNK,
     MonteCarloEstimate,
-    _far_lattice,
     _run_coverage,
     default_sim_radius,
     estimate_coverage,
@@ -290,28 +289,18 @@ class TestEstimateOffloading:
         assert est.mean >= bound - 2 * est.half_width_95
 
     def test_shared_lattice_matches_fresh_call(self, ref_cfg):
+        # a call that reads the nodes of an earlier call equals the same call
+        # on an empty memo, bit for bit
         lib = ContentLibrary.from_zipf(20, 0.8, 3)
-        lattice = _far_lattice(ref_cfg, default_sim_radius(ref_cfg))
         first = policy_zipf_proportional(lib)
         second = solve_p1(lib, ref_cfg).policy
-        estimate_offloading(first, lib, ref_cfg, trials=2000, seed=5, _lattice=lattice)
+        estimate_offloading(first, lib, ref_cfg, trials=2000, seed=5)
+        lattice = far_lattice(ref_cfg)
         filled = dict(lattice._nodes)
-        shared = estimate_offloading(second, lib, ref_cfg, trials=2000, seed=9,
-                                     _lattice=lattice)
+        shared = estimate_offloading(second, lib, ref_cfg, trials=2000, seed=9)
         assert filled and lattice._nodes.items() >= filled.items()
+        analytic._lattices.cache_clear()
         assert shared == estimate_offloading(second, lib, ref_cfg, trials=2000, seed=9)
-
-    def test_lattice_for_other_network_rejected(self, ref_cfg):
-        lib = ContentLibrary.from_zipf(6, 0.9, 2)
-        pol = policy_cpf(lib)
-        r0 = default_sim_radius(ref_cfg)
-        for cfg, radius in ((ref_cfg.with_(sigma=40.0), r0), (ref_cfg, 0.9 * r0)):
-            with pytest.raises(ValueError, match="lattice"):
-                estimate_offloading(pol, lib, ref_cfg, trials=2000,
-                                    _lattice=_far_lattice(cfg, radius))
-        with pytest.raises(ValueError, match="lattice"):
-            estimate_offloading(pol, lib, ref_cfg, trials=2000, r_sim=2 * r0,
-                                _lattice=_far_lattice(ref_cfg, r0))
 
     def test_infeasible_policy_rejected(self, ref_cfg):
         lib = ContentLibrary.from_zipf(4, 0.5, 2)
@@ -369,12 +358,16 @@ class TestNearFieldStreams:
         runs = []
         for trials in (t.size, 2 * _CHUNK):
             sums.clear()
-            simulator._conditional_coverage(t[:trials], _far_lattice(ref_cfg, r0), ref_cfg, r0,
-                                            simulator._as_generator(5))
+            simulator._conditional_coverage(t[:trials], ref_cfg, r0, simulator._as_generator(5))
             runs.append(dict(sums))
         assert sorted(runs[0]) == [0, 1, 2, 3] and sorted(runs[1]) == [0, 1]
         for index in (0, 1):
             assert _hexes(runs[1][index]) == _hexes(runs[0][index])
+
+
+def far_lattice(cfg):
+    """The process's far-field lattice of cfg at the default split radius."""
+    return analytic._lattice(cfg, QuadratureSpec(), default_sim_radius(cfg))
 
 
 def _hexes(values):
@@ -383,7 +376,7 @@ def _hexes(values):
 
 class TestThreadCount:
     """Estimates are the same, to the last bit, at 1, 2 and 3 threads: the
-    near-field chunks and the far-field nodes share the threads in any
+    far-field table and the near-field chunks share the threads in any
     interleaving."""
 
     @staticmethod
@@ -391,6 +384,7 @@ class TestThreadCount:
         results = set()
         for threads in (1, 2, 3):
             monkeypatch.setattr(analytic, "_thread_count", lambda: threads)
+            analytic._lattices.cache_clear()  # every count computes its own nodes
             est = run()
             results.add((est.mean.hex(), est.half_width_95.hex()))
         assert len(results) == 1
@@ -416,9 +410,7 @@ class TestThreadCount:
 
     def test_offload_sequence_sharing_one_lattice(self, ref_cfg, monkeypatch):
         # as offload-vs-beta runs them at the benchmark's library: every call
-        # reads one far-field lattice and computes, beside its near field,
-        # the nodes it lacks, growing the lattice's grid as it goes. The
-        # first call, at beta 1, needs one tail panel fewer than a later one.
+        # reads the process's far-field lattice and adds the nodes it lacks
         calls = []
         for beta in (1.0, 0.5, 1.0):
             lib = ContentLibrary.from_zipf(100, beta, 5)
@@ -426,37 +418,37 @@ class TestThreadCount:
                         policy_cpf(lib)):
                 calls.append((pol, lib))
 
-        def run(lattice=None):
+        def run(fresh):
             results, held = [], []
             for seed, (pol, lib) in enumerate(calls):
-                est = estimate_offloading(pol, lib, ref_cfg, trials=1000, seed=seed,
-                                          _lattice=lattice)
+                if fresh:
+                    analytic._lattices.cache_clear()
+                est = estimate_offloading(pol, lib, ref_cfg, trials=1000, seed=seed)
                 results.append((est.mean.hex(), est.half_width_95.hex()))
-                held.append((len(lattice._nodes), lattice._grid.edges.size) if lattice else 0)
+                held.append(len(far_lattice(ref_cfg)._nodes))
             return results, held
 
         shared = set()
         for threads in (1, 2, 3):
             monkeypatch.setattr(analytic, "_thread_count", lambda: threads)
-            results, held = run(_far_lattice(ref_cfg, default_sim_radius(ref_cfg)))
-            # later calls added nodes, and grew the grid
-            assert held[0][0] < held[-1][0] and held[0][1] < held[-1][1]
+            analytic._lattices.cache_clear()
+            results, held = run(fresh=False)
+            assert held[0] < held[-1]  # later calls added nodes
             shared.add(tuple(results))
         assert len(shared) == 1
-        # each call with a lattice of its own gives the same bits
-        assert tuple(run()[0]) == shared.pop()
+        # each call on an empty memo gives the same bits
+        assert tuple(run(fresh=True)[0]) == shared.pop()
 
     def test_failing_node_raises_and_is_not_kept(self, ref_cfg, monkeypatch):
         lib = ContentLibrary.from_zipf(20, 0.8, 3)
         pol = policy_zipf_proportional(lib)
 
-        def offload(lattice):
-            return estimate_offloading(pol, lib, ref_cfg, trials=3000, seed=5,
-                                       _lattice=lattice)
+        def offload():
+            return estimate_offloading(pol, lib, ref_cfg, trials=3000, seed=5)
 
-        window = _far_lattice(ref_cfg, default_sim_radius(ref_cfg))
-        offload(window)
-        j_first, j_second = sorted(window._nodes)[2:10:7]
+        offload()
+        lattice = far_lattice(ref_cfg)
+        j_first, j_second = sorted(lattice._nodes)[2:10:7]
         exponent = analytic._OuterGrid.exponent
         bad = {analytic._lattice_t(j): j for j in (j_first, j_second)}
 
@@ -468,43 +460,10 @@ class TestThreadCount:
         monkeypatch.setattr(analytic._OuterGrid, "exponent", failing)
         for threads in (1, 2, 3):
             monkeypatch.setattr(analytic, "_thread_count", lambda: threads)
-            lattice = _far_lattice(ref_cfg, default_sim_radius(ref_cfg))
+            analytic._lattices.cache_clear()
             with pytest.raises(NumericalError) as raised:
-                offload(lattice)
+                offload()
             # the first failing node in lattice order, with its diagnostics
             assert raised.value.diagnostics == {"t_gamma": analytic._lattice_t(j_first)}
-            assert not set(bad.values()) & set(lattice._nodes)
-
-    def test_failed_growth_leaves_the_grid_as_it_was(self, ref_cfg, monkeypatch):
-        # the far-field grid's second row block (its coarse rows) fails once:
-        # the call raises, the grid holds whole panels only, and the lattice
-        # then serves a call as a fresh one would
-        lib = ContentLibrary.from_zipf(20, 0.8, 3)
-        pol = policy_zipf_proportional(lib)
-        block = analytic._ZetaRows.block
-        blocks = []
-
-        def flaky(zeta_rows, v):
-            blocks.extend([v.size] if v.size else [])  # a new grid's empty rows
-            if len(blocks) == 2:
-                raise RuntimeError("injected")
-            return block(zeta_rows, v)
-
-        def offload(lattice):
-            est = estimate_offloading(pol, lib, ref_cfg, trials=3000, seed=5, _lattice=lattice)
-            return est.mean.hex(), est.half_width_95.hex()
-
-        fresh = offload(None)
-        monkeypatch.setattr(analytic._ZetaRows, "block", flaky)
-        for threads in (1, 2, 3):
-            monkeypatch.setattr(analytic, "_thread_count", lambda: threads)
-            blocks.clear()
-            lattice = _far_lattice(ref_cfg, default_sim_radius(ref_cfg))
-            with pytest.raises(RuntimeError, match="injected"):
-                offload(lattice)
-            # the map's later nodes grew the grid again, whole
-            grid = lattice._grid
-            assert [zeta_rows.rows for *_, zeta_rows in grid._rules] == [
-                (grid.edges.size - 1) * order for order, *_ in grid._rules]
-            assert not lattice._nodes
-            assert offload(lattice) == fresh
+            # the memo's lattice keeps none of the failed batch's nodes
+            assert not far_lattice(ref_cfg)._nodes
