@@ -110,13 +110,31 @@ def _require_mapping(section, name):
     return dict(section)
 
 
-def _pop_int(section: dict, key: str, default, name: str) -> int:
-    """section[key] (removed from section), or default; an integer, not a
-    bool or float, since int() would truncate 2500.7 to 2500 unseen."""
-    value = section.pop(key, default)
+def _number(value) -> float:
+    """value as a float: a number, or a numeric string, since YAML reads
+    1e-8 as one; not a bool, which float() would read as 1.0 unseen."""
+    if not isinstance(value, bool) and isinstance(value, (int, float, str)):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    raise ValueError(f"must be a number, got {value!r}")
+
+
+def _count(value) -> int:
+    """value as an int: an integer, not a bool, or a float that int() would
+    truncate unseen (2500.7 to 2500)."""
     if not _is_int(value):
-        raise ValueError(f"{name} setting {key!r} must be an integer, got {value!r}")
+        raise ValueError(f"must be an integer, got {value!r}")
     return int(value)
+
+
+def _pop(section: dict, key: str, default, name: str, parse) -> float | int:
+    """parse(section[key]), key removed from section, or parse(default)."""
+    try:
+        return parse(section.pop(key, default))
+    except ValueError as exc:
+        raise ValueError(f"{name} setting {key!r} {exc}") from None
 
 
 def _refuse_workers(run: dict) -> None:
@@ -145,11 +163,8 @@ def _network_from(section: dict) -> NetworkConfig:
 
 
 def _library_from(section: dict) -> ContentLibrary:
-    kwargs = dict(_DEFAULT_LIBRARY)
-    for key in ("n_files", "cache_size"):
-        kwargs[key] = _pop_int(section, key, kwargs[key], "library")
-    if "beta" in section:
-        kwargs["beta"] = float(section.pop("beta"))
+    kwargs = {key: _pop(section, key, default, "library", _number if key == "beta" else _count)
+              for key, default in _DEFAULT_LIBRARY.items()}
     if section:
         raise ValueError(f"unknown library settings: {sorted(section)}")
     return ContentLibrary.from_zipf(kwargs["n_files"], kwargs["beta"],
@@ -157,12 +172,12 @@ def _library_from(section: dict) -> ContentLibrary:
 
 
 def _quadrature_from(section: dict) -> QuadratureSpec:
-    kwargs = {key: float(section.pop(key))  # YAML reads 1e-8 as a string
+    kwargs = {key: _pop(section, key, None, "quadrature", _number)
               for key in ("rel_tol", "abs_tol", "v_max_sigma_mult", "k_max_tail_mass")
               if key in section}
     for key in ("mc_integration_samples", "qmc_seed"):
         if key in section:
-            kwargs[key] = _pop_int(section, key, None, "quadrature")
+            kwargs[key] = _pop(section, key, None, "quadrature", _count)
     if section:
         raise ValueError(f"unknown quadrature settings: {sorted(section)}")
     return QuadratureSpec(**kwargs)
@@ -194,7 +209,10 @@ def _pair(pair) -> dict:
 
 # the list-valued experiment settings, each with the parser of its entries
 _LIST_PARSERS = {"sigma_m": parse_quantity, "lambda_p_per_m2": parse_quantity,
-                 "lambda_p_per_km2": _per_km2, "pairs": _pair, "values": parse_quantity}
+                 "lambda_p_per_km2": _per_km2, "pairs": _pair, "values": parse_quantity,
+                 "beta": _number}
+# the numeric single-valued experiment settings, each with its parser
+_SCALAR_PARSERS = {"c": _number, "decades": _number, "points": _count}
 
 
 def _parse_experiment_params(name: str, raw: dict) -> dict:
@@ -207,12 +225,14 @@ def _parse_experiment_params(name: str, raw: dict) -> dict:
     if "lambda_p_per_km2" in params and "lambda_p_per_m2" in params:
         raise ValueError("coverage-vs-sigma takes lambda_p_per_m2 or "
                          "lambda_p_per_km2, not both")
-    for key, parse in _LIST_PARSERS.items():
-        if key in params:
-            try:
-                params[key] = [parse(value) for value in params[key]]
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{name} setting {key!r}: {exc}") from None
+    for key, value in params.items():
+        try:
+            if key in _LIST_PARSERS:
+                params[key] = [_LIST_PARSERS[key](entry) for entry in value]
+            elif key in _SCALAR_PARSERS:
+                params[key] = _SCALAR_PARSERS[key](value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{name} setting {key!r}: {exc}") from None
     if "lambda_p_per_km2" in params:
         params["lambda_p_per_m2"] = params.pop("lambda_p_per_km2")
     return params
@@ -246,8 +266,8 @@ def load_config(path: str) -> RunSettings:
         raise ValueError(f"unknown config sections: {sorted(raw)}")
 
     experiment = str(run.pop("experiment", "coverage-vs-sigma"))
-    trials = _pop_int(run, "trials", 20_000, "run")
-    seed = _pop_int(run, "seed", 0, "run")
+    trials = _pop(run, "trials", 20_000, "run", _count)
+    seed = _pop(run, "seed", 0, "run", _count)
     out = run.pop("out", None)
     fmt = str(run.pop("format", "csv"))
     _refuse_workers(run)

@@ -128,8 +128,8 @@ def zipf_popularity(n_files: int, beta: float) -> np.ndarray:
     """
     if n_files < 1:
         raise ValueError(f"n_files must be >= 1, got {n_files!r}")
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta!r}")
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be a finite number >= 0, got {beta!r}")
     ranks = np.arange(1, n_files + 1, dtype=float)
     weights = ranks ** (-float(beta))
     q = weights / weights.sum()
@@ -149,8 +149,8 @@ class ContentLibrary:
     def __post_init__(self):
         if self.n_files < 1:
             raise ValueError(f"n_files must be >= 1, got {self.n_files!r}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta!r}")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError(f"beta must be a finite number >= 0, got {self.beta!r}")
         if not 1 <= self.cache_size < self.n_files:
             raise ValueError(
                 f"cache_size must satisfy 1 <= M < n_files, got M={self.cache_size!r}, "

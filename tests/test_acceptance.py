@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from d2dcache import simulator
 from d2dcache.analytic import (
     QuadratureSpec,
     compute_Z,
@@ -32,7 +33,6 @@ from d2dcache.model import (
 )
 from d2dcache.optimizer import grid_search_oracle, solve_p1
 from d2dcache.simulator import (
-    _run_coverage,
     default_sim_radius,
     estimate_coverage,
     estimate_offloading,
@@ -309,7 +309,7 @@ def test_criterion_7_entropy_tradeoff(acceptance_report):
     assert ok, f"entropy ordering violated: {h_tight} <= {h_sparse}"
 
 
-def test_criterion_8_property_suite(acceptance_report):
+def test_criterion_8_property_suite(acceptance_report, monkeypatch):
     checks = {}
 
     # Popularity normalization across library shapes.
@@ -346,20 +346,32 @@ def test_criterion_8_property_suite(acceptance_report):
             gamma_ok = False
     checks["gamma-d-invariance"] = gamma_ok
 
-    # Caterer counts must follow a thinned Poisson law: chi-square GOF
-    # against Poisson(c * n_bar) at the 1% level. The window radius only
-    # affects interference, not the caterer draw, so a small one is fine.
+    # Caterer counts must follow a thinned Poisson law: only requests with
+    # a caterer are simulated, so a chi-square GOF against Poisson(c * n_bar)
+    # given k >= 1 at the 1% level. The window radius only affects
+    # interference, not the caterer draw, so a small one is fine.
     c_m = 0.5
     trials = 100_000
-    _, k_all = _run_coverage(np.full(trials, c_m), REF, 50.0, seed=29)
+    drawn = []
+    caterer_t = simulator._caterer_t
+
+    def recorded(k, cfg, rng):
+        drawn.append(k.copy())
+        return caterer_t(k, cfg, rng)
+
+    monkeypatch.setattr(simulator, "_caterer_t", recorded)
+    estimate_coverage(c_m, REF, trials=trials, seed=29, r_sim=50.0)
+    monkeypatch.undo()
+    k_all = np.concatenate(drawn)
     mean_k = c_m * REF.n_bar
     k_hi = int(stats.poisson.isf(1e-4, mean_k))
-    observed = np.bincount(np.minimum(k_all, k_hi), minlength=k_hi + 1)
-    expected = stats.poisson.pmf(np.arange(k_hi + 1), mean_k) * trials
-    expected[k_hi] = stats.poisson.sf(k_hi - 1, mean_k) * trials
+    observed = np.bincount(np.minimum(k_all, k_hi), minlength=k_hi + 1)[1:]
+    expected = stats.poisson.pmf(np.arange(1, k_hi + 1), mean_k)
+    expected[-1] = stats.poisson.sf(k_hi - 1, mean_k)
+    expected *= k_all.size / stats.poisson.sf(0, mean_k)
     stat = float(np.sum((observed - expected) ** 2 / expected))
-    p_value = float(stats.chi2.sf(stat, k_hi))
-    checks["poisson-caterers"] = p_value > 0.01
+    p_value = float(stats.chi2.sf(stat, k_hi - 1))
+    checks["poisson-caterers"] = p_value > 0.01 and k_all.min() >= 1
 
     # Enlarging the interference window must not move the estimate by more
     # than the combined confidence half-widths.

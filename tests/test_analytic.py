@@ -51,7 +51,7 @@ from d2dcache.analytic import (
 from d2dcache.model import CachingPolicy, ContentLibrary, NetworkConfig
 from d2dcache.simulator import (
     _as_generator,
-    _draw_caterers,
+    _caterer_t,
     _far_field,
     default_sim_radius,
 )
@@ -652,9 +652,10 @@ class TestFarLatticeWindow:
         far_lattice = analytic._lattice(ref_cfg, QUAD, default_sim_radius(ref_cfg))
         rng = np.random.default_rng(19)
         ends = np.sort(10.0 ** rng.uniform(-8.0, 12.0, (200, 2)), axis=1)
-        # and the t range of a 5000-trial call at the reference scenario
-        t, _ = _draw_caterers(np.ones(5000), ref_cfg, _as_generator(1))
-        t = t[np.isfinite(t)]
+        # and the t range of 5000 requests with caterers at the reference
+        # scenario
+        caterers = _as_generator(1)
+        t = _caterer_t(1 + caterers.poisson(ref_cfg.n_bar, 5000), ref_cfg, caterers)
         for t_lo, t_hi in [*self.WINDOWS, *ends.tolist(), (t.min(), t.max())]:
             exact = list(exact_lattice._window(t_lo, t_hi))
             far = list(far_lattice._window(t_lo, t_hi))

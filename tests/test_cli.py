@@ -1,6 +1,9 @@
 """Config loading, result emission, experiment runners, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +159,35 @@ network:
             load_config(path)
         assert main(["run", "--config", path]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, key", [
+        ("library:\n  beta: true\n", "beta"),
+        ("quadrature:\n  rel_tol: true\n", "rel_tol"),
+        ("run:\n  experiment: validate-bounds\n"
+         "experiments:\n  validate-bounds:\n    points: 2.7\n", "points"),
+        ("experiments:\n  offload-vs-beta:\n    beta: [0.5, true]\n", "beta"),
+        ("experiments:\n  custom-sweep:\n    c: false\n", "c")],
+        ids=["library", "quadrature", "validate-bounds", "offload-vs-beta", "custom-sweep"])
+    def test_boolean_or_fractional_number_rejected(self, tmp_path, capsys, text, key):
+        # float() read true as 1.0, and int() truncated 2.7 to 2 points
+        path = write_config(tmp_path, text)
+        with pytest.raises(ValueError, match=f"'{key}':? must be an? (number|integer)"):
+            load_config(path)
+        assert main(["run", "--config", path]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "library:\n  beta: .nan\n", "library:\n  beta: .inf\n",
+        "run:\n  experiment: offload-vs-beta\n"
+        "experiments:\n  offload-vs-beta:\n    beta: [.nan]\n"],
+        ids=["library-nan", "library-inf", "offload-vs-beta-nan"])
+    def test_non_finite_beta_is_usage_error(self, tmp_path, capsys, text):
+        # a NaN beta made the popularity all NaN, and the run exited 3 with
+        # an infeasible policy
+        path = write_config(tmp_path, text)
+        assert main(["run", "--config", path, "--trials", "1000",
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        assert "beta must be a finite number >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("config_seed, flags", [("-3", []), ("0", ["--seed", "-3"])])
     def test_negative_seed_is_usage_error_naming_seed(self, tmp_path, capsys,
@@ -441,3 +473,14 @@ experiments:
                      "--format", "jsonl"]) == 0
         line = capsys.readouterr().out.splitlines()[0]
         assert json.loads(line)["seed"] == 9
+
+
+def test_package_runs_as_module(capsys):
+    # python -m d2dcache is the console script: the same bytes
+    config = str(DEMOS / "config_example.yaml")
+    assert main(["solve", "--config", config]) == 0
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    module = subprocess.run([sys.executable, "-m", "d2dcache", "solve", "--config", config],
+                            capture_output=True, text=True, env=env, check=True)
+    assert module.stdout == capsys.readouterr().out

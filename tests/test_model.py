@@ -133,6 +133,14 @@ class TestContentLibrary:
         with pytest.raises(ValueError):
             ContentLibrary.from_zipf(5, 0.5, 5)  # budget must leave a miss
 
+    @pytest.mark.parametrize("beta", [np.nan, np.inf])
+    def test_non_finite_beta_rejected(self, beta):
+        # a NaN beta gave an all-NaN popularity vector
+        with pytest.raises(ValueError, match="beta must be a finite number"):
+            ContentLibrary.from_zipf(5, beta, 2)
+        with pytest.raises(ValueError, match="beta must be a finite number"):
+            zipf_popularity(5, beta)
+
 
 class TestCachingPolicy:
     def test_read_only_and_len(self):

@@ -41,7 +41,6 @@ from d2dcache.simulator import (
     MIN_TRIALS,
     _CHUNK,
     MonteCarloEstimate,
-    _run_coverage,
     default_sim_radius,
     estimate_coverage,
     estimate_offloading,
@@ -227,19 +226,42 @@ class TestEstimateCoverage:
         combined = math.hypot(brute_hw, est.half_width_95)
         assert abs(brute - est.mean) <= 3 * combined
 
-    def test_caterer_count_poisson_thinned(self, small_cfg):
+    def test_caterer_count_zero_truncated_poisson(self, small_cfg, monkeypatch):
         # member counts are Poisson(n_bar) and caches are Bernoulli(c)
-        # thins, so the caterer count must be Poisson(c n_bar); chi-square
-        # at the 1% level with tail pooling
+        # thins, so the caterer count is Poisson(c n_bar); only requests
+        # with a caterer are simulated, so their counts must follow it
+        # given k >= 1. Chi-square at the 1% level with tail pooling
         c, trials = 0.5, 20_000
-        _, k = _run_coverage(np.full(trials, c), small_cfg, 30.0, seed=29)
+        drawn = []
+        caterer_t = simulator._caterer_t
+
+        def recorded(k, cfg, rng):
+            drawn.append(k.copy())
+            return caterer_t(k, cfg, rng)
+
+        monkeypatch.setattr(simulator, "_caterer_t", recorded)
+        estimate_coverage(c, small_cfg, trials=trials, seed=29, r_sim=30.0)
+        k = np.concatenate(drawn)
         mean = c * small_cfg.n_bar
+        assert k.min() >= 1
+        assert k.size == round(trials * -math.expm1(-mean))
         k_max = int(stats.poisson.isf(1e-4, mean))
-        observed = np.bincount(np.minimum(k, k_max), minlength=k_max + 1)
-        expected = stats.poisson.pmf(np.arange(k_max + 1), mean)
+        observed = np.bincount(np.minimum(k, k_max), minlength=k_max + 1)[1:]
+        expected = stats.poisson.pmf(np.arange(1, k_max + 1), mean)
         expected[-1] += stats.poisson.sf(k_max, mean)
-        result = stats.chisquare(observed, expected * trials)
+        expected /= stats.poisson.sf(0, mean)
+        result = stats.chisquare(observed, expected * k.size)
         assert result.pvalue > 0.01
+
+    def test_few_caterers_matches_exact(self):
+        # two members per cluster and c = 0.2 leave 67% of the clusters
+        # without a caterer: those requests are scored 0 exactly, not drawn
+        cfg = NetworkConfig(lambda_p=40e-6, n_bar=2.0, sigma=50.0, alpha=4.0,
+                            theta=1.0)
+        exact = coverage_content(0.2, cfg, QuadratureSpec()).value
+        est = estimate_coverage(0.2, cfg, trials=20_000, seed=43)
+        assert est.trials == 20_000
+        assert abs(est.mean - exact) <= 2 * est.half_width_95
 
 
 class TestEstimateOffloading:
@@ -302,6 +324,21 @@ class TestEstimateOffloading:
         analytic._lattices.cache_clear()
         assert shared == estimate_offloading(second, lib, ref_cfg, trials=2000, seed=9)
 
+    # estimate_offloading(policy_zipf_proportional(Zipf(20, 0.8, 3)), ref_cfg,
+    # trials=3000): (mean, half-width) in float hex, recorded before
+    # estimate_coverage shared its sampler; the draws must not have moved
+    FROZEN_HEX = {
+        5: ("0x1.7b0b43b40431ap-2", "0x1.1113d07c5416fp-7"),
+        2024: ("0x1.730ff7776eb76p-2", "0x1.068a816a23ce2p-7"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(FROZEN_HEX))
+    def test_stream_frozen(self, ref_cfg, seed):
+        lib = ContentLibrary.from_zipf(20, 0.8, 3)
+        est = estimate_offloading(policy_zipf_proportional(lib), lib, ref_cfg,
+                                  trials=3000, seed=seed)
+        assert (est.mean.hex(), est.half_width_95.hex()) == self.FROZEN_HEX[seed]
+
     def test_infeasible_policy_rejected(self, ref_cfg):
         lib = ContentLibrary.from_zipf(4, 0.5, 2)
         with pytest.raises(ValueError):
@@ -328,21 +365,6 @@ class TestNearFieldStreams:
     """Each near-field chunk draws from its own SFC64 stream, keyed by one
     draw of the call's generator and the chunk's index."""
 
-    # _run_coverage(C, small_cfg, 30.0, seed=29) caterer counts, computed
-    # when the near field still drew from the call's own generator: the
-    # caterers come first from that generator, as they did then
-    FROZEN_K_SUM = 4365
-    FROZEN_K_COUNTS = [230, 264, 231, 208, 194, 182, 88, 57, 26, 12, 5, 1, 1, 1]
-    FROZEN_K_AT_1018 = [5, 7, 1, 5, 2, 2, 2, 0, 0, 4, 5, 1]
-
-    def test_caterer_counts_frozen(self, small_cfg):
-        c = np.full(1500, 0.5)
-        c[::3] = 0.1
-        _, k = _run_coverage(c, small_cfg, 30.0, seed=29)
-        assert int(k.sum()) == self.FROZEN_K_SUM
-        assert np.bincount(k).tolist() == self.FROZEN_K_COUNTS
-        assert k[1018:1030].tolist() == self.FROZEN_K_AT_1018
-
     def test_chunk_unchanged_when_later_trials_dropped(self, ref_cfg, monkeypatch):
         sums = []
         near = simulator._near_exponents
@@ -352,8 +374,8 @@ class TestNearFieldStreams:
             return sums[-1][1]
 
         monkeypatch.setattr(simulator, "_near_exponents", recorded)
-        t = simulator._draw_caterers(np.full(3 * _CHUNK + 100, 1.0), ref_cfg,
-                                     simulator._as_generator(4))[0]
+        t = simulator._caterer_t(np.full(3 * _CHUNK + 100, 2), ref_cfg,
+                                 simulator._as_generator(4))
         r0 = default_sim_radius(ref_cfg)
         runs = []
         for trials in (t.size, 2 * _CHUNK):
