@@ -338,10 +338,10 @@ def zeta_kernel(v, t_gamma: float, cfg: NetworkConfig, quad: QuadratureSpec):
     Rician density of the member distance u given center distance v. Lies in
     [0, 1]. Vectorized over v; scalar v returns a float.
 
-    Raises NumericalError when the embedded two-order quadrature check
-    disagrees beyond tolerance.
+    Raises ValueError for a negative or NaN t_gamma, and NumericalError
+    when the embedded two-order quadrature check disagrees beyond tolerance.
     """
-    if t_gamma < 0:
+    if not t_gamma >= 0:
         raise ValueError(f"t_gamma must be >= 0, got {t_gamma!r}")
     v_arr = np.atleast_1d(np.asarray(v, dtype=float))
     if np.any(v_arr < 0):
@@ -608,10 +608,10 @@ def laplace_exact(t_gamma, cfg: NetworkConfig, quad: QuadratureSpec):
     (1 - exp(-n_bar zeta(v, t_gamma))) v dv). Monotone non-increasing in
     t_gamma with values in (0, 1]. Accepts a scalar or array argument; an
     array is evaluated in one batch, with the same values as element-wise
-    scalar calls.
+    scalar calls. A negative or NaN t_gamma is a ValueError.
     """
     t_arr = np.atleast_1d(np.asarray(t_gamma, dtype=float))
-    if np.any(t_arr < 0):
+    if not np.all(t_arr >= 0):
         raise ValueError("t_gamma must be >= 0")
     out = np.ones_like(t_arr)
     pos = t_arr > 0
@@ -627,10 +627,11 @@ def laplace_ppp_bound(t_gamma, cfg: NetworkConfig):
 
     exp(-pi n_bar lambda_p t_gamma^(2/alpha) Gamma(1+2/alpha) Gamma(1-2/alpha)):
     the transform of a marginally equivalent unclustered network of density
-    n_bar lambda_p. Never exceeds laplace_exact. Vectorized.
+    n_bar lambda_p. Never exceeds laplace_exact. Vectorized; a negative or
+    NaN t_gamma is a ValueError.
     """
     t_arr = np.asarray(t_gamma, dtype=float)
-    if np.any(t_arr < 0):
+    if not np.all(t_arr >= 0):
         raise ValueError("t_gamma must be >= 0")
     coeff = math.pi * cfg.n_bar * cfg.lambda_p * _gamma_pair(cfg.alpha)
     out = np.exp(-coeff * t_arr ** (2.0 / cfg.alpha))
@@ -803,8 +804,9 @@ def laplace_fn_exact(cfg: NetworkConfig, quad: QuadratureSpec, t_range):
     t_range = (lo, hi) and then evaluated at millions of points.
 
     A log-log quintic table of the exponent over the process's lattice of
-    cfg and quad (_lattice). The evaluator raises ValueError for a positive
-    t_gamma outside the padded table instead of extrapolating.
+    cfg and quad (_lattice). The evaluator is 1 at t_gamma = 0; it raises
+    ValueError for a negative or NaN t_gamma, and for a positive one
+    outside the padded table instead of extrapolating.
     """
     table, _, _ = _lattice(cfg, quad).table(*t_range)
 
@@ -813,7 +815,11 @@ def laplace_fn_exact(cfg: NetworkConfig, quad: QuadratureSpec, t_range):
         t_flat = np.atleast_1d(t_arr)
         out = np.ones_like(t_flat)
         pos = t_flat > 0
-        if pos.any():
+        n_pos = np.count_nonzero(pos)
+        # only where some t is not positive: the rest must be 0, not < 0 or NaN
+        if n_pos < pos.size and np.any(t_flat[~pos] != 0):
+            raise ValueError("t_gamma must be >= 0")
+        if n_pos:
             # in place, so that one batch-sized temporary serves every step
             x = np.log(t_flat[pos])
             _eval_table(table, x, "exact transform", out=x)

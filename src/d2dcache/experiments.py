@@ -1,16 +1,25 @@
-"""Named experiment drivers producing tabular results.
+"""Named experiment drivers producing tabular results, and their settings.
 
 Each experiment takes an ExperimentSpec (base configuration plus sweep
 axes) and returns (columns, rows) ready for emit_results: parameter
 columns first, then method / value / ci_half_width / trials / seed.
 Simulation seeds are derived deterministically from the spec seed and the
 sweep-point index, so a fixed spec reproduces results byte for byte.
+
+An experiment's settings (its sweep axes) are one table at the foot of
+this module: a parser and a default per key, the parser holding any
+allowed values. experiment_params checks a settings mapping against it and
+fills in the defaults, for ExperimentSpec and for the config loader alike.
+The value parsers here (parse_quantity, _number, _count) serve the config
+loader's own settings table too.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -35,15 +44,111 @@ from .model import (
 from .optimizer import solve_p1
 from .simulator import estimate_coverage, estimate_offloading
 
-__all__ = ["EXPERIMENTS", "ExperimentSpec", "run_experiment", "policy_entropy"]
+__all__ = ["EXPERIMENTS", "ExperimentSpec", "experiment_params", "run_experiment",
+           "policy_entropy"]
 
-EXPERIMENTS = (
-    "coverage-vs-sigma",
-    "offload-vs-beta",
-    "policy-histogram",
-    "validate-bounds",
-    "custom-sweep",
+_QUANTITY_RE = re.compile(
+    r"^\s*(?P<num>[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*(?P<unit>.*?)\s*$"
 )
+
+# multiplicative units; dB is handled separately
+_UNIT_SCALE = {
+    "": 1.0,
+    "m": 1.0,
+    "meter": 1.0,
+    "meters": 1.0,
+    "km": 1e3,
+    "per m2": 1.0,
+    "per m^2": 1.0,
+    "/m2": 1.0,
+    "per km2": 1e-6,
+    "per km^2": 1e-6,
+    "/km2": 1e-6,
+    "bps/hz": 1.0,
+}
+
+
+def parse_quantity(value) -> float:
+    """Parse a number with an optional unit suffix to base units.
+
+    Plain numbers pass through; "50 m" -> 50.0, "2 km" -> 2000.0,
+    "40 per km2" -> 4.0e-05, "0 dB" -> 1.0 (decibels to linear power).
+    """
+    if isinstance(value, bool):
+        raise ValueError(f"must be a quantity, got boolean {value!r}")
+    if isinstance(value, (int, float)):
+        return float(value)
+    if not isinstance(value, str):
+        raise ValueError(f"must be a number or a quantity string, got {value!r}")
+    match = _QUANTITY_RE.match(value)
+    if not match:
+        raise ValueError(f"must be a quantity such as '50 m', got {value!r}")
+    number = float(match.group("num"))
+    unit = match.group("unit").lower()
+    if unit in ("db",):
+        return 10.0 ** (number / 10.0)
+    if unit in _UNIT_SCALE:
+        return number * _UNIT_SCALE[unit]
+    raise ValueError(f"has unknown unit {match.group('unit')!r} in {value!r}")
+
+
+def _number(value) -> float:
+    """value as a float: a number, or a numeric string, since YAML reads
+    1e-8 as one; not a bool, which float() would read as 1.0 unseen."""
+    if not isinstance(value, bool) and isinstance(value, (int, float, str)):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    raise ValueError(f"must be a number, got {value!r}")
+
+
+def _count(value) -> int:
+    """value as an int: an integer, not a bool, or a float that int() would
+    truncate unseen (2500.7 to 2500)."""
+    if not _is_int(value):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def _one_of(choices):
+    """The parser of a setting that takes one of the strings in choices."""
+    def parse(value) -> str:
+        if not (isinstance(value, str) and value in choices):
+            raise ValueError(f"must be one of {tuple(choices)}, got {value!r}")
+        return value
+    return parse
+
+
+def _list(parse_entry, non_empty=False):
+    """The parser of a list setting: a sequence, not a string, whose
+    characters would be read as entries, each entry parsed by parse_entry."""
+    def parse(value) -> list:
+        if not isinstance(value, (list, tuple)) or (non_empty and not value):
+            raise ValueError(f"must be a {'non-empty ' * non_empty}list, got {value!r}")
+        return [parse_entry(entry) for entry in value]
+    return parse
+
+
+def _section(raw, name: str, parsers: dict) -> dict:
+    """The settings mapping raw (None for none) parsed key by key with
+    parsers. A non-mapping, an unknown key or a value that its parser
+    refuses is a ValueError naming the section and the key."""
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise ValueError(f"config section {name!r} must be a mapping")
+    unknown = set(raw) - set(parsers)
+    if unknown:
+        raise ValueError(f"unknown {name} settings: {sorted(unknown, key=str)}")
+    parsed = {}
+    for key, value in raw.items():
+        try:
+            parsed[key] = parsers[key](value)
+        except ValueError as exc:
+            raise ValueError(f"{name} setting {key!r} {exc}") from None
+    return parsed
+
 
 _SEED_STRIDE = 1_000_003  # per-sweep-point seed offset
 
@@ -69,6 +174,8 @@ class ExperimentSpec:
             raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        # frozen dataclass: store the checked settings, defaults filled in
+        object.__setattr__(self, "params", experiment_params(self.name, self.params))
 
 
 def policy_entropy(policy: CachingPolicy) -> float:
@@ -85,48 +192,42 @@ def _point_seed(seed: int, index: int) -> int:
     return int(seed + _SEED_STRIDE * index)
 
 
-def _coverage_point(spec: ExperimentSpec, sigma, lam, c_value, seed):
+# the value columns of a coverage row at cfg, also custom-sweep's metrics
+def _coverage(method: str, spec: ExperimentSpec, cfg: NetworkConfig, seed: int) -> dict:
+    res = coverage_content(spec.params["c"], cfg, spec.quadrature, method=method)
+    return {"value": res.value, "ci_half_width": res.numerical_error}
+
+
+def _coverage_sim(spec: ExperimentSpec, cfg: NetworkConfig, seed: int) -> dict:
+    est = estimate_coverage(spec.params["c"], cfg, spec.trials, seed=seed)
+    return {"value": est.mean, "ci_half_width": est.half_width_95, "trials": est.trials}
+
+
+def _coverage_point(spec: ExperimentSpec, sigma, lam, seed):
     """The exact, bound and simulated rows of one (sigma, lambda_p) grid
     point of coverage-vs-sigma. The points run one after another; each
     evaluation spreads its own work over threads (analytic._thread_map)."""
     cfg = spec.network.with_(sigma=sigma, lambda_p=lam)
-    exact = coverage_content(c_value, cfg, spec.quadrature, method="exact-tcp")
-    bound = coverage_content(c_value, cfg, spec.quadrature, method="ppp-bound")
-    sim = estimate_coverage(c_value, cfg, spec.trials, seed=seed)
-    base = {"sigma_m": sigma, "lambda_p_per_m2": lam}
-    return [
-        {**base, "method": "exact-tcp", "value": exact.value,
-         "ci_half_width": exact.numerical_error, "trials": 0, "seed": seed},
-        {**base, "method": "ppp-bound", "value": bound.value,
-         "ci_half_width": bound.numerical_error, "trials": 0, "seed": seed},
-        {**base, "method": "simulation", "value": sim.mean,
-         "ci_half_width": sim.half_width_95, "trials": sim.trials,
-         "seed": seed},
-    ]
+    base = {"sigma_m": sigma, "lambda_p_per_m2": lam, "trials": 0, "seed": seed}
+    return [{**base, "method": "exact-tcp", **_coverage("exact-tcp", spec, cfg, seed)},
+            {**base, "method": "ppp-bound", **_coverage("ppp-bound", spec, cfg, seed)},
+            {**base, "method": "simulation", **_coverage_sim(spec, cfg, seed)}]
 
 
 def _run_coverage_vs_sigma(spec: ExperimentSpec):
     params = spec.params
-    sigmas = [float(s) for s in params.get("sigma_m", (10.0, 25.0, 50.0, 100.0))]
-    lambdas = [
-        float(l)
-        for l in params.get("lambda_p_per_m2",
-                            (10e-6, 20e-6, 40e-6))
-    ]
-    c_value = float(params.get("c", 1.0))
+    points = [(s, l) for s in params["sigma_m"] for l in params["lambda_p_per_m2"]]
     rows = []
-    for i, (sig, lam) in enumerate((s, l) for s in sigmas for l in lambdas):
-        rows += _coverage_point(spec, sig, lam, c_value, _point_seed(spec.seed, i))
+    for i, (sig, lam) in enumerate(points):
+        rows += _coverage_point(spec, sig, lam, _point_seed(spec.seed, i))
     columns = ["sigma_m", "lambda_p_per_m2", "method", "value",
                "ci_half_width", "trials", "seed"]
     return columns, rows
 
 
 def _run_offload_vs_beta(spec: ExperimentSpec):
-    betas = [float(b) for b in spec.params.get(
-        "beta", (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5))]
     rows = []
-    for i, beta in enumerate(betas):
+    for i, beta in enumerate(spec.params["beta"]):
         lib = ContentLibrary.from_zipf(
             spec.library.n_files, beta, spec.library.cache_size
         )
@@ -155,15 +256,9 @@ def _run_offload_vs_beta(spec: ExperimentSpec):
 
 
 def _run_policy_histogram(spec: ExperimentSpec):
-    default_pairs = (
-        {"sigma": 10.0, "lambda_p": 20e-6},
-        {"sigma": 100.0, "lambda_p": 50e-6},
-    )
-    pairs = spec.params.get("pairs", default_pairs)
     rows = []
-    for pair in pairs:
-        cfg = spec.network.with_(sigma=float(pair["sigma"]),
-                                 lambda_p=float(pair["lambda_p"]))
+    for pair in spec.params["pairs"]:
+        cfg = spec.network.with_(**pair)
         solution = solve_p1(spec.library, cfg)
         base = {"sigma_m": cfg.sigma, "lambda_p_per_m2": cfg.lambda_p}
         for m, c_m in enumerate(solution.policy.probs):
@@ -178,11 +273,10 @@ def _run_policy_histogram(spec: ExperimentSpec):
 
 
 def _run_validate_bounds(spec: ExperimentSpec):
-    decades = float(spec.params.get("decades", 6))
-    n_points = int(spec.params.get("points", 30))
+    decades = spec.params["decades"]
     cfg, quad = spec.network, spec.quadrature
     center = cfg.theta
-    grid = center * np.logspace(-decades / 2.0, decades / 2.0, n_points)
+    grid = center * np.logspace(-decades / 2.0, decades / 2.0, spec.params["points"])
     exact = laplace_exact(grid, cfg, quad)
     bound = laplace_ppp_bound(grid, cfg)
     rows = []
@@ -213,73 +307,108 @@ def _run_validate_bounds(spec: ExperimentSpec):
     return columns, rows
 
 
-_SWEEPABLE = ("sigma", "lambda_p", "n_bar", "alpha", "theta", "gamma_d")
+def _offload_closed_form(spec: ExperimentSpec, cfg: NetworkConfig, seed: int) -> dict:
+    policy = _POLICIES[spec.params["policy"]](spec.library, cfg)
+    return {"value": offloading_closed_form_k1(policy, spec.library, cfg)}
+
+
 _POLICIES = {
-    "zipf-proportional": policy_zipf_proportional,
-    "cpf": policy_cpf,
-    "uniform": policy_uniform,
-    "kkt": None,  # resolved against the sweep-point config
+    "zipf-proportional": lambda library, cfg: policy_zipf_proportional(library),
+    "cpf": lambda library, cfg: policy_cpf(library),
+    "uniform": lambda library, cfg: policy_uniform(library),
+    "kkt": lambda library, cfg: solve_p1(library, cfg).policy,  # at the sweep point
+}
+# each custom-sweep metric: (spec, config, seed) -> the row's value columns
+_METRICS = {
+    "coverage-exact": partial(_coverage, "exact-tcp"),
+    "coverage-bound": partial(_coverage, "ppp-bound"),
+    "coverage-sim": _coverage_sim,
+    "offload-closed-form": _offload_closed_form,
 }
 
 
 def _run_custom_sweep(spec: ExperimentSpec):
-    params = spec.params
-    parameter = params.get("parameter", "sigma")
-    if parameter not in _SWEEPABLE:
-        raise ValueError(
-            f"cannot sweep {parameter!r}; choose from {_SWEEPABLE}"
-        )
-    values = [float(v) for v in params.get("values", ())]
-    if not values:
-        raise ValueError("custom-sweep requires a non-empty 'values' list")
-    metric = params.get("metric", "coverage-exact")
-    c_value = float(params.get("c", 1.0))
-    policy_name = params.get("policy", "zipf-proportional")
-    if policy_name not in _POLICIES:
-        raise ValueError(f"unknown policy {policy_name!r}")
-
+    parameter, metric = spec.params["parameter"], spec.params["metric"]
     rows = []
-    for i, value in enumerate(values):
+    for i, value in enumerate(spec.params["values"]):
         cfg = spec.network.with_(**{parameter: value})
         seed = _point_seed(spec.seed, i)
-        row = {"parameter": parameter, "x_value": value, "method": metric,
-               "ci_half_width": 0.0, "trials": 0, "seed": seed}
-        if metric == "coverage-exact":
-            res = coverage_content(c_value, cfg, spec.quadrature,
-                                   method="exact-tcp")
-            row.update(value=res.value, ci_half_width=res.numerical_error)
-        elif metric == "coverage-bound":
-            res = coverage_content(c_value, cfg, spec.quadrature,
-                                   method="ppp-bound")
-            row.update(value=res.value, ci_half_width=res.numerical_error)
-        elif metric == "coverage-sim":
-            est = estimate_coverage(c_value, cfg, spec.trials, seed=seed)
-            row.update(value=est.mean, ci_half_width=est.half_width_95,
-                       trials=est.trials)
-        elif metric == "offload-closed-form":
-            if policy_name == "kkt":
-                policy = solve_p1(spec.library, cfg).policy
-            else:
-                policy = _POLICIES[policy_name](spec.library)
-            row.update(value=offloading_closed_form_k1(policy, spec.library,
-                                                       cfg))
-        else:
-            raise ValueError(f"unknown metric {metric!r}")
-        rows.append(row)
+        rows.append({"parameter": parameter, "x_value": value, "method": metric,
+                     "ci_half_width": 0.0, "trials": 0, "seed": seed,
+                     **_METRICS[metric](spec, cfg, seed)})
     columns = ["parameter", "x_value", "method", "value", "ci_half_width",
                "trials", "seed"]
     return columns, rows
 
 
-_RUNNERS = {
-    "coverage-vs-sigma": _run_coverage_vs_sigma,
-    "offload-vs-beta": _run_offload_vs_beta,
-    "policy-histogram": _run_policy_histogram,
-    "validate-bounds": _run_validate_bounds,
-    "custom-sweep": _run_custom_sweep,
+def _per_km2(value) -> float:
+    """A plain number of clusters per km^2 in per m^2; the key names the unit."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"must list plain numbers of clusters per km^2, got {value!r}")
+    return float(value) * 1e-6
+
+
+def _pair(pair) -> dict:
+    """A policy-histogram pair: its sigma and lambda_p as quantities."""
+    if not isinstance(pair, dict):
+        raise ValueError(f"must list {{sigma, lambda_p}} mappings, got {pair!r}")
+    missing = [key for key in ("sigma", "lambda_p") if key not in pair]
+    if missing:
+        raise ValueError(f"has no {' or '.join(map(repr, missing))} in {pair!r}")
+    return {key: parse_quantity(pair[key]) for key in ("sigma", "lambda_p")}
+
+
+# each experiment: its runner, and per setting a parser and a default (None
+# for none). A default goes through its parser too, so custom-sweep's empty
+# values fails unless the config gives some.
+_EXPERIMENTS = {
+    "coverage-vs-sigma": (_run_coverage_vs_sigma, {
+        "sigma_m": (_list(parse_quantity), (10.0, 25.0, 50.0, 100.0)),
+        "lambda_p_per_m2": (_list(parse_quantity), (10e-6, 20e-6, 40e-6)),
+        "lambda_p_per_km2": (_list(_per_km2), None),  # read as lambda_p_per_m2
+        "c": (_number, 1.0),
+    }),
+    "offload-vs-beta": (_run_offload_vs_beta, {
+        "beta": (_list(_number), (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5)),
+    }),
+    "policy-histogram": (_run_policy_histogram, {
+        "pairs": (_list(_pair), ({"sigma": 10.0, "lambda_p": 20e-6},
+                                 {"sigma": 100.0, "lambda_p": 50e-6})),
+    }),
+    "validate-bounds": (_run_validate_bounds, {
+        "decades": (_number, 6),
+        "points": (_count, 30),
+    }),
+    "custom-sweep": (_run_custom_sweep, {
+        "parameter": (_one_of(("sigma", "lambda_p", "n_bar", "alpha", "theta", "gamma_d")),
+                      "sigma"),
+        "values": (_list(parse_quantity, non_empty=True), ()),
+        "metric": (_one_of(_METRICS), "coverage-exact"),
+        "c": (_number, 1.0),
+        "policy": (_one_of(_POLICIES), "zipf-proportional"),
+    }),
 }
+EXPERIMENTS = tuple(_EXPERIMENTS)
+
+
+def experiment_params(name: str, raw) -> dict:
+    """The settings of experiment name: the mapping raw (None for none)
+    checked and parsed against the experiment's table, a lambda_p_per_km2
+    list read as lambda_p_per_m2, and the defaults of the settings it does
+    not give. Parsed settings parse to themselves."""
+    table = _EXPERIMENTS[name][1]
+    parsers = {key: parse for key, (parse, _) in table.items()}
+    params = _section(raw, name, parsers)
+    if "lambda_p_per_km2" in params:
+        if "lambda_p_per_m2" in params:
+            raise ValueError("coverage-vs-sigma takes lambda_p_per_m2 or "
+                             "lambda_p_per_km2, not both")
+        params["lambda_p_per_m2"] = params.pop("lambda_p_per_km2")
+    defaults = {key: default for key, (_, default) in table.items()
+                if key not in params and default is not None}
+    return {**_section(defaults, name, parsers), **params}
 
 
 def run_experiment(spec: ExperimentSpec):
     """Dispatch to the named experiment; returns (columns, rows)."""
-    return _RUNNERS[spec.name](spec)
+    return _EXPERIMENTS[spec.name][0](spec)

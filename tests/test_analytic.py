@@ -151,6 +151,12 @@ class TestZetaKernel:
         z = zeta_kernel(100.0, 1e8, ref_cfg, QUAD)
         assert z == pytest.approx(ZETA_MC_MEAN, abs=ZETA_MC_BAND)
 
+    @pytest.mark.parametrize("t_gamma", [math.nan, -1.0])
+    def test_nan_or_negative_threshold_rejected(self, ref_cfg, t_gamma):
+        # NaN failed the quadrature check and raised NumericalError
+        with pytest.raises(ValueError, match="t_gamma must be >= 0"):
+            zeta_kernel(30.0, t_gamma, ref_cfg, QUAD)
+
 
 def _naive_laplace(t_gamma, cfg):
     """Second route: adaptive Gauss-Kronrod on the unrearranged double integral.
@@ -204,6 +210,14 @@ class TestLaplaceTransforms:
             * math.gamma(1.5) * math.gamma(0.5)
         )
         assert laplace_ppp_bound(tg, ref_cfg) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("t_gamma", [math.nan, np.array([1.0, math.nan]), -1.0])
+    def test_nan_or_negative_rejected(self, ref_cfg, t_gamma):
+        # laplace_exact(nan) returned 1.0, and laplace_ppp_bound(nan) nan
+        with pytest.raises(ValueError, match="t_gamma must be >= 0"):
+            laplace_exact(t_gamma, ref_cfg, QUAD)
+        with pytest.raises(ValueError, match="t_gamma must be >= 0"):
+            laplace_ppp_bound(t_gamma, ref_cfg)
 
     def test_bound_below_exact(self, ref_cfg):
         for tg in np.logspace(-1, 9, 12):
@@ -495,6 +509,15 @@ class TestExponentTable:
                 laplace(np.array([t]))
             with pytest.raises(ValueError):
                 laplace(t)
+
+    @pytest.mark.parametrize("t", [math.nan, -1.0, np.array([1.0, 0.0, math.nan]),
+                                   np.array([-1.0, 1.0])])
+    def test_laplace_view_refuses_nan_or_negative_t(self, ref_cfg, t):
+        # it read both as t = 0 and returned 1.0
+        laplace, _, _, _ = self.views(ref_cfg)
+        with pytest.raises(ValueError, match="t_gamma must be >= 0"):
+            laplace(t)
+        assert laplace(0.0) == 1.0
 
     def test_laplace_non_increasing_inside_table(self, ref_cfg):
         laplace, _, _, t_nodes = self.views(ref_cfg)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from d2dcache import analytic
+from d2dcache import analytic, cli, experiments
 from d2dcache.analytic import QuadratureSpec
 from d2dcache.cli import (
     RunSettings,
@@ -203,6 +203,30 @@ network:
         with pytest.raises(ValueError, match="lambda_p_per_m2 or lambda_p_per_km2"):
             load_config(write_config(tmp_path, text))
 
+    @pytest.mark.parametrize("name, setting, key", [
+        ("custom-sweep", 'parameter: n_bar, values: "48", metric: offload-closed-form',
+         "values"),
+        ("offload-vs-beta", 'beta: "05"', "beta")])
+    def test_string_for_list_rejected(self, tmp_path, capsys, name, setting, key):
+        # a string was iterated per character: n_bar swept over 4 and 8
+        path = write_config(tmp_path, f"run: {{experiment: {name}}}\n"
+                                      f"experiments:\n  {name}: {{{setting}}}\n")
+        assert main(["run", "--config", path, "--trials", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{name} setting '{key}' must be a" in captured.err
+        assert "list, got" in captured.err
+
+    @pytest.mark.parametrize("value", ["2", "true"])
+    def test_non_string_out_rejected(self, tmp_path, capsys, value):
+        # open(2) wrote the CSV to stderr and closed it; true meant stdout
+        path = write_config(tmp_path, "run:\n  experiment: validate-bounds\n"
+                                      f"  out: {value}\n")
+        assert main(["run", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "run setting 'out' must be a file path" in captured.err
+
     def test_sweep_demo_runs_several_near_field_chunks(self):
         # CI runs this config pinned to one CPU and not, and compares bytes
         settings = load_config(str(DEMOS / "sweep_example.yaml"))
@@ -210,6 +234,35 @@ network:
         assert settings.experiment == "custom-sweep"
         assert params["metric"] == "coverage-sim" and len(params["values"]) >= 3
         assert settings.trials >= 3000
+
+
+def _every_setting():
+    """(config text, key) with a mapping for the value of each setting in
+    the config loader's table and in every experiment's."""
+    for section, parsers in cli._SETTINGS.items():
+        for key in parsers:
+            yield pytest.param(f"{section}:\n  {key}: {{}}\n", key, id=f"{section}.{key}")
+    for name, (_, table) in experiments._EXPERIMENTS.items():
+        for key in table:
+            yield pytest.param(f"experiments:\n  {name}:\n    {key}: {{}}\n", key,
+                               id=f"{name}.{key}")
+
+
+@pytest.mark.parametrize("text, key", _every_setting())
+def test_every_setting_refuses_a_mapping(tmp_path, capsys, text, key):
+    assert main(["solve", "--config", write_config(tmp_path, text)]) == 2
+    assert f"setting '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", ["metric: nope", "parameter: rho", "policy: best",
+                                     "values: []"])
+def test_solve_refuses_a_bad_custom_sweep(tmp_path, capsys, setting):
+    # solve does not run the sweep, and exited 0 on all but values
+    path = write_config(tmp_path, "experiments:\n  custom-sweep:\n"
+                                  f"    values: [1]\n    {setting}\n")
+    assert main(["solve", "--config", path]) == 2
+    key = setting.split(":")[0]
+    assert f"custom-sweep setting '{key}' must be" in capsys.readouterr().err
 
 
 class TestEmitResults:
@@ -271,6 +324,18 @@ class TestExperiments:
             ExperimentSpec(name="validate-bounds", network=ref_cfg, library=ref_library,
                            **{field: value})
 
+    def test_spec_fills_defaults_and_reparses_to_itself(self, ref_cfg, ref_library):
+        spec = self.spec(ref_cfg, ref_library, "validate-bounds", params={"points": 4})
+        assert spec.params == {"decades": 6.0, "points": 4}
+        again = self.spec(ref_cfg, ref_library, "validate-bounds", params=spec.params)
+        assert again.params == spec.params
+        coverage = self.spec(ref_cfg, ref_library, "coverage-vs-sigma",
+                             params={"lambda_p_per_km2": [20, 40], "c": 1})
+        assert coverage.params == {"sigma_m": [10.0, 25.0, 50.0, 100.0],
+                                   "lambda_p_per_m2": [20 * 1e-6, 40 * 1e-6], "c": 1.0}
+        assert self.spec(ref_cfg, ref_library, "coverage-vs-sigma",
+                         params=coverage.params).params == coverage.params
+
     def test_offload_vs_beta_table_shape(self, ref_cfg):
         lib = ContentLibrary.from_zipf(12, 0.5, 3)
         spec = self.spec(ref_cfg, lib, "offload-vs-beta", trials=1000, seed=1,
@@ -312,10 +377,10 @@ class TestExperiments:
         assert len(c_rows) == 2 * lib.n_files
 
     def test_custom_sweep_rejects_unknown_parameter(self, ref_cfg, ref_library):
-        spec = self.spec(ref_cfg, ref_library, "custom-sweep",
-                         params={"parameter": "flux", "values": [1.0]})
-        with pytest.raises(ValueError):
-            run_experiment(spec)
+        # the spec refuses it when it is built, not when it runs
+        with pytest.raises(ValueError, match="'parameter' must be one of"):
+            self.spec(ref_cfg, ref_library, "custom-sweep",
+                      params={"parameter": "flux", "values": [1.0]})
 
     def test_custom_sweep_closed_form(self, ref_cfg):
         lib = ContentLibrary.from_zipf(10, 0.7, 2)
