@@ -6,9 +6,12 @@ quadrature / experiments; an empty file runs the reference scenario
 0 dB SIR threshold, 100 files, Zipf 0.5, cache budget 5). Every setting
 has one parser: _SETTINGS here for the first four sections, and
 experiments.experiment_params for each experiment's. A wrong type, an
-unknown key or a value outside a setting's allowed set is a configuration
-error naming the section and key. Dimensioned values accept unit
-suffixes: "50 m", "0 dB" (to linear), "40 per km2" (to per-m^2). Results
+unknown key, or a value outside a setting's allowed set or range, or in
+units of another kind ("2 dB" for a length) is a configuration error
+naming the section and key. Dimensioned values accept the unit suffixes of
+their kind: "50 m", "0 dB" (to linear), "40 per km2" (to per-m^2). The
+model has one threshold, theta; network.rho, a rate threshold in
+bits/s/Hz, is read as theta = 2**rho - 1. Results
 are written as CSV or JSON lines with numbers at 12 significant digits,
 parameter columns before metric columns, and are byte identical for a
 fixed config, seed, and trial count.
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -29,11 +33,15 @@ import yaml
 
 from .analytic import NumericalError, QuadratureSpec, _is_int
 from .experiments import (
+    _NETWORK,
     EXPERIMENTS,
     ExperimentSpec,
     _count,
     _number,
     _one_of,
+    _positive_count,
+    _ranged,
+    _rate,
     _section,
     experiment_params,
     parse_quantity,
@@ -74,10 +82,16 @@ class RunSettings:
 _NO_POOL = "the worker-process pool has been removed; threads spread each run over the CPUs"
 
 
-def _trials(value) -> int:
-    if not (_is_int(value) and value >= 1):
-        raise ValueError(f"must be an integer >= 1, got {value!r}")
-    return int(value)
+def _theta_from_rate(value) -> float:
+    """A rate threshold rho [bits/sec/Hz] as the SIR threshold theta =
+    2**rho - 1, which must be finite and > 0."""
+    try:
+        theta = 2.0 ** _rate(value) - 1.0
+    except OverflowError:
+        theta = math.inf
+    if not 0 < theta < math.inf:
+        raise ValueError(f"must be a rate whose 2**rho - 1 is finite and > 0, got {value!r}")
+    return theta
 
 
 def _path(value) -> str:
@@ -98,13 +112,14 @@ def _one_worker(value) -> int:
 # each config section's settings, each with its parser; experiments'
 # settings are experiments.experiment_params's
 _SETTINGS = {
-    "network": dict.fromkeys(("lambda_p", "n_bar", "sigma", "alpha", "gamma_d", "theta",
-                              "rho"), parse_quantity),
+    "network": {**_NETWORK, "rho": _theta_from_rate},  # rho is read as theta
     "library": {"n_files": _count, "beta": _number, "cache_size": _count},
     "quadrature": {**dict.fromkeys(("rel_tol", "abs_tol", "v_max_sigma_mult",
                                     "k_max_tail_mass"), _number),
                    "mc_integration_samples": _count, "qmc_seed": _count},
-    "run": {"experiment": _one_of(EXPERIMENTS), "trials": _trials, "seed": _count,
+    "run": {"experiment": _one_of(EXPERIMENTS),
+            "trials": _positive_count,
+            "seed": _ranged(_count, lambda n: n >= 0, "an integer >= 0"),
             "out": _path, "format": _one_of(("csv", "jsonl")), "workers": _one_worker},
 }
 
@@ -115,8 +130,10 @@ def load_config(path: str) -> RunSettings:
     Missing sections and an entirely empty file fall back to the reference
     scenario defaults. Every setting has one parser (_SETTINGS, and
     experiments.experiment_params for the experiments' settings): a wrong
-    type, an unknown key or a value outside the setting's allowed set is
-    an error naming the section and key. run.experiment must name an
+    type, an unknown key, a unit of another kind or a value outside the
+    setting's allowed set or range is an error naming the section and key.
+    A network rho is stored as its theta, so the network gives theta or
+    rho, not both. run.experiment must name an
     experiment, even for `solve`. A worker count other than 1, from
     run.workers or the D2DCACHE_WORKERS environment variable, is an
     error: the worker-process pool is gone.
@@ -140,7 +157,9 @@ def load_config(path: str) -> RunSettings:
         raise ValueError(f"D2DCACHE_WORKERS must be 1 or unset, got {env!r}: {_NO_POOL}")
 
     if "rho" in network:
-        network.setdefault("theta", None)  # the threshold follows rho
+        if "theta" in network:
+            raise ValueError("network takes theta or rho, not both")
+        network["theta"] = network.pop("rho")
     run.pop("workers", None)
     if "format" in run:
         run["fmt"] = run.pop("format")

@@ -10,8 +10,10 @@ An experiment's settings (its sweep axes) are one table at the foot of
 this module: a parser and a default per key, the parser holding any
 allowed values. experiment_params checks a settings mapping against it and
 fills in the defaults, for ExperimentSpec and for the config loader alike.
-The value parsers here (parse_quantity, _number, _count) serve the config
-loader's own settings table too.
+The value parsers here (_number, _count, a parser per kind of quantity
+such as _length, and _ranged for a setting's range) serve the config
+loader's own settings table too; parse_quantity takes a quantity in any
+unit.
 """
 
 from __future__ import annotations
@@ -51,45 +53,13 @@ _QUANTITY_RE = re.compile(
     r"^\s*(?P<num>[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*(?P<unit>.*?)\s*$"
 )
 
-# multiplicative units; dB is handled separately
-_UNIT_SCALE = {
-    "": 1.0,
-    "m": 1.0,
-    "meter": 1.0,
-    "meters": 1.0,
-    "km": 1e3,
-    "per m2": 1.0,
-    "per m^2": 1.0,
-    "/m2": 1.0,
-    "per km2": 1e-6,
-    "per km^2": 1e-6,
-    "/km2": 1e-6,
-    "bps/hz": 1.0,
-}
-
-
-def parse_quantity(value) -> float:
-    """Parse a number with an optional unit suffix to base units.
-
-    Plain numbers pass through; "50 m" -> 50.0, "2 km" -> 2000.0,
-    "40 per km2" -> 4.0e-05, "0 dB" -> 1.0 (decibels to linear power).
-    """
-    if isinstance(value, bool):
-        raise ValueError(f"must be a quantity, got boolean {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if not isinstance(value, str):
-        raise ValueError(f"must be a number or a quantity string, got {value!r}")
-    match = _QUANTITY_RE.match(value)
-    if not match:
-        raise ValueError(f"must be a quantity such as '50 m', got {value!r}")
-    number = float(match.group("num"))
-    unit = match.group("unit").lower()
-    if unit in ("db",):
-        return 10.0 ** (number / 10.0)
-    if unit in _UNIT_SCALE:
-        return number * _UNIT_SCALE[unit]
-    raise ValueError(f"has unknown unit {match.group('unit')!r} in {value!r}")
+# the units of each kind of quantity, each with its scale to base units; ""
+# is a plain number. dB, which is not a scale, is converted on its own
+_PLAIN = {"": 1.0}
+_LENGTH = {**_PLAIN, "m": 1.0, "meter": 1.0, "meters": 1.0, "km": 1e3}
+_DENSITY = {**_PLAIN, "per m2": 1.0, "per m^2": 1.0, "/m2": 1.0,
+            "per km2": 1e-6, "per km^2": 1e-6, "/km2": 1e-6}
+_RATE = {**_PLAIN, "bps/hz": 1.0}
 
 
 def _number(value) -> float:
@@ -109,6 +79,74 @@ def _count(value) -> int:
     if not _is_int(value):
         raise ValueError(f"must be an integer, got {value!r}")
     return int(value)
+
+
+def _quantity(kind: str, units: dict, db: bool = False):
+    """The parser of a setting that takes one kind of quantity: a plain
+    number, or a number in one of units (unit -> scale), or in dB (to
+    linear power) where db is set. The units of other kinds are refused,
+    so "2 dB" is not a length."""
+    def parse(value) -> float:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+        match = _QUANTITY_RE.match(value) if isinstance(value, str) else None
+        unit = match.group("unit").lower() if match else None
+        if db and unit == "db":
+            try:
+                return 10.0 ** (float(match.group("num")) / 10.0)
+            except OverflowError:
+                raise ValueError(f"must be finite in linear power, got {value!r}") from None
+        if unit not in units:
+            raise ValueError(f"must be {kind}, got {value!r}")
+        return float(match.group("num")) * units[unit]
+    return parse
+
+
+_any_unit = _quantity("a quantity such as '50 m', '40 per km2' or '0 dB'",
+                      {**_LENGTH, **_DENSITY, **_RATE}, db=True)
+
+
+def parse_quantity(value) -> float:
+    """Parse a number with an optional unit suffix, of any kind, to base units.
+
+    Plain numbers pass through; "50 m" -> 50.0, "2 km" -> 2000.0,
+    "40 per km2" -> 4.0e-05, "0 dB" -> 1.0 (decibels to linear power),
+    "2 bps/hz" -> 2.0. The config's settings each take one kind only.
+    """
+    return _any_unit(value)
+
+
+_plain = _quantity("a plain number", _PLAIN)
+_length = _quantity("a length such as '50 m' or '2 km'", _LENGTH)
+_density = _quantity("a density such as '40 per km2'", _DENSITY)
+_rate = _quantity("a rate such as '2 bps/hz'", _RATE)
+# each network setting's parser, by the kind of quantity it takes; their
+# ranges are NetworkConfig's
+_NETWORK = {"lambda_p": _density, "n_bar": _plain, "sigma": _length, "alpha": _plain,
+            "gamma_d": _plain, "theta": _quantity("a plain number or in dB such as '3 dB'",
+                                                  _PLAIN, db=True)}
+
+
+def _ranged(parse, ok, needs: str):
+    """The parser of a setting parsed by parse whose value must satisfy ok;
+    needs says what it must be."""
+    def parse_ranged(value):
+        parsed = parse(value)
+        if not ok(parsed):
+            raise ValueError(f"must be {needs}, got {value!r}")
+        return parsed
+    return parse_ranged
+
+
+def _positive(x) -> bool:
+    return 0 < x < math.inf
+
+
+_positive_count = _ranged(_count, lambda n: n >= 1, "an integer >= 1")
+_sigma = _ranged(_length, _positive, "a finite length > 0")
+_lambda_p = _ranged(_density, _positive, "a finite density > 0")
+_fraction = _ranged(_number, lambda x: 0 <= x <= 1, "a number in [0, 1]")
+_finite_non_negative = _ranged(_number, lambda x: 0 <= x < math.inf, "a finite number >= 0")
 
 
 def _one_of(choices):
@@ -145,7 +183,7 @@ def _section(raw, name: str, parsers: dict) -> dict:
     for key, value in raw.items():
         try:
             parsed[key] = parsers[key](value)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # float() of a huge integer
             raise ValueError(f"{name} setting {key!r} {exc}") from None
     return parsed
 
@@ -349,42 +387,44 @@ def _per_km2(value) -> float:
 
 
 def _pair(pair) -> dict:
-    """A policy-histogram pair: its sigma and lambda_p as quantities."""
+    """A policy-histogram pair: its sigma (a length) and lambda_p (a
+    density), each finite and > 0."""
     if not isinstance(pair, dict):
         raise ValueError(f"must list {{sigma, lambda_p}} mappings, got {pair!r}")
     missing = [key for key in ("sigma", "lambda_p") if key not in pair]
     if missing:
         raise ValueError(f"has no {' or '.join(map(repr, missing))} in {pair!r}")
-    return {key: parse_quantity(pair[key]) for key in ("sigma", "lambda_p")}
+    return {"sigma": _sigma(pair["sigma"]), "lambda_p": _lambda_p(pair["lambda_p"])}
 
 
 # each experiment: its runner, and per setting a parser and a default (None
 # for none). A default goes through its parser too, so custom-sweep's empty
-# values fails unless the config gives some.
+# values fails unless the config gives some. custom-sweep's values are
+# parsed as the network setting they sweep (experiment_params).
 _EXPERIMENTS = {
     "coverage-vs-sigma": (_run_coverage_vs_sigma, {
-        "sigma_m": (_list(parse_quantity), (10.0, 25.0, 50.0, 100.0)),
-        "lambda_p_per_m2": (_list(parse_quantity), (10e-6, 20e-6, 40e-6)),
-        "lambda_p_per_km2": (_list(_per_km2), None),  # read as lambda_p_per_m2
-        "c": (_number, 1.0),
+        "sigma_m": (_list(_sigma), (10.0, 25.0, 50.0, 100.0)),
+        "lambda_p_per_m2": (_list(_lambda_p), (10e-6, 20e-6, 40e-6)),
+        "lambda_p_per_km2": (_list(_ranged(_per_km2, _positive, "a finite density > 0")),
+                             None),  # read as lambda_p_per_m2
+        "c": (_fraction, 1.0),
     }),
     "offload-vs-beta": (_run_offload_vs_beta, {
-        "beta": (_list(_number), (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5)),
+        "beta": (_list(_finite_non_negative), (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5)),
     }),
     "policy-histogram": (_run_policy_histogram, {
         "pairs": (_list(_pair), ({"sigma": 10.0, "lambda_p": 20e-6},
                                  {"sigma": 100.0, "lambda_p": 50e-6})),
     }),
     "validate-bounds": (_run_validate_bounds, {
-        "decades": (_number, 6),
-        "points": (_count, 30),
+        "decades": (_finite_non_negative, 6),
+        "points": (_positive_count, 30),
     }),
     "custom-sweep": (_run_custom_sweep, {
-        "parameter": (_one_of(("sigma", "lambda_p", "n_bar", "alpha", "theta", "gamma_d")),
-                      "sigma"),
-        "values": (_list(parse_quantity, non_empty=True), ()),
+        "parameter": (_one_of(_NETWORK), "sigma"),
+        "values": (_list(lambda value: value, non_empty=True), ()),
         "metric": (_one_of(_METRICS), "coverage-exact"),
-        "c": (_number, 1.0),
+        "c": (_fraction, 1.0),
         "policy": (_one_of(_POLICIES), "zipf-proportional"),
     }),
 }
@@ -394,8 +434,9 @@ EXPERIMENTS = tuple(_EXPERIMENTS)
 def experiment_params(name: str, raw) -> dict:
     """The settings of experiment name: the mapping raw (None for none)
     checked and parsed against the experiment's table, a lambda_p_per_km2
-    list read as lambda_p_per_m2, and the defaults of the settings it does
-    not give. Parsed settings parse to themselves."""
+    list read as lambda_p_per_m2, custom-sweep's values in the units of
+    its parameter, and the defaults of the settings it does not give.
+    Parsed settings parse to themselves."""
     table = _EXPERIMENTS[name][1]
     parsers = {key: parse for key, (parse, _) in table.items()}
     params = _section(raw, name, parsers)
@@ -406,7 +447,11 @@ def experiment_params(name: str, raw) -> dict:
         params["lambda_p_per_m2"] = params.pop("lambda_p_per_km2")
     defaults = {key: default for key, (_, default) in table.items()
                 if key not in params and default is not None}
-    return {**_section(defaults, name, parsers), **params}
+    params = {**_section(defaults, name, parsers), **params}
+    if name == "custom-sweep":
+        parse = _list(_NETWORK[params["parameter"]])
+        params.update(_section({"values": params["values"]}, name, {"values": parse}))
+    return params
 
 
 def run_experiment(spec: ExperimentSpec):

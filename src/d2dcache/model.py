@@ -4,13 +4,14 @@ Devices live in Gaussian clusters (a Thomas cluster process), share a common
 content library with Zipf-distributed request popularity, and cache files
 probabilistically: file m is cached independently at every device with
 probability c_m, with the vector c filling the per-device cache budget M in
-expectation (sum over m of c_m equals M).
+expectation (sum over m of c_m equals M). A link is covered when its SIR
+reaches the one threshold theta of NetworkConfig.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,16 +30,6 @@ __all__ = [
 POPULARITY_SUM_TOL = 1e-12
 POLICY_SUM_TOL = 1e-8
 POLICY_BOX_TOL = 1e-12
-
-_THETA_RHO_REL_TOL = 1e-9
-
-
-def _theta_from_rho(rho: float) -> float:
-    """theta = 2**rho - 1; inf where that overflows, which NetworkConfig rejects."""
-    try:
-        return 2.0**rho - 1.0
-    except OverflowError:
-        return math.inf
 
 
 @dataclass(frozen=True)
@@ -60,10 +51,9 @@ class NetworkConfig:
     gamma_d : float
         D2D transmit power (arbitrary units; cancels in the SIR).
     theta : float
-        SIR threshold, linear scale.
-    rho : float
-        Rate threshold [bits/sec/Hz]; theta = 2**rho - 1. Either theta or
-        rho may be given at construction; the other is derived.
+        SIR threshold, linear scale; required. A rate threshold rho
+        [bits/sec/Hz] is the threshold theta = 2**rho - 1, which the config
+        loader converts.
     """
 
     lambda_p: float
@@ -72,7 +62,6 @@ class NetworkConfig:
     alpha: float
     gamma_d: float = 1.0
     theta: float | None = None
-    rho: float | None = None
 
     def __post_init__(self):
         for name in ("lambda_p", "n_bar", "sigma", "gamma_d"):
@@ -81,44 +70,15 @@ class NetworkConfig:
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
         if not (self.alpha > 2 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be finite and exceed 2, got {self.alpha!r}")
-
-        theta, rho = self.theta, self.rho
-        if theta is None and rho is None:
-            raise ValueError("one of theta or rho must be given")
-        if theta is None:
-            theta = _theta_from_rho(rho)
-        elif rho is None:
-            rho = math.log2(1.0 + theta)
-        else:
-            expected = _theta_from_rho(rho)
-            tol = _THETA_RHO_REL_TOL * max(1.0, abs(expected))
-            if not math.isfinite(expected) or abs(theta - expected) > tol:
-                raise ValueError(
-                    f"inconsistent thresholds: theta={theta!r} but 2**rho - 1 = {expected!r}"
-                )
-        if not (theta > 0 and math.isfinite(theta)):
+        theta = self.theta
+        if theta is None or not (theta > 0 and math.isfinite(theta)):
             raise ValueError(f"theta must be finite and strictly positive, got {theta!r}")
-        # frozen dataclass: bypass immutability once to store canonical values
+        # frozen dataclass: bypass immutability once to store theta as a float
         object.__setattr__(self, "theta", float(theta))
-        object.__setattr__(self, "rho", float(rho))
 
     def with_(self, **changes) -> "NetworkConfig":
-        """Copy with some fields replaced; theta/rho are re-derived coherently."""
-        fields = {
-            "lambda_p": self.lambda_p,
-            "n_bar": self.n_bar,
-            "sigma": self.sigma,
-            "alpha": self.alpha,
-            "gamma_d": self.gamma_d,
-            "theta": self.theta,
-            "rho": self.rho,
-        }
-        if "theta" in changes and "rho" not in changes:
-            fields["rho"] = None
-        if "rho" in changes and "theta" not in changes:
-            fields["theta"] = None
-        fields.update(changes)
-        return NetworkConfig(**fields)
+        """Copy with some fields replaced, checked as a new config."""
+        return replace(self, **changes)
 
 
 def zipf_popularity(n_files: int, beta: float) -> np.ndarray:

@@ -208,7 +208,9 @@ def _conditional_coverage(t: np.ndarray, cfg: NetworkConfig, r0: float,
     fading and the desired signal's are averaged out exactly. The requests
     are sampled in chunks of _CHUNK, each from its own SFC64 stream keyed by
     one draw of rng and the chunk's index (_near_exponents). The far-field
-    table over the t range (_far_field) and the chunks are the items of one
+    table over the t range (_far_field) is built at the default
+    QuadratureSpec(), whatever quadrature a caller configured for exact
+    coverage. The table and the chunks are the items of one
     _thread_map, the table first: the nodes it lacks run as one serial
     batch on the thread that takes it (a nested map), beside the sampling
     on the others. The values do not depend on the thread count. If an

@@ -157,6 +157,19 @@ class TestZetaKernel:
         with pytest.raises(ValueError, match="t_gamma must be >= 0"):
             zeta_kernel(30.0, t_gamma, ref_cfg, QUAD)
 
+    @pytest.mark.parametrize("t_gamma", [1e-3, 1.0, 1e4, 1e8])
+    def test_array_equals_scalar_calls(self, ref_cfg, t_gamma):
+        v = np.array([0.0, 10.0, 50.0, 120.0, 400.0, 2000.0, 1e4])
+        z = zeta_kernel(v, t_gamma, ref_cfg, QUAD)
+        assert isinstance(z, np.ndarray) and z.shape == v.shape
+        assert np.array_equal(z, [zeta_kernel(float(x), t_gamma, ref_cfg, QUAD) for x in v])
+
+    def test_zero_threshold_gives_zero_mass(self, ref_cfg):
+        z = zeta_kernel(np.array([0.0, 30.0, 500.0]), 0.0, ref_cfg, QUAD)
+        assert isinstance(z, np.ndarray) and np.array_equal(z, np.zeros(3))
+        scalar = zeta_kernel(30.0, 0.0, ref_cfg, QUAD)
+        assert scalar == 0.0 and type(scalar) is float
+
 
 def _naive_laplace(t_gamma, cfg):
     """Second route: adaptive Gauss-Kronrod on the unrearranged double integral.

@@ -176,26 +176,30 @@ network:
         assert main(["run", "--config", path]) == 2
         assert f"'{key}'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", [
-        "library:\n  beta: .nan\n", "library:\n  beta: .inf\n",
-        "run:\n  experiment: offload-vs-beta\n"
-        "experiments:\n  offload-vs-beta:\n    beta: [.nan]\n"],
+    @pytest.mark.parametrize("text, message", [
+        ("library:\n  beta: .nan\n", "beta must be a finite number >= 0"),
+        ("library:\n  beta: .inf\n", "beta must be a finite number >= 0"),
+        ("run:\n  experiment: offload-vs-beta\n"
+         "experiments:\n  offload-vs-beta:\n    beta: [.nan]\n",
+         "offload-vs-beta setting 'beta' must be a finite number >= 0, got nan")],
         ids=["library-nan", "library-inf", "offload-vs-beta-nan"])
-    def test_non_finite_beta_is_usage_error(self, tmp_path, capsys, text):
+    def test_non_finite_beta_is_usage_error(self, tmp_path, capsys, text, message):
         # a NaN beta made the popularity all NaN, and the run exited 3 with
         # an infeasible policy
         path = write_config(tmp_path, text)
         assert main(["run", "--config", path, "--trials", "1000",
                      "--out", str(tmp_path / "out.csv")]) == 2
-        assert "beta must be a finite number >= 0" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("config_seed, flags", [("-3", []), ("0", ["--seed", "-3"])])
     def test_negative_seed_is_usage_error_naming_seed(self, tmp_path, capsys,
                                                       config_seed, flags):
+        # the config's seed is refused as it loads, the flag's by the spec
         path = write_config(tmp_path, "run:\n  experiment: validate-bounds\n"
                                       f"  seed: {config_seed}\n")
         assert main(["run", "--config", path, *flags]) == 2
-        assert "seed must be an integer >= 0, got -3" in capsys.readouterr().err
+        named = "seed" if flags else "run setting 'seed'"
+        assert f"{named} must be an integer >= 0, got -3" in capsys.readouterr().err
 
     def test_both_density_units_rejected(self, tmp_path):
         text = ("experiments:\n  coverage-vs-sigma:\n"
@@ -263,6 +267,96 @@ def test_solve_refuses_a_bad_custom_sweep(tmp_path, capsys, setting):
     assert main(["solve", "--config", path]) == 2
     key = setting.split(":")[0]
     assert f"custom-sweep setting '{key}' must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, key", [
+    ("network: {sigma: 2 dB}", "sigma"),
+    ("network: {lambda_p: 50 m}", "lambda_p"),
+    ("network: {theta: 40 per km2}", "theta"),
+    ("network: {n_bar: 8 km}", "n_bar"),
+    ("network: {alpha: 4 m}", "alpha"),
+    ("network: {gamma_d: 1 dB}", "gamma_d"),
+    ("network: {rho: 2 m}", "rho"),
+    ("experiments: {coverage-vs-sigma: {sigma_m: [2 dB]}}", "sigma_m"),
+    ("experiments: {coverage-vs-sigma: {lambda_p_per_m2: [50 m]}}", "lambda_p_per_m2"),
+    ("experiments: {policy-histogram: {pairs: [{sigma: 5 dB, lambda_p: 2e-5}]}}", "pairs"),
+    ("experiments: {policy-histogram: {pairs: [{sigma: 10, lambda_p: 5 m}]}}", "pairs"),
+    ("experiments: {custom-sweep: {parameter: sigma, values: [3 dB]}}", "values"),
+    ("experiments: {custom-sweep: {parameter: lambda_p, values: [5 m]}}", "values"),
+    ("experiments: {custom-sweep: {parameter: n_bar, values: [8 km]}}", "values"),
+    ("experiments: {custom-sweep: {parameter: theta, values: [40 per km2]}}", "values")],
+    ids=["sigma", "lambda_p", "theta", "n_bar", "alpha", "gamma_d", "rho", "sigma_m",
+         "lambda_p_per_m2", "pair-sigma", "pair-lambda_p", "sweep-sigma",
+         "sweep-lambda_p", "sweep-n_bar", "sweep-theta"])
+def test_unit_of_another_kind_is_refused(tmp_path, capsys, text, key):
+    # each of these loaded, converted by its unit alone ("2 dB" as 1.585 m)
+    assert main(["solve", "--config", write_config(tmp_path, text + "\n")]) == 2
+    assert f"setting '{key}' must be a" in capsys.readouterr().err
+
+
+def test_sweep_values_take_the_units_of_their_parameter(tmp_path):
+    for parameter, values, parsed in (("theta", "[0 dB, 2]", [1.0, 2.0]),
+                                      ("sigma", "[1 km, 20 m]", [1000.0, 20.0]),
+                                      ("lambda_p", "[40 per km2]", [40e-6])):
+        path = write_config(tmp_path, "experiments:\n  custom-sweep: "
+                                      f"{{parameter: {parameter}, values: {values}}}\n")
+        params = load_config(path).experiment_params["custom-sweep"]
+        assert params["values"] == pytest.approx(parsed, rel=1e-15)
+
+
+@pytest.mark.parametrize("text, key", [
+    ("run: {seed: -1}", "seed"),
+    ("experiments: {validate-bounds: {points: 0}}", "points"),
+    ("experiments: {validate-bounds: {decades: .nan}}", "decades"),
+    ("experiments: {validate-bounds: {decades: -1}}", "decades"),
+    ("experiments: {coverage-vs-sigma: {c: 2}}", "c"),
+    ("experiments: {custom-sweep: {values: [10], c: -0.5}}", "c"),
+    ("experiments: {coverage-vs-sigma: {sigma_m: [-5 m]}}", "sigma_m"),
+    ("experiments: {coverage-vs-sigma: {sigma_m: [.inf]}}", "sigma_m"),
+    ("experiments: {coverage-vs-sigma: {lambda_p_per_m2: [0]}}", "lambda_p_per_m2"),
+    ("experiments: {coverage-vs-sigma: {lambda_p_per_km2: [-40]}}", "lambda_p_per_km2"),
+    ("experiments: {offload-vs-beta: {beta: [-1]}}", "beta"),
+    ("experiments: {offload-vs-beta: {beta: [.inf]}}", "beta"),
+    ("experiments: {policy-histogram: {pairs: [{sigma: -5, lambda_p: 2e-5}]}}", "pairs"),
+    ("network: {rho: 0}", "rho"),
+    ("network: {rho: -1 bps/hz}", "rho"),
+    ("network: {rho: .nan}", "rho"),
+    ("network: {rho: .inf}", "rho"),
+    ("network: {rho: 2000}", "rho"),
+    ("network: {theta: 5000 dB}", "theta"),
+    ("experiments: {custom-sweep: {parameter: theta, values: [5000 dB]}}", "values")],
+    ids=["seed", "points", "decades-nan", "decades-negative", "c-above-1", "sweep-c",
+         "sigma_m-negative", "sigma_m-inf", "lambda_p_per_m2", "lambda_p_per_km2",
+         "beta-negative", "beta-inf", "pair-sigma", "rho-0", "rho-negative", "rho-nan",
+         "rho-inf", "rho-overflow", "theta-overflow", "sweep-theta-overflow"])
+def test_out_of_range_setting_is_refused(tmp_path, capsys, text, key):
+    # solve loaded most of these and exited 0 (points 0 ran no checks); the
+    # rho cases named theta, and 5000 dB raised OverflowError
+    assert main(["solve", "--config", write_config(tmp_path, text + "\n")]) == 2
+    assert f"setting '{key}' must be" in capsys.readouterr().err
+
+
+def test_integer_too_large_for_a_float_is_refused(tmp_path, capsys):
+    # float() raised OverflowError, and the command exited with a traceback
+    path = write_config(tmp_path, "network: {n_bar: 1" + "0" * 400 + "}\n")
+    assert main(["solve", "--config", path]) == 2
+    assert "network setting 'n_bar'" in capsys.readouterr().err
+
+
+def test_range_ends_load(tmp_path):
+    path = write_config(tmp_path, """
+run: {seed: 0}
+experiments:
+  validate-bounds: {points: 1, decades: 0}
+  coverage-vs-sigma: {c: 0}
+  offload-vs-beta: {beta: [0]}
+  custom-sweep: {values: [10], c: 1}
+""")
+    params = load_config(path).experiment_params
+    assert params["validate-bounds"] == {"points": 1, "decades": 0.0}
+    assert params["coverage-vs-sigma"]["c"] == 0.0
+    assert params["offload-vs-beta"]["beta"] == [0.0]
+    assert params["custom-sweep"]["c"] == 1.0
 
 
 class TestEmitResults:
@@ -508,6 +602,27 @@ experiments:
         assert main(["run", "--config", path, "--experiment", "policy-histogram"]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and "'pairs'" in err and missing in err
+
+    def test_numerical_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        def fail(library, cfg):
+            raise analytic.NumericalError("quadrature did not converge")
+
+        monkeypatch.setattr(cli, "solve_p1", fail)
+        assert main(["solve", "--config", write_config(tmp_path, "")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical failure: quadrature did not converge\n"
+
+    def test_experiment_flag_runs_as_the_configured_experiment(self, tmp_path, capsys):
+        settings = "experiments:\n  validate-bounds: {points: 4, decades: 2}\n"
+        flagged = write_config(tmp_path, settings, name="flagged.yaml")
+        configured = write_config(tmp_path, "run: {experiment: validate-bounds}\n" + settings,
+                                  name="configured.yaml")
+        assert main(["run", "--config", flagged, "--experiment", "validate-bounds"]) == 0
+        first = capsys.readouterr().out
+        assert first.startswith("check,x_value,method,value,passed\n")
+        assert main(["run", "--config", configured]) == 0
+        assert capsys.readouterr().out == first
 
     def test_missing_config_is_usage_error(self, capsys):
         assert main(["run", "--config", "/nonexistent/nope.yaml"]) == 2

@@ -6,7 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
+import yaml
 
+from d2dcache.cli import load_config
 from d2dcache.model import (
     CachingPolicy,
     ContentLibrary,
@@ -24,28 +26,34 @@ ZIPF_SUM_100_05 = 18.589603824784153  # sum of k**-0.5 for k = 1..100
 Q1_100_05 = 0.053793507888897204      # leading Zipf probability, N=100 beta=0.5
 
 
+def load_network(tmp_path, text):
+    """The NetworkConfig that a config file of text loads to."""
+    path = tmp_path / "config.yaml"
+    path.write_text(text)
+    return load_config(str(path)).network
+
+
 class TestNetworkConfig:
-    def test_theta_canonical_from_rho(self):
-        cfg = NetworkConfig(lambda_p=1e-5, n_bar=4, sigma=10, alpha=4, rho=2.0)
-        assert cfg.theta == pytest.approx(3.0, rel=1e-12)
-        assert cfg.rho == 2.0
+    # theta is the one threshold; a config file's rate threshold rho loads
+    # as theta = 2**rho - 1, so the rho cases load a config
 
-    def test_rho_derived_from_theta(self):
-        cfg = NetworkConfig(lambda_p=1e-5, n_bar=4, sigma=10, alpha=4, theta=1.0)
-        assert cfg.rho == pytest.approx(1.0, rel=1e-12)
+    def test_theta_canonical_from_rho(self, tmp_path):
+        cfg = load_network(tmp_path, "network: {rho: 2}\n")
+        assert cfg.theta == 3.0 and type(cfg.theta) is float
+        assert not hasattr(cfg, "rho")
+        assert load_network(tmp_path, "network: {rho: 2 bps/hz}\n") == cfg
+        assert load_network(tmp_path, "network: {theta: 3}\n") == cfg
 
-    def test_consistent_pair_accepted(self):
-        cfg = NetworkConfig(lambda_p=1e-5, n_bar=4, sigma=10, alpha=4,
-                            theta=3.0, rho=2.0)
-        assert cfg.theta == 3.0
+    def test_consistent_pair_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="network takes theta or rho, not both"):
+            load_network(tmp_path, "network: {theta: 3, rho: 2}\n")
 
-    def test_inconsistent_pair_rejected(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            NetworkConfig(lambda_p=1e-5, n_bar=4, sigma=10, alpha=4,
-                          theta=3.0, rho=1.0)
+    def test_inconsistent_pair_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="network takes theta or rho, not both"):
+            load_network(tmp_path, "network: {theta: 3, rho: 1}\n")
 
     def test_threshold_required(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="theta"):
             NetworkConfig(lambda_p=1e-5, n_bar=4, sigma=10, alpha=4)
 
     @pytest.mark.parametrize("field,value", [
@@ -64,23 +72,24 @@ class TestNetworkConfig:
         dict(rho=math.inf), dict(rho=math.nan), dict(rho=2000.0),
         dict(theta=math.inf, rho=math.inf), dict(theta=1.0, rho=2000.0),
     ])
-    def test_non_finite_rate_threshold_rejected(self, thresholds):
+    def test_non_finite_rate_threshold_rejected(self, tmp_path, thresholds):
         # 2**rho - 1 is infinite (or overflows) for each of these
-        with pytest.raises(ValueError):
-            NetworkConfig(lambda_p=1e-5, n_bar=4.0, sigma=10.0, alpha=4.0, **thresholds)
+        with pytest.raises(ValueError, match="network setting 'rho' must be a rate"):
+            load_network(tmp_path, yaml.safe_dump({"network": thresholds}))
 
     def test_immutable(self, ref_cfg):
         with pytest.raises(dataclasses.FrozenInstanceError):
             ref_cfg.sigma = 1.0
 
-    def test_with_rederives_rho(self, ref_cfg):
-        changed = ref_cfg.with_(theta=3.0)
-        assert changed.rho == pytest.approx(2.0, rel=1e-12)
-        assert changed.sigma == ref_cfg.sigma
-
-    def test_with_rederives_theta(self, ref_cfg):
-        changed = ref_cfg.with_(rho=0.5)
-        assert changed.theta == pytest.approx(2.0**0.5 - 1.0, rel=1e-12)
+    def test_with_replaces_fields(self, ref_cfg):
+        changed = ref_cfg.with_(theta=3, sigma=20.0)
+        assert changed == NetworkConfig(ref_cfg.lambda_p, ref_cfg.n_bar, 20.0,
+                                        ref_cfg.alpha, ref_cfg.gamma_d, 3.0)
+        assert type(changed.theta) is float
+        with pytest.raises(ValueError, match="theta"):
+            ref_cfg.with_(theta=0.0)
+        with pytest.raises(TypeError, match="rho"):
+            ref_cfg.with_(rho=1.0)
 
 
 class TestZipfPopularity:
