@@ -81,15 +81,24 @@ class TestNetworkConfig:
         with pytest.raises(dataclasses.FrozenInstanceError):
             ref_cfg.sigma = 1.0
 
-    def test_with_replaces_fields(self, ref_cfg):
+    # with_ replaces fields and re-runs the checks; with one threshold
+    # there is nothing left for it to derive
+
+    def test_with_rederives_rho(self, ref_cfg):
         changed = ref_cfg.with_(theta=3, sigma=20.0)
         assert changed == NetworkConfig(ref_cfg.lambda_p, ref_cfg.n_bar, 20.0,
                                         ref_cfg.alpha, ref_cfg.gamma_d, 3.0)
         assert type(changed.theta) is float
+        assert math.log2(1.0 + changed.theta) == pytest.approx(2.0, rel=1e-12)
         with pytest.raises(ValueError, match="theta"):
             ref_cfg.with_(theta=0.0)
+
+    def test_with_rederives_theta(self, ref_cfg, tmp_path):
         with pytest.raises(TypeError, match="rho"):
             ref_cfg.with_(rho=1.0)
+        loaded = load_network(tmp_path, "network: {rho: 0.5}\n")
+        assert loaded.theta == pytest.approx(2.0**0.5 - 1.0, rel=1e-12)
+        assert loaded.with_(sigma=20.0).theta == loaded.theta
 
 
 class TestZipfPopularity:
