@@ -23,7 +23,7 @@ from .analytic import (
     offloading_gain,
     zeta_kernel,
 )
-from .cli import RunSettings, emit_results, load_config, main, parse_quantity
+from .cli import RunSettings, emit_results, load_config, main
 from .experiments import EXPERIMENTS, ExperimentSpec, policy_entropy, run_experiment
 from .model import (
     CachingPolicy,
@@ -89,7 +89,6 @@ __all__ = [
     "run_experiment",
     "policy_entropy",
     "RunSettings",
-    "parse_quantity",
     "load_config",
     "emit_results",
     "main",

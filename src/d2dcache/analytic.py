@@ -221,10 +221,9 @@ def _rician_pdf(u, v, sigma):
     Evaluated as (u/sigma^2) exp(-(u-v)^2 / 2 sigma^2) i0e(u v / sigma^2),
     where i0e is the exponentially scaled modified Bessel function; the
     rescaling keeps the product finite for arbitrarily large u v / sigma^2.
-    Accepts scalars or broadcastable arrays.
+    Accepts scalars or broadcastable arrays; sigma > 0, as NetworkConfig
+    holds it.
     """
-    if not sigma > 0:
-        raise ValueError(f"sigma must be > 0, got {sigma!r}")
     u_arr = np.asarray(u, dtype=float)
     v_arr = np.asarray(v, dtype=float)
     if np.any(u_arr < 0) or np.any(v_arr < 0):

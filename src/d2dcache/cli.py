@@ -4,14 +4,15 @@ Config files are YAML with optional sections network / library / run /
 quadrature / experiments; an empty file runs the reference scenario
 (sigma = 50 m, 40 clusters per km^2, 8 devices per cluster, alpha = 4,
 0 dB SIR threshold, 100 files, Zipf 0.5, cache budget 5). Every setting
-has one parser: _SETTINGS here for the first four sections, and
-experiments.experiment_params for each experiment's. A wrong type, an
-unknown key, or a value outside a setting's allowed set or range, or in
-units of another kind ("2 dB" for a length) is a configuration error
-naming the section and key. Dimensioned values accept the unit suffixes of
-their kind: "50 m", "0 dB" (to linear), "40 per km2" (to per-m^2). The
-model has one threshold, theta; network.rho, a rate threshold in
-bits/s/Hz, is read as theta = 2**rho - 1. Results
+has one parser of its type and unit (_SETTINGS here for the first four
+sections, experiments.experiment_params for each experiment's), and the
+class that consumes it checks its range as the config loads. A wrong
+type, an unknown key, a value outside a setting's allowed set or range,
+or in units of another kind ("2 dB" for a length) is a configuration
+error naming the section and key. Dimensioned values accept the unit
+suffixes of their kind: "50 m", "0 dB" (to linear), "40 per km2" (to
+per-m^2). The model has one threshold, theta; network.rho, a rate
+threshold in bits/s/Hz, is read as theta = 2**rho - 1. Results
 are written as CSV or JSON lines with numbers at 12 significant digits,
 parameter columns before metric columns, and are byte identical for a
 fixed config, seed, and trial count.
@@ -36,15 +37,13 @@ from .experiments import (
     _NETWORK,
     EXPERIMENTS,
     ExperimentSpec,
+    _consumed,
     _count,
     _number,
     _one_of,
-    _positive_count,
-    _ranged,
     _rate,
     _section,
     experiment_params,
-    parse_quantity,
     policy_entropy,
     run_experiment,
 )
@@ -52,15 +51,14 @@ from .model import ContentLibrary, NetworkConfig
 from .optimizer import solve_p1
 
 __all__ = [
-    "parse_quantity",
     "RunSettings",
     "load_config",
     "emit_results",
     "main",
 ]
 
-_DEFAULT_NETWORK = dict(lambda_p=40e-6, n_bar=8.0, sigma=50.0, alpha=4.0,
-                        gamma_d=1.0, theta=1.0)
+_DEFAULT_NETWORK = NetworkConfig(lambda_p=40e-6, n_bar=8.0, sigma=50.0, alpha=4.0,
+                                 gamma_d=1.0, theta=1.0)
 _DEFAULT_LIBRARY = dict(n_files=100, beta=0.5, cache_size=5)
 
 
@@ -84,13 +82,13 @@ _NO_POOL = "the worker-process pool has been removed; threads spread each run ov
 
 def _theta_from_rate(value) -> float:
     """A rate threshold rho [bits/sec/Hz] as the SIR threshold theta =
-    2**rho - 1, which must be finite and > 0."""
+    2**rho - 1, which must be finite; NetworkConfig checks its range."""
     try:
         theta = 2.0 ** _rate(value) - 1.0
     except OverflowError:
         theta = math.inf
-    if not 0 < theta < math.inf:
-        raise ValueError(f"must be a rate whose 2**rho - 1 is finite and > 0, got {value!r}")
+    if not math.isfinite(theta):
+        raise ValueError(f"must be a rate whose 2**rho - 1 is finite, got {value!r}")
     return theta
 
 
@@ -109,8 +107,8 @@ def _one_worker(value) -> int:
     return value
 
 
-# each config section's settings, each with its parser; experiments'
-# settings are experiments.experiment_params's
+# each config section's settings, each with its parser of type and unit;
+# experiments' settings are experiments.experiment_params's
 _SETTINGS = {
     "network": {**_NETWORK, "rho": _theta_from_rate},  # rho is read as theta
     "library": {"n_files": _count, "beta": _number, "cache_size": _count},
@@ -118,8 +116,7 @@ _SETTINGS = {
                                     "k_max_tail_mass"), _number),
                    "mc_integration_samples": _count, "qmc_seed": _count},
     "run": {"experiment": _one_of(EXPERIMENTS),
-            "trials": _positive_count,
-            "seed": _ranged(_count, lambda n: n >= 0, "an integer >= 0"),
+            "trials": _count, "seed": _count,
             "out": _path, "format": _one_of(("csv", "jsonl")), "workers": _one_worker},
 }
 
@@ -128,15 +125,12 @@ def load_config(path: str) -> RunSettings:
     """Read a YAML config file into resolved settings.
 
     Missing sections and an entirely empty file fall back to the reference
-    scenario defaults. Every setting has one parser (_SETTINGS, and
-    experiments.experiment_params for the experiments' settings): a wrong
-    type, an unknown key, a unit of another kind or a value outside the
-    setting's allowed set or range is an error naming the section and key.
-    A network rho is stored as its theta, so the network gives theta or
-    rho, not both. run.experiment must name an
-    experiment, even for `solve`. A worker count other than 1, from
-    run.workers or the D2DCACHE_WORKERS environment variable, is an
-    error: the worker-process pool is gone.
+    scenario defaults. Each setting is parsed and range-checked as the
+    module docstring says, and an error names its section and key. A
+    network rho is stored as its theta, so the network gives theta or rho,
+    not both. run.experiment must name an experiment, even for `solve`. A
+    worker count other than 1, from run.workers or the D2DCACHE_WORKERS
+    environment variable, is an error: the worker-process pool is gone.
     """
     with open(path, "r", encoding="utf-8") as handle:
         raw = yaml.safe_load(handle)
@@ -159,15 +153,21 @@ def load_config(path: str) -> RunSettings:
     if "rho" in network:
         if "theta" in network:
             raise ValueError("network takes theta or rho, not both")
-        network["theta"] = network.pop("rho")
+        checked = _consumed("network", "rho", _DEFAULT_NETWORK.with_, theta=network.pop("rho"))
+        network["theta"] = checked.theta
+    network = _consumed("network", None, _DEFAULT_NETWORK.with_, **network)
+    # the library's and quadrature's errors name their field, which is the key
+    library = ContentLibrary.from_zipf(**{**_DEFAULT_LIBRARY, **library})
+    _consumed("run", None, ExperimentSpec.check_run, run.get("trials", RunSettings.trials),
+              run.get("seed", RunSettings.seed))
     run.pop("workers", None)
     if "format" in run:
         run["fmt"] = run.pop("format")
     return RunSettings(
-        network=NetworkConfig(**{**_DEFAULT_NETWORK, **network}),
-        library=ContentLibrary.from_zipf(**{**_DEFAULT_LIBRARY, **library}),
+        network=network,
+        library=library,
         quadrature=QuadratureSpec(**quadrature),
-        experiment_params={name: experiment_params(name, section)
+        experiment_params={name: experiment_params(name, section, network, library)
                            for name, section in configured.items()},
         **run,
     )
@@ -199,15 +199,14 @@ def emit_results(columns, rows, out: str | None = None, fmt: str = "csv") -> str
         lines = [",".join(columns)]
         for row in rows:
             lines.append(",".join(_format_cell(row.get(col)) for col in columns))
-        text = "\n".join(lines) + "\n"
     elif fmt == "jsonl":
         lines = [
             json.dumps({col: _json_value(row.get(col)) for col in columns})
             for row in rows
         ]
-        text = "\n".join(lines) + "\n"
     else:
         raise ValueError(f"format must be 'csv' or 'jsonl', got {fmt!r}")
+    text = "\n".join(lines) + "\n"
 
     if out is None:
         sys.stdout.write(text)
@@ -218,17 +217,10 @@ def emit_results(columns, rows, out: str | None = None, fmt: str = "csv") -> str
 
 
 def _cmd_run(args) -> int:
-    settings = load_config(args.config)
-    if args.experiment is not None:
-        settings = replace(settings, experiment=args.experiment)
-    if args.seed is not None:
-        settings = replace(settings, seed=args.seed)
-    if args.trials is not None:
-        settings = replace(settings, trials=args.trials)
-    if args.out is not None:
-        settings = replace(settings, out=args.out)
-    if args.format is not None:
-        settings = replace(settings, fmt=args.format)
+    flags = {"experiment": args.experiment, "seed": args.seed, "trials": args.trials,
+             "out": args.out, "fmt": args.format}
+    settings = replace(load_config(args.config),
+                       **{key: value for key, value in flags.items() if value is not None})
 
     spec = ExperimentSpec(
         name=settings.experiment,

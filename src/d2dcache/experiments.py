@@ -7,20 +7,20 @@ Simulation seeds are derived deterministically from the spec seed and the
 sweep-point index, so a fixed spec reproduces results byte for byte.
 
 An experiment's settings (its sweep axes) are one table at the foot of
-this module: a parser and a default per key, the parser holding any
-allowed values. experiment_params checks a settings mapping against it and
-fills in the defaults, for ExperimentSpec and for the config loader alike.
-The value parsers here (_number, _count, a parser per kind of quantity
-such as _length, and _ranged for a setting's range) serve the config
-loader's own settings table too; parse_quantity takes a quantity in any
-unit.
+this module: a parser of type and unit and a default per key.
+experiment_params checks a settings mapping against it, checks each value
+that a model class takes by building it into the base network or library
+(_consumed), and fills in the defaults, for ExperimentSpec and for the
+config loader alike. c, decades and points, which no model class takes,
+keep their range in the table (_ranged). The value parsers here serve the
+config loader's own settings table too.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -44,7 +44,7 @@ from .model import (
     policy_zipf_proportional,
 )
 from .optimizer import solve_p1
-from .simulator import estimate_coverage, estimate_offloading
+from .simulator import MIN_TRIALS, estimate_coverage, estimate_offloading
 
 __all__ = ["EXPERIMENTS", "ExperimentSpec", "experiment_params", "run_experiment",
            "policy_entropy"]
@@ -83,12 +83,12 @@ def _count(value) -> int:
 
 def _quantity(kind: str, units: dict, db: bool = False):
     """The parser of a setting that takes one kind of quantity: a plain
-    number, or a number in one of units (unit -> scale), or in dB (to
-    linear power) where db is set. The units of other kinds are refused,
-    so "2 dB" is not a length."""
+    number, or a number in one of units (unit -> scale; "" for a plain
+    number), or in dB (to linear power) where db is set. The units of
+    other kinds are refused, so "2 dB" is not a length."""
     def parse(value) -> float:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
+            return float(value) * units[""]
         match = _QUANTITY_RE.match(value) if isinstance(value, str) else None
         unit = match.group("unit").lower() if match else None
         if db and unit == "db":
@@ -100,20 +100,6 @@ def _quantity(kind: str, units: dict, db: bool = False):
             raise ValueError(f"must be {kind}, got {value!r}")
         return float(match.group("num")) * units[unit]
     return parse
-
-
-_any_unit = _quantity("a quantity such as '50 m', '40 per km2' or '0 dB'",
-                      {**_LENGTH, **_DENSITY, **_RATE}, db=True)
-
-
-def parse_quantity(value) -> float:
-    """Parse a number with an optional unit suffix, of any kind, to base units.
-
-    Plain numbers pass through; "50 m" -> 50.0, "2 km" -> 2000.0,
-    "40 per km2" -> 4.0e-05, "0 dB" -> 1.0 (decibels to linear power),
-    "2 bps/hz" -> 2.0. The config's settings each take one kind only.
-    """
-    return _any_unit(value)
 
 
 _plain = _quantity("a plain number", _PLAIN)
@@ -138,15 +124,7 @@ def _ranged(parse, ok, needs: str):
     return parse_ranged
 
 
-def _positive(x) -> bool:
-    return 0 < x < math.inf
-
-
-_positive_count = _ranged(_count, lambda n: n >= 1, "an integer >= 1")
-_sigma = _ranged(_length, _positive, "a finite length > 0")
-_lambda_p = _ranged(_density, _positive, "a finite density > 0")
 _fraction = _ranged(_number, lambda x: 0 <= x <= 1, "a number in [0, 1]")
-_finite_non_negative = _ranged(_number, lambda x: 0 <= x < math.inf, "a finite number >= 0")
 
 
 def _one_of(choices):
@@ -188,12 +166,26 @@ def _section(raw, name: str, parsers: dict) -> dict:
     return parsed
 
 
+def _consumed(section: str, key: str | None, build, *args, **kwargs):
+    """build(*args, **kwargs): the model object that takes a setting of
+    config section section, whose class checks the setting's range. Its
+    ValueError opens with the field at fault, and is re-raised naming the
+    section and the setting: key, or the field where key is None."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        field, _, must = str(exc).partition(" ")
+        named = f"{field!r} {must}" if key in (None, field) else f"{key!r} {must} (as {field})"
+        raise ValueError(f"{section} setting {named}") from None
+
+
 _SEED_STRIDE = 1_000_003  # per-sweep-point seed offset
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything needed to run one named experiment."""
+    """Everything needed to run one named experiment; check_run holds the
+    ranges of its trials and seed."""
 
     name: str
     network: NetworkConfig
@@ -208,12 +200,19 @@ class ExperimentSpec:
             raise ValueError(
                 f"unknown experiment {self.name!r}; choose from {EXPERIMENTS}"
             )
-        if not _is_int(self.trials) or self.trials < 1:
-            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        self.check_run(self.trials, self.seed)
         # frozen dataclass: store the checked settings, defaults filled in
-        object.__setattr__(self, "params", experiment_params(self.name, self.params))
+        object.__setattr__(self, "params", experiment_params(
+            self.name, self.params, self.network, self.library))
+
+    @staticmethod
+    def check_run(trials, seed) -> None:
+        """Refuse fewer trials than the simulator runs (MIN_TRIALS) or a
+        negative seed; the config loader checks run.trials and run.seed here."""
+        if not _is_int(trials) or trials < MIN_TRIALS:
+            raise ValueError(f"trials must be an integer >= {MIN_TRIALS}, got {trials!r}")
+        if not _is_int(seed) or seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def policy_entropy(policy: CachingPolicy) -> float:
@@ -266,9 +265,7 @@ def _run_coverage_vs_sigma(spec: ExperimentSpec):
 def _run_offload_vs_beta(spec: ExperimentSpec):
     rows = []
     for i, beta in enumerate(spec.params["beta"]):
-        lib = ContentLibrary.from_zipf(
-            spec.library.n_files, beta, spec.library.cache_size
-        )
+        lib = replace(spec.library, beta=beta, popularity=None)
         named = (
             ("kkt", solve_p1(lib, spec.network).policy),
             ("zipf-proportional", policy_zipf_proportional(lib)),
@@ -276,18 +273,13 @@ def _run_offload_vs_beta(spec: ExperimentSpec):
         )
         seed = _point_seed(spec.seed, i)
         for policy_name, policy in named:
+            base = {"beta": beta, "policy": policy_name, "seed": seed}
             closed = offloading_closed_form_k1(policy, lib, spec.network)
-            rows.append({
-                "beta": beta, "policy": policy_name,
-                "method": "closed-form-k1", "value": closed,
-                "ci_half_width": 0.0, "trials": 0, "seed": seed,
-            })
+            rows.append({**base, "method": "closed-form-k1", "value": closed,
+                         "ci_half_width": 0.0, "trials": 0})
             sim = estimate_offloading(policy, lib, spec.network, spec.trials, seed=seed)
-            rows.append({
-                "beta": beta, "policy": policy_name, "method": "simulation",
-                "value": sim.mean, "ci_half_width": sim.half_width_95,
-                "trials": sim.trials, "seed": seed,
-            })
+            rows.append({**base, "method": "simulation", "value": sim.mean,
+                         "ci_half_width": sim.half_width_95, "trials": sim.trials})
     columns = ["beta", "policy", "method", "value", "ci_half_width",
                "trials", "seed"]
     return columns, rows
@@ -302,10 +294,9 @@ def _run_policy_histogram(spec: ExperimentSpec):
         for m, c_m in enumerate(solution.policy.probs):
             rows.append({**base, "file_index": m, "method": "policy-c",
                          "value": float(c_m)})
-        rows.append({**base, "file_index": -1, "method": "entropy",
-                     "value": policy_entropy(solution.policy)})
-        rows.append({**base, "file_index": -1, "method": "objective",
-                     "value": solution.objective})
+        for method, value in (("entropy", policy_entropy(solution.policy)),
+                              ("objective", solution.objective)):
+            rows.append({**base, "file_index": -1, "method": method, "value": value})
     columns = ["sigma_m", "lambda_p_per_m2", "file_index", "method", "value"]
     return columns, rows
 
@@ -319,28 +310,23 @@ def _run_validate_bounds(spec: ExperimentSpec):
     bound = laplace_ppp_bound(grid, cfg)
     rows = []
     for t, e_val, b_val in zip(grid, exact, bound):
-        rows.append({"check": "laplace-ordering", "x_value": float(t),
-                     "method": "exact-tcp", "value": float(e_val),
-                     "passed": int(b_val <= e_val + 1e-12)})
-        rows.append({"check": "laplace-ordering", "x_value": float(t),
-                     "method": "ppp-bound", "value": float(b_val),
-                     "passed": int(b_val <= e_val + 1e-12)})
+        passed = int(b_val <= e_val + 1e-12)
+        for method, value in (("exact-tcp", e_val), ("ppp-bound", b_val)):
+            rows.append({"check": "laplace-ordering", "x_value": float(t),
+                         "method": method, "value": float(value), "passed": passed})
 
-    # closed-form consistency of the single-caterer offloading expression
-    lib = spec.library
+    # closed-form consistency of the single-caterer offloading expression:
+    # the k = 1 coverage of file m is c_m n_bar exp(-c_m n_bar) / Z
+    lib, z = spec.library, compute_Z(cfg)
     policy = policy_zipf_proportional(lib)
     closed = offloading_closed_form_k1(policy, lib, cfg)
-
-    def k1_coverage(c_m):
-        z = compute_Z(cfg)
-        return c_m * cfg.n_bar * math.exp(-c_m * cfg.n_bar) / z
-
-    via_gain = offloading_gain(policy, lib, k1_coverage)
+    via_gain = offloading_gain(
+        policy, lib, lambda c_m: c_m * cfg.n_bar * math.exp(-c_m * cfg.n_bar) / z)
     rows.append({"check": "k1-identity", "x_value": 0.0, "method": "residual",
                  "value": abs(closed - via_gain),
                  "passed": int(abs(closed - via_gain) < 1e-6)})
     rows.append({"check": "z-constant", "x_value": 0.0, "method": "value",
-                 "value": compute_Z(cfg), "passed": 1})
+                 "value": z, "passed": 1})
     columns = ["check", "x_value", "method", "value", "passed"]
     return columns, rows
 
@@ -379,23 +365,36 @@ def _run_custom_sweep(spec: ExperimentSpec):
     return columns, rows
 
 
-def _per_km2(value) -> float:
-    """A plain number of clusters per km^2 in per m^2; the key names the unit."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"must list plain numbers of clusters per km^2, got {value!r}")
-    return float(value) * 1e-6
+_PAIR = {"sigma": _length, "lambda_p": _density}
 
 
 def _pair(pair) -> dict:
-    """A policy-histogram pair: its sigma (a length) and lambda_p (a
-    density), each finite and > 0."""
-    if not isinstance(pair, dict):
-        raise ValueError(f"must list {{sigma, lambda_p}} mappings, got {pair!r}")
-    missing = [key for key in ("sigma", "lambda_p") if key not in pair]
-    if missing:
-        raise ValueError(f"has no {' or '.join(map(repr, missing))} in {pair!r}")
-    return {"sigma": _sigma(pair["sigma"]), "lambda_p": _lambda_p(pair["lambda_p"])}
+    """A policy-histogram pair: a settings mapping (_section) of both sigma
+    and lambda_p, and of no other key."""
+    try:
+        parsed = _section(pair, "pair", _PAIR)
+        if len(parsed) < len(_PAIR):
+            raise ValueError(f"pair {pair!r} lacks one of them")
+    except ValueError as exc:
+        raise ValueError(f"must be a list of mappings of 'sigma' and 'lambda_p': {exc}") from None
+    return parsed
 
+
+def _build(field: str, values, network: NetworkConfig, library: ContentLibrary) -> None:
+    """Build each of values into the base library as its beta, or into the
+    base network as its field (a pair as its fields), as the run builds
+    them, so that the model class checks their range."""
+    for value in values:
+        if field == "beta":
+            replace(library, beta=value, popularity=None)  # the Zipf popularity at beta
+        else:
+            network.with_(**(value if field == "pairs" else {field: value}))
+
+
+# the model field that each experiment setting's values are built into;
+# custom-sweep's values go into the field they sweep (experiment_params)
+_FIELDS = {"sigma_m": "sigma", "lambda_p_per_m2": "lambda_p", "lambda_p_per_km2": "lambda_p",
+           "beta": "beta", "pairs": "pairs"}
 
 # each experiment: its runner, and per setting a parser and a default (None
 # for none). A default goes through its parser too, so custom-sweep's empty
@@ -403,22 +402,22 @@ def _pair(pair) -> dict:
 # parsed as the network setting they sweep (experiment_params).
 _EXPERIMENTS = {
     "coverage-vs-sigma": (_run_coverage_vs_sigma, {
-        "sigma_m": (_list(_sigma), (10.0, 25.0, 50.0, 100.0)),
-        "lambda_p_per_m2": (_list(_lambda_p), (10e-6, 20e-6, 40e-6)),
-        "lambda_p_per_km2": (_list(_ranged(_per_km2, _positive, "a finite density > 0")),
-                             None),  # read as lambda_p_per_m2
+        "sigma_m": (_list(_length), (10.0, 25.0, 50.0, 100.0)),
+        "lambda_p_per_m2": (_list(_density), (10e-6, 20e-6, 40e-6)),
+        "lambda_p_per_km2": (_list(_quantity("a plain number of clusters per km^2",
+                                             {"": 1e-6})), None),  # as lambda_p_per_m2
         "c": (_fraction, 1.0),
     }),
     "offload-vs-beta": (_run_offload_vs_beta, {
-        "beta": (_list(_finite_non_negative), (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5)),
+        "beta": (_list(_number), (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5)),
     }),
     "policy-histogram": (_run_policy_histogram, {
         "pairs": (_list(_pair), ({"sigma": 10.0, "lambda_p": 20e-6},
                                  {"sigma": 100.0, "lambda_p": 50e-6})),
     }),
     "validate-bounds": (_run_validate_bounds, {
-        "decades": (_finite_non_negative, 6),
-        "points": (_positive_count, 30),
+        "decades": (_ranged(_number, lambda x: 0 <= x < math.inf, "a finite number >= 0"), 6),
+        "points": (_ranged(_count, lambda n: n >= 1, "an integer >= 1"), 30),
     }),
     "custom-sweep": (_run_custom_sweep, {
         "parameter": (_one_of(_NETWORK), "sigma"),
@@ -431,15 +430,20 @@ _EXPERIMENTS = {
 EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
-def experiment_params(name: str, raw) -> dict:
+def experiment_params(name: str, raw, network: NetworkConfig,
+                      library: ContentLibrary) -> dict:
     """The settings of experiment name: the mapping raw (None for none)
-    checked and parsed against the experiment's table, a lambda_p_per_km2
-    list read as lambda_p_per_m2, custom-sweep's values in the units of
-    its parameter, and the defaults of the settings it does not give.
-    Parsed settings parse to themselves."""
+    checked and parsed against the experiment's table, each value that a
+    model class takes built into network or library (_build), a
+    lambda_p_per_km2 list read as lambda_p_per_m2, custom-sweep's values in
+    the units of its parameter, and the defaults of the settings it does
+    not give. Parsed settings parse to themselves."""
     table = _EXPERIMENTS[name][1]
     parsers = {key: parse for key, (parse, _) in table.items()}
     params = _section(raw, name, parsers)
+    for key, values in params.items():
+        if key in _FIELDS:
+            _consumed(name, key, _build, _FIELDS[key], values, network, library)
     if "lambda_p_per_km2" in params:
         if "lambda_p_per_m2" in params:
             raise ValueError("coverage-vs-sigma takes lambda_p_per_m2 or "
@@ -449,8 +453,10 @@ def experiment_params(name: str, raw) -> dict:
                 if key not in params and default is not None}
     params = {**_section(defaults, name, parsers), **params}
     if name == "custom-sweep":
-        parse = _list(_NETWORK[params["parameter"]])
+        parameter = params["parameter"]
+        parse = _list(_NETWORK[parameter])
         params.update(_section({"values": params["values"]}, name, {"values": parse}))
+        _consumed(name, "values", _build, parameter, params["values"], network, library)
     return params
 
 

@@ -5,7 +5,9 @@ content library with Zipf-distributed request popularity, and cache files
 probabilistically: file m is cached independently at every device with
 probability c_m, with the vector c filling the per-device cache budget M in
 expectation (sum over m of c_m equals M). A link is covered when its SIR
-reaches the one threshold theta of NetworkConfig.
+reaches the one threshold theta of NetworkConfig. Each class checks the
+ranges of its fields, and its ValueError opens with the field's name, which
+the config loader turns into the setting's (experiments._consumed).
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ class NetworkConfig:
         for name in ("lambda_p", "n_bar", "sigma", "gamma_d"):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
+                raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
         if not (self.alpha > 2 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be finite and exceed 2, got {self.alpha!r}")
         theta = self.theta
@@ -99,7 +101,10 @@ def zipf_popularity(n_files: int, beta: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ContentLibrary:
-    """File catalog: size, Zipf skew, per-device cache budget, popularity vector."""
+    """File catalog: size, Zipf skew, per-device cache budget, popularity vector.
+
+    Without a popularity vector, zipf_popularity builds it and checks
+    n_files and beta; beta is read for nothing else."""
 
     n_files: int
     beta: float
@@ -107,15 +112,6 @@ class ContentLibrary:
     popularity: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.n_files < 1:
-            raise ValueError(f"n_files must be >= 1, got {self.n_files!r}")
-        if not (math.isfinite(self.beta) and self.beta >= 0):
-            raise ValueError(f"beta must be a finite number >= 0, got {self.beta!r}")
-        if not 1 <= self.cache_size < self.n_files:
-            raise ValueError(
-                f"cache_size must satisfy 1 <= M < n_files, got M={self.cache_size!r}, "
-                f"n_files={self.n_files!r}"
-            )
         q = self.popularity
         if q is None:
             q = zipf_popularity(self.n_files, self.beta)
@@ -128,6 +124,11 @@ class ContentLibrary:
             if np.any(np.diff(q) > 0):
                 raise ValueError("popularity must be non-increasing in the file rank")
             q.setflags(write=False)
+        if not 1 <= self.cache_size < self.n_files:
+            raise ValueError(
+                f"cache_size must satisfy 1 <= M < n_files, got M={self.cache_size!r}, "
+                f"n_files={self.n_files!r}"
+            )
         object.__setattr__(self, "popularity", q)
 
     @classmethod

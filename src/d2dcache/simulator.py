@@ -83,6 +83,7 @@ __all__ = [
     "estimate_offloading",
 ]
 
+# fewest trials an estimator takes, and so an experiment (ExperimentSpec)
 MIN_TRIALS = 1000
 _CHUNK = 1024
 # largest node error estimate the far-field table accepts

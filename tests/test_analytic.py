@@ -266,6 +266,65 @@ class TestLaplaceTransforms:
             )
 
 
+def point_cluster_exponent(t_gamma, cfg):
+    """The exact exponent's limit as sigma -> 0 at fixed t_gamma, where each
+    member sits at its cluster's center:
+    E0 = 2 pi lambda_p * integral over v of (1 - exp(-x)) v dv, with
+    x = n_bar t / (t + v^alpha). It is a 1-D integral with no Rician
+    density: the integral of x v, in closed form
+    n_bar t^(2/alpha) (pi/alpha) / sin(2 pi/alpha), minus that of
+    x - 1 + exp(-x), which decays like v^(1 - 2 alpha), by adaptive
+    quadrature in u = v / t^(1/alpha)."""
+    alpha, n_bar = cfg.alpha, cfg.n_bar
+    mean = n_bar * t_gamma ** (2 / alpha) * (math.pi / alpha) / math.sin(2 * math.pi / alpha)
+
+    def excess(u):
+        x = n_bar / (1.0 + u**alpha)
+        return (x + math.expm1(-x)) * u
+
+    pieces = ((0.0, 1.0), (1.0, 4.0), (4.0, np.inf))
+    rest = sum(integrate.quad(excess, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for a, b in pieces)
+    return 2 * math.pi * cfg.lambda_p * (mean - t_gamma ** (2 / alpha) * rest)
+
+
+class TestPointClusterLimit:
+    """The exact exponent against its point-cluster limit, an independent
+    closed form across alpha (point_cluster_exponent). Its gap to the limit
+    is a series in (sigma / r_t)^2, r_t = t^(1/alpha), so Richardson's
+    (4 E(sigma/2) - E(sigma)) / 3 cancels the sigma^2 term. The
+    extrapolation's error estimate is the size of the term it cancelled at
+    sigma/2, |limit - E(sigma/2)|; the tolerance adds the reported errors,
+    propagated through the same weights. A Rician density scaled by
+    1 + 1e-4 moves the limit by 6e-5 to 3e-4 of itself, 7 to 2500 times
+    this tolerance; without it the gap stays under 0.004 of the tolerance."""
+
+    @pytest.mark.parametrize("ratio", [100, 300, 1000])
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 6.0])
+    @pytest.mark.parametrize("route", ["laplace_exact", "table"])
+    def test_richardson_limit_matches_point_clusters(self, route, alpha, ratio):
+        # t_gamma halfway between lattice nodes, where the table route
+        # interpolates, with r_t near 60 m; sigma = r_t / ratio and half that
+        j = round(8 * alpha * math.log10(60.0))
+        t_gamma = 10.0 ** ((j + 0.5) / 8)
+        r_t = t_gamma ** (1 / alpha)
+        exponents, errors = [], []
+        for sigma in (r_t / ratio, r_t / (2 * ratio)):
+            cfg = NetworkConfig(lambda_p=40e-6, n_bar=8.0, sigma=sigma, alpha=alpha,
+                                theta=1.0)
+            if route == "laplace_exact":
+                value = laplace_exact(t_gamma, cfg, QUAD)
+                errors.append(_exponent_exact(t_gamma, cfg, QUAD)[1])
+            else:
+                value = laplace_fn_exact(cfg, QUAD, (t_gamma, t_gamma))(t_gamma)
+                errors.append(max(analytic._lattice(cfg, QUAD).table(t_gamma, t_gamma)[2]))
+            exponents.append(-math.log(value))
+        coarse, fine = exponents
+        limit = (4 * fine - coarse) / 3
+        tolerance = (errors[0] + 4 * errors[1]) / 3 + abs(limit - fine)
+        assert abs(limit - point_cluster_exponent(t_gamma, cfg)) <= tolerance
+
+
 class TestSharedOuterGrid:
     def test_array_matches_scalar_calls_bitwise(self, ref_cfg):
         t = np.concatenate([[0.0], np.logspace(-3, 12, 11)])

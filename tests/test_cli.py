@@ -17,7 +17,6 @@ from d2dcache.cli import (
     emit_results,
     load_config,
     main,
-    parse_quantity,
 )
 from d2dcache.experiments import (
     EXPERIMENTS,
@@ -38,31 +37,37 @@ def write_config(tmp_path, text, name="config.yaml"):
 
 
 class TestParseQuantity:
-    def test_plain_numbers_pass_through(self):
-        assert parse_quantity(3) == 3.0
-        assert parse_quantity(0.25) == 0.25
-        assert parse_quantity("1.5e-3") == 1.5e-3
+    # each kind of quantity, parsed by the network setting that takes it
 
-    def test_lengths(self):
-        assert parse_quantity("50 m") == 50.0
-        assert parse_quantity("2 km") == 2000.0
+    @staticmethod
+    def network(tmp_path, key, value):
+        path = write_config(tmp_path, yaml.safe_dump({"network": {key: value}}))
+        return getattr(load_config(path).network, key)
 
-    def test_densities(self):
-        assert parse_quantity("40 per km2") == pytest.approx(4.0e-5, rel=1e-12)
-        assert parse_quantity("1e-5 per m2") == 1e-5
+    def test_plain_numbers_pass_through(self, tmp_path):
+        assert self.network(tmp_path, "n_bar", 3) == 3.0
+        assert self.network(tmp_path, "gamma_d", 0.25) == 0.25
+        assert self.network(tmp_path, "lambda_p", "1.5e-3") == 1.5e-3  # a string
 
-    def test_decibels(self):
-        assert parse_quantity("0 dB") == 1.0
-        assert parse_quantity("10 dB") == pytest.approx(10.0, rel=1e-12)
-        assert parse_quantity("-3 dB") == pytest.approx(0.501187233627, rel=1e-9)
+    def test_lengths(self, tmp_path):
+        assert self.network(tmp_path, "sigma", "50 m") == 50.0
+        assert self.network(tmp_path, "sigma", "2 km") == 2000.0
 
-    def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_quantity("fast")
-        with pytest.raises(ValueError):
-            parse_quantity("5 parsecs")
-        with pytest.raises(ValueError):
-            parse_quantity(True)
+    def test_densities(self, tmp_path):
+        assert self.network(tmp_path, "lambda_p", "40 per km2") == pytest.approx(
+            4.0e-5, rel=1e-12)
+        assert self.network(tmp_path, "lambda_p", "1e-5 per m2") == 1e-5
+
+    def test_decibels(self, tmp_path):
+        assert self.network(tmp_path, "theta", "0 dB") == 1.0
+        assert self.network(tmp_path, "theta", "10 dB") == pytest.approx(10.0, rel=1e-12)
+        assert self.network(tmp_path, "theta", "-3 dB") == pytest.approx(0.501187233627,
+                                                                       rel=1e-9)
+
+    def test_rejects_garbage(self, tmp_path):
+        for value in ("fast", "5 parsecs", True):
+            with pytest.raises(ValueError, match="network setting 'sigma' must be a length"):
+                self.network(tmp_path, "sigma", value)
 
 
 class TestLoadConfig:
@@ -121,9 +126,9 @@ network:
             load_config(path)
 
     def test_env_workers_rejected(self, tmp_path, monkeypatch):
-        path = write_config(tmp_path, "run:\n  trials: 100\n")
+        path = write_config(tmp_path, "run:\n  trials: 1000\n")
         monkeypatch.setenv("D2DCACHE_WORKERS", "1")
-        assert load_config(path).trials == 100
+        assert load_config(path).trials == 1000
         monkeypatch.setenv("D2DCACHE_WORKERS", "2")
         with pytest.raises(ValueError, match="D2DCACHE_WORKERS.*pool has been removed"):
             load_config(path)
@@ -324,14 +329,23 @@ def test_sweep_values_take_the_units_of_their_parameter(tmp_path):
     ("network: {rho: .inf}", "rho"),
     ("network: {rho: 2000}", "rho"),
     ("network: {theta: 5000 dB}", "theta"),
-    ("experiments: {custom-sweep: {parameter: theta, values: [5000 dB]}}", "values")],
+    ("experiments: {custom-sweep: {parameter: theta, values: [5000 dB]}}", "values"),
+    ("experiments: {custom-sweep: {parameter: sigma, values: [-5]}}", "values"),
+    ("experiments: {custom-sweep: {parameter: lambda_p, values: [0]}}", "values"),
+    ("experiments: {custom-sweep: {parameter: alpha, values: [2]}}", "values"),
+    ("experiments: {policy-histogram: {pairs: [{sigma: 10, lambda_p: 2e-5, lamda_p: 3e-5}]}}",
+     "pairs"),
+    ("run: {trials: 500}", "trials")],
     ids=["seed", "points", "decades-nan", "decades-negative", "c-above-1", "sweep-c",
          "sigma_m-negative", "sigma_m-inf", "lambda_p_per_m2", "lambda_p_per_km2",
          "beta-negative", "beta-inf", "pair-sigma", "rho-0", "rho-negative", "rho-nan",
-         "rho-inf", "rho-overflow", "theta-overflow", "sweep-theta-overflow"])
+         "rho-inf", "rho-overflow", "theta-overflow", "sweep-theta-overflow",
+         "sweep-sigma-negative", "sweep-lambda_p-0", "sweep-alpha-2", "pair-misspelt-key",
+         "trials-below-minimum"])
 def test_out_of_range_setting_is_refused(tmp_path, capsys, text, key):
-    # solve loaded most of these and exited 0 (points 0 ran no checks); the
-    # rho cases named theta, and 5000 dB raised OverflowError
+    # solve loaded most of these and exited 0 (points 0 ran no checks; the
+    # sweep values, the misspelt pair key and 500 trials too); the rho cases
+    # named theta, and 5000 dB raised OverflowError
     assert main(["solve", "--config", write_config(tmp_path, text + "\n")]) == 2
     assert f"setting '{key}' must be" in capsys.readouterr().err
 
