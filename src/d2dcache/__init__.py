@@ -17,11 +17,9 @@ from .analytic import (
     compute_Z,
     coverage_content,
     laplace_exact,
-    laplace_fn_exact,
     laplace_ppp_bound,
     offloading_closed_form_k1,
     offloading_gain,
-    zeta_kernel,
 )
 from .cli import RunSettings, emit_results, load_config, main
 from .experiments import EXPERIMENTS, ExperimentSpec, policy_entropy, run_experiment
@@ -66,10 +64,8 @@ __all__ = [
     "QuadratureSpec",
     "CoverageResult",
     "NumericalError",
-    "zeta_kernel",
     "laplace_exact",
     "laplace_ppp_bound",
-    "laplace_fn_exact",
     "coverage_content",
     "compute_Z",
     "offloading_gain",

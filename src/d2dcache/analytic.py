@@ -24,7 +24,6 @@ from functools import lru_cache, partial
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import special
-from scipy.interpolate import PPoly, make_interp_spline
 
 from .model import CachingPolicy, ContentLibrary, NetworkConfig
 
@@ -32,17 +31,15 @@ __all__ = [
     "QuadratureSpec",
     "CoverageResult",
     "NumericalError",
-    "zeta_kernel",
     "laplace_exact",
     "laplace_ppp_bound",
-    "laplace_fn_exact",
     "coverage_content",
     "compute_Z",
     "offloading_gain",
     "offloading_closed_form_k1",
 ]
 
-COVERAGE_METHODS = ("exact-tcp", "ppp-bound", "closed-form-k1")
+COVERAGE_METHODS = ("exact-tcp", "ppp-bound")
 
 # Gauss-Legendre orders for the production pass and the embedded error check.
 _ORDER_FINE = 16
@@ -691,13 +688,18 @@ class _ExponentLattice:
 
         Computes the window's missing nodes in one _exponents_exact batch,
         keeping none of them if it raises, and joins the window's nodes in
-        ln t by a degree-5 interpolating spline of ln E, so every node must
-        be positive (NumericalError otherwise). Over t_gamma in [1e-8, 1e9] at
-        alpha 2.5, 3 and 4 it moves L by under 2.6e-10, less than a cubic at
-        24 nodes per decade. The piecewise-polynomial form evaluates about
-        twice as fast as the B-spline one. Returns (spline, t_nodes,
+        ln t by a not-a-knot degree-5 interpolating spline of ln E, so every
+        node must be positive (NumericalError otherwise). Over t_gamma in
+        [1e-8, 1e9] at alpha 2.5, 3 and 4 it moves L by under 2.6e-10, less
+        than a cubic at 24 nodes per decade. The spline is returned as
+        plain arrays, (x, coef): x = ln t at the nodes, and coef[m, i] the
+        degree-m Taylor coefficient of the spline at x[i], which gives its
+        piece on [x[i], x[i+1]] (_eval_table). Returns ((x, coef), t_nodes,
         error_estimates).
         """
+        # 0.4 s to import, and only a table builds a spline
+        from scipy.interpolate import make_interp_spline
+
         window = self._window(t_lo, t_hi)
         missing = [j for j in window if j not in self._nodes]
         if missing:
@@ -711,8 +713,10 @@ class _ExponentLattice:
             raise NumericalError("non-positive exponent in spline table",
                                  diagnostics={"t_gamma": float(t_nodes[bad]),
                                               "exponent": float(exponents[bad])})
-        spline = PPoly.from_spline(make_interp_spline(np.log(t_nodes), np.log(exponents), k=5))
-        return spline, t_nodes, errors
+        x = np.log(t_nodes)
+        spline = make_interp_spline(x, np.log(exponents), k=5)
+        coef = np.array([spline(x[:-1], nu=m) / math.factorial(m) for m in range(6)])
+        return (x, coef), t_nodes, errors
 
 
 @lru_cache(maxsize=64)
@@ -732,69 +736,43 @@ def _lattice(cfg: NetworkConfig, quad: QuadratureSpec, v_inner: float = 0.0) -> 
     return _lattices(cfg.lambda_p, cfg.n_bar, cfg.sigma, cfg.alpha, quad, v_inner)
 
 
-def _eval_table(table: PPoly, x: np.ndarray, name: str, out=None) -> np.ndarray:
-    """An _ExponentLattice table at x = ln t_gamma, equal to table(x) bit for
-    bit, written to out (a new array by default; out may be x itself).
-    Raises ValueError for a value outside the table (or NaN) rather than
+def _eval_table(table, x: np.ndarray, name: str, out=None) -> np.ndarray:
+    """An _ExponentLattice table (x_nodes, coef) at x = ln t_gamma, written
+    to out (a new array by default; out may be x itself). Raises
+    ValueError for a value outside the table (or NaN) rather than
     extrapolate.
 
-    PPoly.__call__ holds the GIL; this kernel is plain numpy, which
-    releases it. A point's interval is the one whose breakpoints bracket
-    it, x[i] <= x < x[i+1], and the last one at the table's top end. Every
-    breakpoint sits on the node lattice (spacing _LATTICE_STEP in ln t), so
-    the interval holding the point's lattice cell is right up to a rounding
-    step across a node, which one comparison with the neighbouring
-    breakpoint on each side corrects. (np.searchsorted finds the same
-    intervals, but on 6.2M unsorted points it took 0.51 s against this
-    lookup's 0.15 s, and PPoly's 0.38 s, on one core of a Xeon VM.) The
-    polynomial is PPoly's own ascending power sum: starting from 0, add
-    c[k-1-m] s^m for m = 0..k-1, where s is the offset from the interval's
-    left breakpoint and s^m is formed by repeated multiplication. Points go
+    The nodes step by the lattice's stride times _LATTICE_STEP in ln t, so
+    a point's piece is i = min(floor((x - x_0) / h), n - 2), and its value
+    the Horner sum of coef[:, i] at s = x - x_i. Where rounding moves i by
+    one at a node, the neighbouring piece is evaluated, which is continuous
+    there to rounding. Plain numpy, which releases the GIL. Points go
     through in slices of _EVAL_SLICE, so the scratch arrays stay small and
     are reused.
     """
-    bp, c = table.x, table.c
-    if not (x.min() >= bp[0] and x.max() <= bp[-1]):
+    x_nodes, coef = table
+    if not (x.min() >= x_nodes[0] and x.max() <= x_nodes[-1]):
         raise ValueError(f"t_gamma outside the {name} table")
-    n_cells = int((bp[-1] - bp[0]) / _LATTICE_STEP) + 2
-    cell_mid = bp[0] + _LATTICE_STEP * (np.arange(n_cells) + 0.5)
-    interval_of_cell = np.minimum(np.searchsorted(bp, cell_mid, side="right") - 1,
-                                  bp.size - 2)
-    # the repeated end knots bound zero-width intervals; at the top end
-    # PPoly takes the last of them
-    proper = np.arange(bp.size)
-    proper[bp == bp[-1]] = bp.size - 2
-    # PPoly's sum starts from 0.0, which turns a -0.0 constant term into 0.0
-    constant = c[-1] + 0.0
+    # the lattice stride: 1 for an exact table, 2 for a far-field one
+    h = _LATTICE_STEP * round((x_nodes[1] - x_nodes[0]) / _LATTICE_STEP)
     if out is None:
         out = np.empty_like(x)
     size = min(x.size, _EVAL_SLICE)
-    scratch = (np.empty(size, np.intp), np.empty(size, np.intp), np.empty(size),
-               np.empty(size), np.empty(size), np.empty(size, bool))
+    scratch = (np.empty(size, np.intp), np.empty(size), np.empty(size))
     for start in range(0, x.size, _EVAL_SLICE):
         xs, o = x[start:start + _EVAL_SLICE], out[start:start + _EVAL_SLICE]
-        cell, i, g, s, power, step = (a[:xs.size] for a in scratch)
-        np.subtract(xs, bp[0], out=g)
-        g /= _LATTICE_STEP
-        np.minimum(g, n_cells - 1, out=g)
-        cell[...] = g  # truncation is the floor: g >= 0
-        np.take(interval_of_cell, cell, out=i, mode="clip")
-        np.take(bp, i, out=g, mode="clip")
-        i -= np.less(xs, g, out=step)
-        np.take(bp, i + 1, out=g, mode="clip")
-        i += np.greater_equal(xs, g, out=step)
-        interval = np.take(proper, i, out=cell, mode="clip")
-        np.take(bp, interval, out=g, mode="clip")
-        np.subtract(xs, g, out=s)
+        i, s, term = (a[:xs.size] for a in scratch)
+        np.subtract(xs, x_nodes[0], out=s)
+        s /= h
+        np.minimum(s, x_nodes.size - 2, out=s)
+        i[...] = s  # truncation is the floor: s >= 0
+        np.take(x_nodes, i, out=s, mode="clip")
+        np.subtract(xs, s, out=s)
         # xs is read for the last time above, so o may share its memory
-        np.take(constant, interval, out=o, mode="clip")
-        power[...] = s
-        for m in range(c.shape[0] - 2, -1, -1):
-            np.take(c[m], interval, out=g, mode="clip")
-            g *= power
-            o += g
-            if m:
-                power *= s
+        np.take(coef[-1], i, out=o, mode="clip")
+        for row in coef[-2::-1]:
+            o *= s
+            o += np.take(row, i, out=term, mode="clip")
     return out
 
 
@@ -803,9 +781,10 @@ def laplace_fn_exact(cfg: NetworkConfig, quad: QuadratureSpec, t_range):
     t_range = (lo, hi) and then evaluated at millions of points.
 
     A log-log quintic table of the exponent over the process's lattice of
-    cfg and quad (_lattice). The evaluator is 1 at t_gamma = 0; it raises
-    ValueError for a negative or NaN t_gamma, and for a positive one
-    outside the padded table instead of extrapolating.
+    cfg and quad (_lattice), its per-node Taylor coefficients evaluated by
+    _eval_table: L = exp(-exp(table(ln t_gamma))). The evaluator is 1 at
+    t_gamma = 0; it raises ValueError for a negative or NaN t_gamma, and
+    for a positive one outside the padded table instead of extrapolating.
     """
     table, _, _ = _lattice(cfg, quad).table(*t_range)
 
@@ -956,8 +935,8 @@ def coverage_content(
     """
     if not 0.0 <= c_m <= 1.0:
         raise ValueError(f"caching probability must lie in [0,1], got {c_m!r}")
-    if method not in ("exact-tcp", "ppp-bound"):
-        raise ValueError(f"method must be 'exact-tcp' or 'ppp-bound', got {method!r}")
+    if method not in COVERAGE_METHODS:
+        raise ValueError(f"method must be one of {COVERAGE_METHODS}, got {method!r}")
     mean_k = c_m * cfg.n_bar
     k_max = _poisson_k_max(mean_k, quad.k_max_tail_mass)
     if k_max == 0:

@@ -29,6 +29,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import yaml
 
@@ -150,16 +151,21 @@ def load_config(path: str) -> RunSettings:
     if env != "1":
         raise ValueError(f"D2DCACHE_WORKERS must be 1 or unset, got {env!r}: {_NO_POOL}")
 
+    written, keys = raw.get("network") or {}, {}
     if "rho" in network:
         if "theta" in network:
             raise ValueError("network takes theta or rho, not both")
-        checked = _consumed("network", "rho", _DEFAULT_NETWORK.with_, theta=network.pop("rho"))
-        network["theta"] = checked.theta
-    network = _consumed("network", None, _DEFAULT_NETWORK.with_, **network)
-    # the library's and quadrature's errors name their field, which is the key
-    library = ContentLibrary.from_zipf(**{**_DEFAULT_LIBRARY, **library})
-    _consumed("run", None, ExperimentSpec.check_run, run.get("trials", RunSettings.trials),
-              run.get("seed", RunSettings.seed))
+        network["theta"] = network.pop("rho")
+        written, keys = {**written, "theta": written["rho"]}, {"theta": "rho"}
+    network = _consumed("network", partial(_DEFAULT_NETWORK.with_, **network), written, keys)
+    # the library's cross-field range, 1 <= cache_size < n_files, fails on
+    # cache_size; where the config left cache_size at its default, the
+    # setting at fault is n_files
+    keys = {"cache_size": "n_files"} if "cache_size" not in library else {}
+    library = {**_DEFAULT_LIBRARY, **library}
+    library = _consumed("library", partial(ContentLibrary.from_zipf, **library), keys=keys)
+    _consumed("run", partial(ExperimentSpec.check_run, run.get("trials", RunSettings.trials),
+                             run.get("seed", RunSettings.seed)))
     run.pop("workers", None)
     if "format" in run:
         run["fmt"] = run.pop("format")

@@ -166,17 +166,26 @@ def _section(raw, name: str, parsers: dict) -> dict:
     return parsed
 
 
-def _consumed(section: str, key: str | None, build, *args, **kwargs):
-    """build(*args, **kwargs): the model object that takes a setting of
-    config section section, whose class checks the setting's range. Its
-    ValueError opens with the field at fault, and is re-raised naming the
-    section and the setting: key, or the field where key is None."""
+def _consumed(section: str, build, written: dict | None = None, keys: dict | None = None):
+    """build(): the model object that takes settings of config section
+    section, whose class checks their range. Its ValueError opens with the
+    field at fault, "<field> must ..., got <value>", and is re-raised naming
+    the section and the setting: keys[field], or the field itself. written
+    maps a field whose setting's parser converts it (units, rho) to its
+    value as the config wrote it, which the message shows in place of the
+    converted one, adding "(as <field>)" where the setting is not the
+    field."""
     try:
-        return build(*args, **kwargs)
+        return build()
     except ValueError as exc:
         field, _, must = str(exc).partition(" ")
-        named = f"{field!r} {must}" if key in (None, field) else f"{key!r} {must} (as {field})"
-        raise ValueError(f"{section} setting {named}") from None
+        key = (keys or {}).get(field, field)
+        head, got, _ = must.rpartition(", got ")
+        if field in (written or {}) and got:
+            must = f"{head}, got {written[field]!r}"
+            if key != field:
+                must += f" (as {field})"
+        raise ValueError(f"{section} setting {key!r} {must}") from None
 
 
 _SEED_STRIDE = 1_000_003  # per-sweep-point seed offset
@@ -380,15 +389,19 @@ def _pair(pair) -> dict:
     return parsed
 
 
-def _build(field: str, values, network: NetworkConfig, library: ContentLibrary) -> None:
+def _check_values(section: str, key: str, field: str, values, written,
+                  network: NetworkConfig, library: ContentLibrary) -> None:
     """Build each of values into the base library as its beta, or into the
     base network as its field (a pair as its fields), as the run builds
-    them, so that the model class checks their range."""
-    for value in values:
-        if field == "beta":
-            replace(library, beta=value, popularity=None)  # the Zipf popularity at beta
+    them, so that the model class checks their range; written holds the
+    values as the config wrote them."""
+    for value, as_written in zip(values, written):
+        if field == "beta":  # the Zipf popularity at beta
+            build = partial(replace, library, beta=value, popularity=None)
         else:
-            network.with_(**(value if field == "pairs" else {field: value}))
+            build = partial(network.with_, **(value if field == "pairs" else {field: value}))
+        fields = as_written if field == "pairs" else {field: as_written}
+        _consumed(section, build, fields, dict.fromkeys(fields, key))
 
 
 # the model field that each experiment setting's values are built into;
@@ -434,7 +447,7 @@ def experiment_params(name: str, raw, network: NetworkConfig,
                       library: ContentLibrary) -> dict:
     """The settings of experiment name: the mapping raw (None for none)
     checked and parsed against the experiment's table, each value that a
-    model class takes built into network or library (_build), a
+    model class takes built into network or library (_check_values), a
     lambda_p_per_km2 list read as lambda_p_per_m2, custom-sweep's values in
     the units of its parameter, and the defaults of the settings it does
     not give. Parsed settings parse to themselves."""
@@ -443,7 +456,7 @@ def experiment_params(name: str, raw, network: NetworkConfig,
     params = _section(raw, name, parsers)
     for key, values in params.items():
         if key in _FIELDS:
-            _consumed(name, key, _build, _FIELDS[key], values, network, library)
+            _check_values(name, key, _FIELDS[key], values, raw[key], network, library)
     if "lambda_p_per_km2" in params:
         if "lambda_p_per_m2" in params:
             raise ValueError("coverage-vs-sigma takes lambda_p_per_m2 or "
@@ -456,7 +469,8 @@ def experiment_params(name: str, raw, network: NetworkConfig,
         parameter = params["parameter"]
         parse = _list(_NETWORK[parameter])
         params.update(_section({"values": params["values"]}, name, {"values": parse}))
-        _consumed(name, "values", _build, parameter, params["values"], network, library)
+        _check_values(name, "values", parameter, params["values"], raw["values"],
+                      network, library)
     return params
 
 

@@ -51,11 +51,7 @@ independent of the configured power scaling. The caterers come from a
 counter-based Philox generator keyed by the caller's seed, and each
 near-field chunk from an SFC64 stream keyed by one draw of that generator
 and the chunk's index. So a fixed seed and trial count give the same bytes
-at any thread count. (Earlier versions drew the near field from the seed's
-generator, in trial order, and then from one Philox stream per chunk:
-their simulated numbers differ from these and are statistically
-equivalent. So do those of earlier versions of estimate_coverage, which
-also sampled the requests without a caterer and scored them 0.)
+at any thread count.
 """
 
 from __future__ import annotations
@@ -142,15 +138,16 @@ def _far_field(t: np.ndarray, lattice: _ExponentLattice):
 
     The table is a quintic spline of ln F in ln t over the lattice's nodes,
     every other node of the fixed lattice, 4 per decade
-    (_ExponentLattice.table and _window), and F is its exp. Where F is
-    small, ln F is nearly linear in ln t (F grows like t, then like
-    t^(2/alpha)), so ln F is far easier to interpolate than F: at 4 nodes
+    (_ExponentLattice.table and _window), held as its Taylor coefficients
+    at each node and evaluated by analytic._eval_table; F is its exp.
+    Where F is small, ln F is nearly linear in ln t (F grows like t, then
+    like t^(2/alpha)), so ln F is far easier to interpolate than F: at 4 nodes
     per decade it moves exp(-F) by under 4e-8 in the scenarios of the
     README's numerical notes, against 2.2e-8 for F itself at 8 per decade.
     ln F needs F > 0 at every node; a non-positive node raises
     NumericalError. The evaluator raises outside the table.
     """
-    spline, t_nodes, errors = lattice.table(t.min(), t.max())
+    table, t_nodes, errors = lattice.table(t.min(), t.max())
     worst = int(np.argmax(errors))
     if errors[worst] > _FAR_MAX_ERROR:
         raise NumericalError(
@@ -161,7 +158,7 @@ def _far_field(t: np.ndarray, lattice: _ExponentLattice):
 
     def far(t_eval: np.ndarray) -> np.ndarray:
         x = np.log(t_eval)
-        return np.exp(_eval_table(spline, x, "far-field", out=x), out=x)
+        return np.exp(_eval_table(table, x, "far-field", out=x), out=x)
 
     return far
 

@@ -23,6 +23,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.interpolate import make_interp_spline
 from scipy.stats import qmc
 
 from brute_force import far_exponent_2d
@@ -624,8 +625,8 @@ class TestExponentLattice:
 
     @staticmethod
     def snapshot(lattice, window):
-        spline, t_nodes, errors = lattice.table(*window)
-        return dict(lattice._nodes), spline.x, spline.c, t_nodes, errors
+        (x, coef), t_nodes, errors = lattice.table(*window)
+        return dict(lattice._nodes), x, coef, t_nodes, errors
 
     @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
     @pytest.mark.parametrize("inner", ["none", "far"])
@@ -704,10 +705,10 @@ class TestExponentLattice:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert sorted(i for i, _ in got) == sorted(2 * list(range(len(windows))))
-        for i, (spline, t_nodes, errors) in got:
-            table, nodes, node_errors = expected[i]
-            assert (_hexes(spline.x, spline.c, t_nodes, errors)
-                    == _hexes(table.x, table.c, nodes, node_errors))
+        for i, (table, t_nodes, errors) in got:
+            expected_table, nodes, node_errors = expected[i]
+            assert (_hexes(*table, t_nodes, errors)
+                    == _hexes(*expected_table, nodes, node_errors))
 
     @pytest.mark.parametrize("inner", ["none", "far"])
     def test_grid_refuses_t_beyond_its_radius(self, ref_cfg, inner):
@@ -785,32 +786,59 @@ def _hexes(*arrays):
 
 class TestTableKernel:
     """_eval_table, the numpy kernel behind laplace_fn_exact and the far
-    field, against PPoly.__call__ to the last bit."""
+    field: the Horner sum of the table's Taylor coefficients, which are
+    those of scipy's not-a-knot quintic through the nodes."""
+
+    @staticmethod
+    def table_and_points(cfg, kind):
+        """(lattice, table, points): random points, every node, and one ulp
+        either side of each node inside the table."""
+        v_inner = 0.0 if kind == "exact" else default_sim_radius(cfg)
+        lattice = _ExponentLattice(cfg, QUAD, v_inner)
+        table, _, _ = lattice.table(1e-4, 1e9)
+        nodes = table[0]
+        x = np.concatenate([
+            np.random.default_rng(int(cfg.alpha * 10)).uniform(nodes[0], nodes[-1], 50_000),
+            nodes,
+            np.nextafter(nodes[1:], -np.inf),
+            np.nextafter(nodes[:-1], np.inf),
+        ])
+        assert x.size > analytic._EVAL_SLICE
+        return lattice, table, x
 
     @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
     @pytest.mark.parametrize("kind", ["exact", "far"])
-    def test_equals_ppoly_bit_for_bit(self, ref_cfg, alpha, kind):
-        cfg = ref_cfg.with_(alpha=alpha)
-        v_inner = 0.0 if kind == "exact" else default_sim_radius(cfg)
-        table, _, _ = _ExponentLattice(cfg, QUAD, v_inner).table(1e-4, 1e9)
-        bp = table.x
-        lo, hi = bp[0], bp[-1]
-        assert np.sum(bp == lo) == 6 and np.sum(bp == hi) == 6  # repeated end knots
-        x = np.concatenate([
-            np.random.default_rng(int(alpha * 10)).uniform(lo, hi, 50_000),
-            bp,  # every breakpoint, the repeated end knots among them
-            np.nextafter(bp[bp > lo], -np.inf),  # one ulp either side of each
-            np.nextafter(bp[bp < hi], np.inf),
-        ])
-        assert x.size > analytic._EVAL_SLICE
-        expected = table(x)
+    def test_equals_horner_per_point_bit_for_bit(self, ref_cfg, alpha, kind):
+        _, table, x = self.table_and_points(ref_cfg.with_(alpha=alpha), kind)
+        nodes, coef = table
+        h = analytic._LATTICE_STEP * (1 if kind == "exact" else 2)
+        expected = []
+        for point in x.tolist():
+            i = min(int((point - nodes[0]) / h), nodes.size - 2)
+            s, value = point - nodes[i], coef[-1, i]
+            for m in range(coef.shape[0] - 2, -1, -1):
+                value = value * s + coef[m, i]
+            expected.append(value)
         assert _hexes(_eval_table(table, x, "test")) == _hexes(expected)
         in_place = x.copy()
         _eval_table(table, in_place, "test", out=in_place)
         assert _hexes(in_place) == _hexes(expected)
+        lo, hi = nodes[0], nodes[-1]
         for outside in (np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), np.nan):
             with pytest.raises(ValueError, match="test table"):
                 _eval_table(table, np.array([lo, outside, hi]), "test")
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
+    @pytest.mark.parametrize("kind", ["exact", "far"])
+    def test_within_a_few_ulps_of_the_bspline(self, ref_cfg, alpha, kind):
+        lattice, table, x = self.table_and_points(ref_cfg.with_(alpha=alpha), kind)
+        nodes = table[0]
+        log_e = np.log([lattice._nodes[j][0] for j in lattice._window(1e-4, 1e9)])
+        expected = make_interp_spline(nodes, log_e, k=5)(x)
+        # ulps of the table's largest |ln E|: where ln E crosses 0 the spline's
+        # own rounding is of that size, not of the value's (at most 6 here)
+        ulp = np.spacing(np.max(np.abs(log_e)))
+        assert np.max(np.abs(_eval_table(table, x, "test") - expected)) <= 16 * ulp
 
 
 class TestThreadMap:
@@ -888,8 +916,7 @@ class TestThreadCount:
             monkeypatch, lambda: _ExponentLattice(cfg, QUAD, v_inner).table(1e-3, 1e6))
         one = results[0]
         for other in results[1:]:
-            assert (_hexes(other[0].x, other[0].c, *other[1:])
-                    == _hexes(one[0].x, one[0].c, *one[1:]))
+            assert _hexes(*other[0], *other[1:]) == _hexes(*one[0], *one[1:])
 
 
 class TestComputeZ:
@@ -1115,11 +1142,13 @@ class TestPoissonHelpers:
                 stats.poisson.sf(k, mean))
 
     @staticmethod
-    def _loads_scipy_stats(code):
+    def _loads(module, code):
+        """Whether a fresh interpreter that imports d2dcache and runs code
+        has loaded module."""
         src = str(Path(analytic.__file__).resolve().parents[1])
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        code = f"import sys, d2dcache; {code}; print('scipy.stats' in sys.modules)"
+        code = f"import sys, d2dcache; {code}; print({module!r} in sys.modules)"
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
         return run.stdout.strip().splitlines()[-1] == "True"
@@ -1127,11 +1156,20 @@ class TestPoissonHelpers:
     def test_import_leaves_out_scipy_stats(self):
         # scipy.stats takes about half a second to import: only the QMC draw
         # of exact coverage loads it, when it runs
-        assert not self._loads_scipy_stats("pass")
+        assert not self._loads("scipy.stats", "pass")
+
+    @pytest.mark.parametrize("module", ["scipy.interpolate", "scipy.optimize"])
+    def test_import_and_solve_leave_out_scipy_interpolate(self, module):
+        # scipy.interpolate, which loads scipy.optimize, takes about 0.4 s to
+        # import: only a spline table loads it, and solve builds none
+        config = Path(__file__).resolve().parents[1] / "demos" / "config_example.yaml"
+        assert not self._loads(module, "pass")
+        assert not self._loads(module, f"d2dcache.main(['solve', '--config', {str(config)!r}])")
 
     def test_simulator_leaves_out_scipy_stats(self):
         # the far grid's Marcum function comes from scipy.special
-        assert not self._loads_scipy_stats(
+        assert not self._loads(
+            "scipy.stats",
             "from d2dcache.model import NetworkConfig; "
             "from d2dcache.simulator import estimate_coverage; "
             "estimate_coverage(1.0, NetworkConfig(lambda_p=40e-6, n_bar=8.0, sigma=50.0, "

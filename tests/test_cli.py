@@ -182,8 +182,10 @@ network:
         assert f"'{key}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, message", [
-        ("library:\n  beta: .nan\n", "beta must be a finite number >= 0"),
-        ("library:\n  beta: .inf\n", "beta must be a finite number >= 0"),
+        ("library:\n  beta: .nan\n",
+         "library setting 'beta' must be a finite number >= 0, got nan"),
+        ("library:\n  beta: .inf\n",
+         "library setting 'beta' must be a finite number >= 0, got inf"),
         ("run:\n  experiment: offload-vs-beta\n"
          "experiments:\n  offload-vs-beta:\n    beta: [.nan]\n",
          "offload-vs-beta setting 'beta' must be a finite number >= 0, got nan")],
@@ -348,6 +350,33 @@ def test_out_of_range_setting_is_refused(tmp_path, capsys, text, key):
     # named theta, and 5000 dB raised OverflowError
     assert main(["solve", "--config", write_config(tmp_path, text + "\n")]) == 2
     assert f"setting '{key}' must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("experiments: {coverage-vs-sigma: {lambda_p_per_km2: [-40]}}",
+     "coverage-vs-sigma setting 'lambda_p_per_km2' must be finite and strictly positive, "
+     "got -40 (as lambda_p)\n"),
+    ("network: {rho: -1}",
+     "network setting 'rho' must be finite and strictly positive, got -1 (as theta)\n")],
+    ids=["lambda_p_per_km2", "rho"])
+def test_refusal_shows_the_value_as_written(tmp_path, capsys, text, message):
+    # it showed the converted value: -3.9999999999999996e-05 and -0.5
+    assert main(["solve", "--config", write_config(tmp_path, text + "\n")]) == 2
+    assert capsys.readouterr().err.endswith(message)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("library: {n_files: 3}",
+     "library setting 'n_files' must satisfy 1 <= M < n_files, got M=5, n_files=3\n"),
+    ("library: {n_files: 3, cache_size: 3}",
+     "library setting 'cache_size' must satisfy 1 <= M < n_files, got M=3, n_files=3\n"),
+    ("library: {cache_size: 200}",
+     "library setting 'cache_size' must satisfy 1 <= M < n_files, got M=200, n_files=100\n")],
+    ids=["n_files-alone", "both", "cache_size-alone"])
+def test_library_refusal_names_the_setting_the_config_gave(tmp_path, capsys, text, message):
+    # each named cache_size without the section, n_files alone too
+    assert main(["solve", "--config", write_config(tmp_path, text + "\n")]) == 2
+    assert capsys.readouterr().err.endswith(message)
 
 
 def test_integer_too_large_for_a_float_is_refused(tmp_path, capsys):
