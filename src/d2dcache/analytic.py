@@ -25,7 +25,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import special
 
-from .model import CachingPolicy, ContentLibrary, NetworkConfig
+from .model import CachingPolicy, ContentLibrary, NetworkConfig, _checked_probs
 
 __all__ = [
     "QuadratureSpec",
@@ -205,9 +205,8 @@ def _thread_map(fn, items) -> list:
 
 
 def _gamma_pair(alpha: float) -> float:
-    """Gamma(1 + 2/alpha) * Gamma(1 - 2/alpha), finite for alpha > 2."""
-    if alpha <= 2:
-        raise ValueError(f"path-loss exponent must exceed 2, got {alpha!r}")
+    """Gamma(1 + 2/alpha) * Gamma(1 - 2/alpha), finite for alpha > 2, as
+    NetworkConfig holds it."""
     return math.gamma(1.0 + 2.0 / alpha) * math.gamma(1.0 - 2.0 / alpha)
 
 
@@ -720,20 +719,23 @@ class _ExponentLattice:
 
 
 @lru_cache(maxsize=64)
-def _lattices(lambda_p: float, n_bar: float, sigma: float, alpha: float,
-              quad: QuadratureSpec, v_inner: float) -> _ExponentLattice:
+def _lattices(lambda_p: float, n_bar: float, sigma: float, alpha: float, rel_tol: float,
+              abs_tol: float, v_max_sigma_mult: float, v_inner: float) -> _ExponentLattice:
     return _ExponentLattice(NetworkConfig(lambda_p, n_bar, sigma, alpha, theta=1.0),
-                            quad, v_inner)
+                            QuadratureSpec(rel_tol, abs_tol, v_max_sigma_mult), v_inner)
 
 
 def _lattice(cfg: NetworkConfig, quad: QuadratureSpec, v_inner: float = 0.0) -> _ExponentLattice:
     """The process's exponent lattice of (cfg, quad, v_inner), from a memo
     of the 64 most recently used (_lattices). Its key is what the exponent
-    reads: lambda_p, n_bar, sigma and alpha of cfg, quad and v_inner, not
-    theta nor gamma_d, so a sweep over the threshold computes each node
-    once. An entry holds only node values: 23 KB of Python objects for the
-    138 nodes of exact coverage at the reference scenario."""
-    return _lattices(cfg.lambda_p, cfg.n_bar, cfg.sigma, cfg.alpha, quad, v_inner)
+    reads: lambda_p, n_bar, sigma and alpha of cfg, the tolerances and
+    window of quad (_OuterGrid) and v_inner; not theta nor gamma_d, nor
+    quad's QMC fields, so a sweep over the threshold or the QMC seed
+    computes each node once. An entry holds only node values: 23 KB of
+    Python objects for the 138 nodes of exact coverage at the reference
+    scenario."""
+    return _lattices(cfg.lambda_p, cfg.n_bar, cfg.sigma, cfg.alpha, quad.rel_tol,
+                     quad.abs_tol, quad.v_max_sigma_mult, v_inner)
 
 
 def _eval_table(table, x: np.ndarray, name: str, out=None) -> np.ndarray:
@@ -815,73 +817,64 @@ def _caterer_means(k_max: int, cfg: NetworkConfig, quad: QuadratureSpec, laplace
     Row i of n = quad.mc_integration_samples scrambled-Sobol rows (seed
     quad.qmc_seed) holds k_max i.i.d. pairwise distances
     h_ij ~ Rayleigh(sqrt(2) sigma), and S_k = sum of h_ij^-alpha over its
-    first k. Rows are drawn and transformed in blocks of _QMC_BLOCK_ROWS,
-    so the only n x k_max array is `lap`: it holds t_gamma, and then
-    L(t_gamma) in place. laplace_fn defaults to the exact transform, built
-    once over the draw's t_gamma range. Returns three length-k_max arrays:
-    the means over all rows, over rows [0, n//2) and over rows [n//2, n).
-    They are numpy's own axis-0 means of `lap`, so they equal those of a
-    whole-array evaluation bit for bit (at k_max = 1 that reduction is
-    pairwise, not row by row, so block sums carried forward would not).
-
-    The blocks are split into one contiguous run per thread (_thread_map).
-    Each run draws from its own engine with the same seed, fast-forwarded
-    to the run's first row, so every row, and so every mean, is the same
-    at any thread count. A non-finite transform raises NumericalError for
-    the lowest bad block, with that block's index, rows and first bad k.
+    first k. One engine draws the rows, clipped to the open unit interval,
+    into `lap` in blocks of _QMC_BLOCK_ROWS on the calling thread; the
+    threads (_thread_map) then turn each block into t_gamma and then
+    L(t_gamma) in place. So the only n x k_max array is `lap`, and every
+    row, and so every mean, is the same at any thread count. laplace_fn
+    defaults to the exact transform, built once over the draw's t_gamma
+    range. Returns three length-k_max arrays: the means over all rows,
+    over rows [0, n//2) and over rows [n//2, n). They are numpy's own
+    axis-0 means of `lap`, so they equal those of a whole-array evaluation
+    bit for bit (at k_max = 1 that reduction is pairwise, not row by row,
+    so block sums carried forward would not). A non-finite transform
+    raises NumericalError for the lowest bad block, with that block's
+    index, rows and first bad k.
     """
     from scipy.stats import qmc  # 0.5 s to import, so only where needed
 
     n = quad.mc_integration_samples
     blocks = [slice(start, min(start + _QMC_BLOCK_ROWS, n))
               for start in range(0, n, _QMC_BLOCK_ROWS)]
-    n_runs = _threads(len(blocks))
-    runs = [range(len(blocks) * r // n_runs, len(blocks) * (r + 1) // n_runs)
-            for r in range(n_runs)]
     lap = np.empty((n, k_max))
-
-    def draw(run):
-        engine = qmc.Sobol(d=k_max, scramble=True, seed=quad.qmc_seed)
-        if blocks[run[0]].start:
-            engine.fast_forward(blocks[run[0]].start)
-        t_lo, t_hi = math.inf, 0.0
-        for rows in (blocks[i] for i in run):
-            h = engine.random(rows.stop - rows.start)
-            np.clip(h, 1e-16, 1.0 - 1e-16, out=h)
-            # h = 2 sigma sqrt(-log1p(-unit)), then h^-alpha, in place
-            np.negative(h, out=h)
-            np.log1p(h, out=h)
-            np.negative(h, out=h)
-            np.sqrt(h, out=h)
-            np.multiply(2.0 * cfg.sigma, h, out=h)
-            h **= -cfg.alpha
-            # column k-1: the first k caterers
-            np.cumsum(h, axis=1, out=h)
-            t_gamma = np.divide(cfg.theta, h, out=lap[rows])
-            t_lo, t_hi = min(t_lo, float(t_gamma.min())), max(t_hi, float(t_gamma.max()))
-        return t_lo, t_hi
-
-    def transform(run):
-        for i in run:
-            block = lap[blocks[i]]
-            block[...] = laplace_fn(block.ravel()).reshape(block.shape)
-            bad = np.flatnonzero(~np.isfinite(block.sum(axis=0)))
-            if bad.size:
-                raise NumericalError(
-                    "non-finite Laplace transform in the coverage estimator",
-                    diagnostics={"block": i, "rows": (blocks[i].start, blocks[i].stop),
-                                 "k": int(bad[0]) + 1},
-                )
-
+    engine = qmc.Sobol(d=k_max, scramble=True, seed=quad.qmc_seed)
     with warnings.catch_warnings():
         # the sample count is a user-set budget, not forced to a power of two;
         # consecutive draws continue one Sobol sequence
         warnings.simplefilter("ignore", UserWarning)
-        t_ranges = _thread_map(draw, runs)
+        for rows in blocks:
+            np.clip(engine.random(rows.stop - rows.start), 1e-16, 1.0 - 1e-16, out=lap[rows])
+
+    def to_t_gamma(rows):
+        h = lap[rows]
+        # h = 2 sigma sqrt(-log1p(-unit)), then h^-alpha, in place
+        np.negative(h, out=h)
+        np.log1p(h, out=h)
+        np.negative(h, out=h)
+        np.sqrt(h, out=h)
+        np.multiply(2.0 * cfg.sigma, h, out=h)
+        h **= -cfg.alpha
+        # column k-1: the first k caterers
+        np.cumsum(h, axis=1, out=h)
+        t_gamma = np.divide(cfg.theta, h, out=h)
+        return float(t_gamma.min()), float(t_gamma.max())
+
+    def transform(i):
+        block = lap[blocks[i]]
+        block[...] = laplace_fn(block.ravel()).reshape(block.shape)
+        bad = np.flatnonzero(~np.isfinite(block.sum(axis=0)))
+        if bad.size:
+            raise NumericalError(
+                "non-finite Laplace transform in the coverage estimator",
+                diagnostics={"block": i, "rows": (blocks[i].start, blocks[i].stop),
+                             "k": int(bad[0]) + 1},
+            )
+
+    t_ranges = _thread_map(to_t_gamma, blocks)
     if laplace_fn is None:
         t_lo, t_hi = min(lo for lo, _ in t_ranges), max(hi for _, hi in t_ranges)
         laplace_fn = laplace_fn_exact(cfg, quad, t_range=(t_lo, t_hi))
-    _thread_map(transform, runs)
+    _thread_map(transform, range(len(blocks)))
     half = n // 2
     return lap.mean(axis=0), lap[:half].mean(axis=0), lap[half:].mean(axis=0)
 
@@ -973,24 +966,15 @@ def compute_Z(cfg: NetworkConfig) -> float:
     )
 
 
-def _checked_probs(policy: CachingPolicy, library: ContentLibrary) -> np.ndarray:
-    c = policy.probs
-    if c.size != library.n_files:
-        raise ValueError(
-            f"policy length {c.size} does not match library size {library.n_files}"
-        )
-    if np.any(c < 0) or np.any(c > 1):
-        raise ValueError("caching probabilities must lie in [0,1]")
-    return c
-
-
 def offloading_gain(policy: CachingPolicy, library: ContentLibrary, coverage_fn) -> float:
     """Request-weighted offloading probability of a caching policy.
 
     sum_m q_m (c_m + (1 - c_m) coverage_fn(c_m)). coverage_fn maps a caching
     probability to a coverage value (floats and CoverageResult both accepted)
-    and is called once per distinct c_m. The budget constraint is the
-    caller's concern; only the box constraint is enforced here.
+    and is called once per distinct c_m. The policy needs one entry per
+    file; its box 0 <= c_m <= 1 holds by construction (CachingPolicy), and
+    the budget is the caller's concern, so vectors that miss it (baselines,
+    partial placements) can still be scored.
     """
     c = _checked_probs(policy, library)
     q = library.popularity

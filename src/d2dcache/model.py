@@ -6,8 +6,11 @@ probabilistically: file m is cached independently at every device with
 probability c_m, with the vector c filling the per-device cache budget M in
 expectation (sum over m of c_m equals M). A link is covered when its SIR
 reaches the one threshold theta of NetworkConfig. Each class checks the
-ranges of its fields, and its ValueError opens with the field's name, which
-the config loader turns into the setting's (experiments._consumed).
+ranges of its fields when it is constructed (a CachingPolicy, that every
+c_m lies in [0, 1]), and its ValueError opens with the field's name, which
+the config loader turns into the setting's (experiments._consumed). What
+needs two objects, a policy's length and budget against a library, is
+checked by validate_policy.
 """
 
 from __future__ import annotations
@@ -28,10 +31,9 @@ __all__ = [
     "policy_uniform",
 ]
 
-# Tolerances for the policy constraints (box and budget-sum).
+# Tolerances for the popularity sum and a policy's budget sum.
 POPULARITY_SUM_TOL = 1e-12
 POLICY_SUM_TOL = 1e-8
-POLICY_BOX_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -138,7 +140,8 @@ class ContentLibrary:
 
 @dataclass(frozen=True)
 class CachingPolicy:
-    """Per-file caching probabilities c_m. Constraints are checked by validate_policy."""
+    """Per-file caching probabilities c_m, each in [0, 1] exactly. The
+    budget sum(c) = M of a library is checked by validate_policy."""
 
     probs: np.ndarray
 
@@ -146,8 +149,10 @@ class CachingPolicy:
         probs = np.asarray(self.probs, dtype=float).copy()
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("probs must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(probs)):
-            raise ValueError("probs must be finite")
+        inside = (probs >= 0.0) & (probs <= 1.0)  # False at NaN
+        if not inside.all():
+            m = int(np.argmin(inside))
+            raise ValueError(f"probs must lie in [0, 1], got c_{m + 1} = {float(probs[m])!r}")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
@@ -155,30 +160,27 @@ class CachingPolicy:
         return self.probs.size
 
 
-def validate_policy(policy: CachingPolicy, library: ContentLibrary) -> list[str]:
-    """Check the box constraint 0 <= c_m <= 1 and the budget sum(c) == M.
-
-    Returns a list of human-readable violations; an empty list means the
-    policy is feasible. A length mismatch is an error, not a violation.
-    """
+def _checked_probs(policy: CachingPolicy, library: ContentLibrary) -> np.ndarray:
+    """policy.probs, refused (ValueError) unless it has one entry per file."""
     c = policy.probs
     if c.size != library.n_files:
         raise ValueError(
             f"policy length {c.size} does not match library size {library.n_files}"
         )
-    violations = []
-    low = np.nonzero(c < -POLICY_BOX_TOL)[0]
-    high = np.nonzero(c > 1.0 + POLICY_BOX_TOL)[0]
-    for m in low:
-        violations.append(f"c_{m + 1} = {c[m]:.6g} below 0")
-    for m in high:
-        violations.append(f"c_{m + 1} = {c[m]:.6g} above 1")
-    total = float(c.sum())
+    return c
+
+
+def validate_policy(policy: CachingPolicy, library: ContentLibrary) -> list[str]:
+    """Check the budget sum(c) == M, to within POLICY_SUM_TOL.
+
+    Returns a list of human-readable violations; an empty list means the
+    policy is feasible, since CachingPolicy already holds 0 <= c_m <= 1. A
+    length mismatch is an error, not a violation.
+    """
+    total = float(_checked_probs(policy, library).sum())
     if abs(total - library.cache_size) > POLICY_SUM_TOL:
-        violations.append(
-            f"sum(c) = {total:.10g} differs from cache budget M = {library.cache_size}"
-        )
-    return violations
+        return [f"sum(c) = {total:.10g} differs from cache budget M = {library.cache_size}"]
+    return []
 
 
 def require_valid_policy(policy: CachingPolicy, library: ContentLibrary) -> None:

@@ -386,14 +386,14 @@ def solve_p1(library: ContentLibrary, cfg: NetworkConfig) -> KktSolution:
     Groups tied popularities, enumerates the structural candidates (groups
     at 1, an optional convex-branch group, concave-branch groups at a
     common multiplier, zeros) and keeps the best. Files of zero popularity
-    take budget only once every other file is at 1. Raises NumericalError
-    when the result misses the budget or interior stationarity by more than
-    1e-8, or scores below a baseline policy.
+    take budget only once every other file is at 1. The library holds
+    1 <= M < N and the policy 0 <= c_m <= 1 by construction: clamped groups
+    are snapped to exact 0 and 1. Raises NumericalError when the result
+    misses the budget or interior stationarity by more than 1e-8, or scores
+    below a baseline policy.
     """
     q = library.popularity
     n_files, budget = library.n_files, float(library.cache_size)
-    if library.cache_size >= n_files:
-        raise ValueError("cache budget must be smaller than the library")
     n_bar, z = cfg.n_bar, compute_Z(cfg)
     branch = _ConcaveBranch(n_bar, z)
     warnings = []

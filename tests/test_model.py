@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -175,6 +176,25 @@ class TestCachingPolicy:
         with pytest.raises(ValueError):
             CachingPolicy(np.array([0.5, np.nan]))
 
+    @pytest.mark.parametrize("head, entry", [
+        ([1 + 5e-13, 1 - 5e-13], "c_1 = 1.0000000000005"),
+        ([-5e-13, 1.0, 1 + 5e-13], "c_1 = -5e-13"),
+    ])
+    def test_refuses_a_vector_just_outside_the_box(self, head, entry):
+        # validate_policy let both through (a 1e-12 tolerance); the first
+        # then failed inside numpy's sampler, and the second gave the
+        # simulated offloading a negative half-width
+        with pytest.raises(ValueError, match=re.escape(entry)):
+            CachingPolicy(np.array(head + [0.0] * (10 - len(head))))
+
+    @pytest.mark.parametrize("value", [-5e-13, 1 + 5e-13])
+    @pytest.mark.parametrize("position", range(4))
+    def test_refuses_an_entry_outside_the_box_in_any_position(self, value, position):
+        c = np.full(4, 0.5)
+        c[position] = value
+        with pytest.raises(ValueError, match=re.escape(f"c_{position + 1} = {value!r}")):
+            CachingPolicy(c)
+
 
 class TestValidatePolicy:
     def test_feasible_policy_clean(self):
@@ -182,10 +202,10 @@ class TestValidatePolicy:
         assert validate_policy(CachingPolicy(np.full(4, 0.5)), lib) == []
 
     def test_box_violations_reported(self):
-        lib = ContentLibrary.from_zipf(3, 0.0, 1)
-        bad = CachingPolicy(np.array([1.2, -0.1, -0.1]))
-        messages = "; ".join(validate_policy(bad, lib))
-        assert "above 1" in messages and "below 0" in messages
+        # the box is the policy's own: such a vector is refused when built,
+        # so validate_policy never sees it
+        with pytest.raises(ValueError, match=r"probs must lie in \[0, 1\], got c_1 = 1\.2"):
+            CachingPolicy(np.array([1.2, -0.1, -0.1]))
 
     def test_budget_violation_reported(self):
         lib = ContentLibrary.from_zipf(3, 0.0, 2)

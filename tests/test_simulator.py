@@ -7,9 +7,12 @@ are bitwise.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from brute_force import (
@@ -25,6 +28,7 @@ from d2dcache import analytic, simulator
 from d2dcache.analytic import (
     NumericalError,
     QuadratureSpec,
+    compute_Z,
     coverage_content,
     offloading_closed_form_k1,
     offloading_gain,
@@ -35,6 +39,7 @@ from d2dcache.model import (
     NetworkConfig,
     policy_cpf,
     policy_zipf_proportional,
+    validate_policy,
 )
 from d2dcache.optimizer import solve_p1
 from d2dcache.simulator import (
@@ -345,6 +350,59 @@ class TestEstimateOffloading:
             estimate_offloading(
                 CachingPolicy(np.full(4, 0.9)), lib, ref_cfg, trials=2000
             )
+
+
+def _on_budget(w, budget):
+    """clip(w + t, 0, 1) at the shift t, found by bisection to the last
+    ulp, at which the entries sum to budget."""
+    lo, hi = -1.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if np.clip(w + mid, 0.0, 1.0).sum() < budget:
+            lo = mid
+        else:
+            hi = mid
+    return np.clip(w + hi, 0.0, 1.0)
+
+
+@st.composite
+def _feasible_vectors(draw):
+    """(library, c) with c in [0, 1]^N on the library's budget."""
+    n_files = draw(st.integers(2, 12))
+    budget = draw(st.integers(1, n_files - 1))
+    lib = ContentLibrary.from_zipf(n_files, draw(st.floats(0.0, 2.0)), budget)
+    w = draw(st.lists(st.floats(0.0, 1.0), min_size=n_files, max_size=n_files))
+    return lib, _on_budget(np.array(w), budget)
+
+
+class TestPolicyBox:
+    """A caching policy is a vector of probabilities: every one on budget
+    is accepted by each evaluator, and one ulp outside [0, 1] is refused
+    when the policy is built."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(_feasible_vectors())
+    def test_feasible_vector_accepted_everywhere(self, ref_cfg, instance):
+        lib, c = instance
+        policy = CachingPolicy(c)
+        assert validate_policy(policy, lib) == []
+        assert 0.0 <= offloading_closed_form_k1(policy, lib, ref_cfg) <= 1.0
+        n_bar, z = ref_cfg.n_bar, compute_Z(ref_cfg)
+
+        def k1_coverage(ci):
+            return ci * n_bar * math.exp(-ci * n_bar) / z
+
+        assert 0.0 <= offloading_gain(policy, lib, k1_coverage) <= 1.0
+        est = estimate_offloading(policy, lib, ref_cfg, trials=1000, seed=1)
+        assert est.half_width_95 >= 0.0 and 0.0 <= est.mean <= 1.0
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(_feasible_vectors(), st.data())
+    def test_one_ulp_outside_refused(self, instance, data):
+        _, c = instance
+        m = data.draw(st.integers(0, c.size - 1))
+        c[m] = np.nextafter(1.0, 2.0) if data.draw(st.booleans()) else np.nextafter(0.0, -1.0)
+        with pytest.raises(ValueError, match=re.escape(f"got c_{m + 1} = {float(c[m])!r}")):
+            CachingPolicy(c)
 
 
 class TestMonteCarloEstimate:
