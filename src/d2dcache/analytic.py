@@ -18,6 +18,7 @@ import os
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -790,8 +791,20 @@ def laplace_fn_exact(cfg: NetworkConfig, quad: QuadratureSpec, t_range):
     """
     table, _, _ = _lattice(cfg, quad).table(*t_range)
 
+    def positive(t):
+        # in place, so that one batch-sized temporary, ln t, serves every step
+        x = np.log(t)
+        _eval_table(table, x, "exact transform", out=x)
+        np.exp(x, out=x)
+        np.negative(x, out=x)
+        return np.exp(x, out=x)
+
     def laplace(t_gamma):
         t_arr = np.asarray(t_gamma, dtype=float)
+        if t_arr.ndim and t_arr.size and t_arr.min() > 0:
+            # every t positive, as in the coverage estimator: no mask, gather
+            # or scatter
+            return positive(t_arr.reshape(-1)).reshape(t_arr.shape)
         t_flat = np.atleast_1d(t_arr)
         out = np.ones_like(t_flat)
         pos = t_flat > 0
@@ -800,15 +813,110 @@ def laplace_fn_exact(cfg: NetworkConfig, quad: QuadratureSpec, t_range):
         if n_pos < pos.size and np.any(t_flat[~pos] != 0):
             raise ValueError("t_gamma must be >= 0")
         if n_pos:
-            # in place, so that one batch-sized temporary serves every step
-            x = np.log(t_flat[pos])
-            _eval_table(table, x, "exact transform", out=x)
-            np.exp(x, out=x)
-            np.negative(x, out=x)
-            out[pos] = np.exp(x, out=x)
+            out[pos] = positive(t_flat[pos])
         return float(out[0]) if t_arr.ndim == 0 else out
 
     return laplace
+
+
+def _sobol_rows(engine, out: np.ndarray) -> np.ndarray:
+    """The engine's next out.shape[0] Sobol rows, clipped to the open unit
+    interval, written to out."""
+    with warnings.catch_warnings():
+        # the sample count is a user-set budget, not forced to a power of two;
+        # consecutive draws continue one Sobol sequence
+        warnings.simplefilter("ignore", UserWarning)
+        return np.clip(engine.random(out.shape[0]), 1e-16, 1.0 - 1e-16, out=out)
+
+
+def _to_t_gamma(h: np.ndarray, cfg: NetworkConfig) -> np.ndarray:
+    """Rows of clipped unit draws turned in place into t_gamma = theta / S_k:
+    h = 2 sigma sqrt(-log1p(-unit)) is a Rayleigh(sqrt(2) sigma) distance,
+    and column k-1 of S sums h^-alpha over the first k of them. Elementwise
+    and in column order, so a row's values do not depend on the rows drawn
+    with it."""
+    np.negative(h, out=h)
+    np.log1p(h, out=h)
+    np.negative(h, out=h)
+    np.sqrt(h, out=h)
+    np.multiply(2.0 * cfg.sigma, h, out=h)
+    h **= -cfg.alpha
+    # the prefix sum, added in the order np.cumsum adds it, at half its cost
+    for k in range(1, h.shape[1]):
+        h[:, k] += h[:, k - 1]
+    return np.divide(cfg.theta, h, out=h)
+
+
+def _t_window(k_max: int, cfg: NetworkConfig, quad: QuadratureSpec) -> tuple[float, float]:
+    """(min, max) of t_gamma over the n x k_max draw of _caterer_means,
+    found before any transform is evaluated, from one serial pass of a
+    second engine that holds only a few candidate rows.
+
+    t_gamma falls along a row, since S_k grows with k. Its largest value is
+    theta / S_1 of the row with the largest first draw, as
+    f(u) = (4 sigma^2 w(u))^(-alpha/2), w(u) = -log1p(-u), is decreasing.
+    Its smallest is theta / S_k_max of the row with the largest S_k_max,
+    which is at least f(u_min) for the smallest draw u_min, while a row
+    whose smallest draw is u has S_k_max <= k_max f(u): only a row with
+    w(u) <= w(u_min) k_max^(2/alpha) can hold it. Both tests keep a margin
+    of 1e-9 in w, far above rounding, and run against the extremes seen so
+    far, which only tighten. The candidates' t_gamma then come from
+    _to_t_gamma, as in the main pass, so the window is the whole draw's
+    own min and max, bit for bit.
+    """
+    from scipy.stats import qmc  # 0.5 s to import, so only where needed
+
+    n = quad.mc_integration_samples
+    engine = qmc.Sobol(d=k_max, scramble=True, seed=quad.qmc_seed)
+    reach = k_max ** (2.0 / cfg.alpha) * (1.0 + 1e-9)
+    u_min, u_top = 1.0, 0.0
+    rows = np.empty((0, k_max))
+    for start in range(0, n, _QMC_BLOCK_ROWS):
+        unit = _sobol_rows(engine, np.empty((min(_QMC_BLOCK_ROWS, n - start), k_max)))
+        u_min, u_top = min(u_min, unit.min()), max(u_top, unit[:, 0].max())
+        lo = -math.expm1(math.log1p(-u_min) * reach)
+        hi = -math.expm1(math.log1p(-u_top) / (1.0 + 1e-9))
+        # flat, not row by row: a row-wise min costs more than the draw
+        hits = np.union1d(np.flatnonzero(unit <= lo) // k_max, np.flatnonzero(unit[:, 0] >= hi))
+        rows = np.concatenate([rows[(rows.min(axis=1) <= lo) | (rows[:, 0] >= hi)], unit[hits]])
+    t_gamma = _to_t_gamma(rows, cfg)
+    return float(t_gamma.min()), float(t_gamma.max())
+
+
+class _Turns:
+    """Turns taken in item order by the threads of one _thread_map:
+    turn(i) waits until items 0..i-1 have had theirs, and passes the turn
+    on when it ends, also when its body raises. The map hands items out in
+    order, so every item a turn waits for is already held by a thread that
+    will reach its own turn; an item must take each turn exactly once."""
+
+    def __init__(self):
+        self._next = 0
+        self._changed = threading.Condition()
+
+    @contextmanager
+    def turn(self, i: int):
+        with self._changed:
+            self._changed.wait_for(lambda: self._next == i)
+        try:
+            yield
+        finally:
+            with self._changed:
+                self._next += 1
+                self._changed.notify_all()
+
+
+def _carry(total, buf: np.ndarray, lo: int, hi: int):
+    """total plus rows lo..hi-1 of the block held in buf[1:], added row by
+    row in the order numpy's axis-0 sum adds them: buf[lo], the spare row
+    or a row already carried, takes total, and one axis-0 sum starts from
+    it. total is None before the first row."""
+    if lo == hi:
+        return total
+    if total is None:
+        return np.add.reduce(buf[1 + lo:1 + hi], axis=0)
+    buf[lo] = total
+    return np.add.reduce(buf[lo:1 + hi], axis=0)
 
 
 def _caterer_means(k_max: int, cfg: NetworkConfig, quad: QuadratureSpec, laplace_fn=None):
@@ -817,66 +925,76 @@ def _caterer_means(k_max: int, cfg: NetworkConfig, quad: QuadratureSpec, laplace
     Row i of n = quad.mc_integration_samples scrambled-Sobol rows (seed
     quad.qmc_seed) holds k_max i.i.d. pairwise distances
     h_ij ~ Rayleigh(sqrt(2) sigma), and S_k = sum of h_ij^-alpha over its
-    first k. One engine draws the rows, clipped to the open unit interval,
-    into `lap` in blocks of _QMC_BLOCK_ROWS on the calling thread; the
-    threads (_thread_map) then turn each block into t_gamma and then
-    L(t_gamma) in place. So the only n x k_max array is `lap`, and every
-    row, and so every mean, is the same at any thread count. laplace_fn
-    defaults to the exact transform, built once over the draw's t_gamma
-    range. Returns three length-k_max arrays: the means over all rows,
-    over rows [0, n//2) and over rows [n//2, n). They are numpy's own
-    axis-0 means of `lap`, so they equal those of a whole-array evaluation
-    bit for bit (at k_max = 1 that reduction is pairwise, not row by row,
-    so block sums carried forward would not). A non-finite transform
-    raises NumericalError for the lowest bad block, with that block's
-    index, rows and first bad k.
+    first k (_to_t_gamma). laplace_fn defaults to the exact transform, built
+    once over the draw's t_gamma range, which a pre-pass finds without
+    evaluating any transform (_t_window).
+
+    One streamed pass over blocks of _QMC_BLOCK_ROWS rows, on the threads
+    of one _thread_map: each block is drawn from one engine in block order
+    (a turn per block), turned into t_gamma and then L(t_gamma), and added
+    into the per-k sums in block order (a second turn). So a call holds a
+    few blocks per thread, whatever n is, and every row, and so every mean,
+    is the same at any thread count. Returns three length-k_max arrays: the
+    means over all rows, over rows [0, n//2) and over rows [n//2, n). Each
+    sum is carried row by row (_carry), as numpy's axis-0 mean of a C-order
+    n x k_max array adds it, so the means equal those of a whole-array
+    evaluation bit for bit. At k_max = 1 that mean is pairwise, not row by
+    row, so the one column of n values is kept and numpy's mean taken. A
+    non-finite transform raises NumericalError for the lowest bad block,
+    with that block's index, rows and first bad k.
     """
     from scipy.stats import qmc  # 0.5 s to import, so only where needed
 
-    n = quad.mc_integration_samples
-    blocks = [slice(start, min(start + _QMC_BLOCK_ROWS, n))
-              for start in range(0, n, _QMC_BLOCK_ROWS)]
-    lap = np.empty((n, k_max))
-    engine = qmc.Sobol(d=k_max, scramble=True, seed=quad.qmc_seed)
-    with warnings.catch_warnings():
-        # the sample count is a user-set budget, not forced to a power of two;
-        # consecutive draws continue one Sobol sequence
-        warnings.simplefilter("ignore", UserWarning)
-        for rows in blocks:
-            np.clip(engine.random(rows.stop - rows.start), 1e-16, 1.0 - 1e-16, out=lap[rows])
-
-    def to_t_gamma(rows):
-        h = lap[rows]
-        # h = 2 sigma sqrt(-log1p(-unit)), then h^-alpha, in place
-        np.negative(h, out=h)
-        np.log1p(h, out=h)
-        np.negative(h, out=h)
-        np.sqrt(h, out=h)
-        np.multiply(2.0 * cfg.sigma, h, out=h)
-        h **= -cfg.alpha
-        # column k-1: the first k caterers
-        np.cumsum(h, axis=1, out=h)
-        t_gamma = np.divide(cfg.theta, h, out=h)
-        return float(t_gamma.min()), float(t_gamma.max())
-
-    def transform(i):
-        block = lap[blocks[i]]
-        block[...] = laplace_fn(block.ravel()).reshape(block.shape)
-        bad = np.flatnonzero(~np.isfinite(block.sum(axis=0)))
-        if bad.size:
-            raise NumericalError(
-                "non-finite Laplace transform in the coverage estimator",
-                diagnostics={"block": i, "rows": (blocks[i].start, blocks[i].stop),
-                             "k": int(bad[0]) + 1},
-            )
-
-    t_ranges = _thread_map(to_t_gamma, blocks)
     if laplace_fn is None:
-        t_lo, t_hi = min(lo for lo, _ in t_ranges), max(hi for _, hi in t_ranges)
-        laplace_fn = laplace_fn_exact(cfg, quad, t_range=(t_lo, t_hi))
-    _thread_map(transform, range(len(blocks)))
-    half = n // 2
-    return lap.mean(axis=0), lap[:half].mean(axis=0), lap[half:].mean(axis=0)
+        laplace_fn = laplace_fn_exact(cfg, quad, t_range=_t_window(k_max, cfg, quad))
+    n, half = quad.mc_integration_samples, quad.mc_integration_samples // 2
+    starts = range(0, n, _QMC_BLOCK_ROWS)
+    engine = qmc.Sobol(d=k_max, scramble=True, seed=quad.qmc_seed)
+    drawn, folded = _Turns(), _Turns()
+    column = np.empty((n, 1)) if k_max == 1 else None
+    total = first = second = None  # row sums over [0, n), [0, half), [half, n)
+
+    def fold(start, buf):
+        nonlocal total, first, second
+        size = buf.shape[0] - 1
+        if column is not None:
+            column[start:start + size] = buf[1:]
+            return
+        cut = min(max(half - start, 0), size)  # the block's rows before row half
+        total = _carry(total, buf, 0, cut)
+        if cut < size:
+            if first is None:
+                first = total
+            total = _carry(total, buf, cut, size)
+            second = _carry(second, buf, cut, size)
+
+    def block(i):
+        done = False
+        try:
+            with drawn.turn(i):
+                start = starts[i]
+                buf = np.empty((min(_QMC_BLOCK_ROWS, n - start) + 1, k_max))
+                lap = _sobol_rows(engine, buf[1:])
+            t_gamma = _to_t_gamma(lap, cfg)
+            lap[...] = laplace_fn(t_gamma.ravel()).reshape(lap.shape)
+            bad = np.flatnonzero(~np.isfinite(lap.sum(axis=0)))
+            if bad.size:
+                raise NumericalError(
+                    "non-finite Laplace transform in the coverage estimator",
+                    diagnostics={"block": i, "rows": (start, start + lap.shape[0]),
+                                 "k": int(bad[0]) + 1},
+                )
+            done = True
+        finally:
+            # taken also when the block failed, so the later ones are not held up
+            with folded.turn(i):
+                if done:
+                    fold(start, buf)
+
+    _thread_map(block, range(len(starts)))
+    if column is not None:
+        return column.mean(axis=0), column[:half].mean(axis=0), column[half:].mean(axis=0)
+    return total / n, first / half, second / (n - half)
 
 
 def _poisson_pmf(k: np.ndarray, mean: float) -> np.ndarray:
@@ -922,9 +1040,9 @@ def coverage_content(
     the Poisson tail with a half-sample quasi-Monte-Carlo estimate.
 
     All k share one k_max-dimensional Sobol draw (_caterer_means). Its rows
-    are streamed in blocks, so the call holds one n x k_max array plus a
-    few block-sized temporaries; value and error equal those of the
-    whole-array estimator bit for bit.
+    are streamed in one pass of blocks, so the call holds a few blocks per
+    thread, whatever n is; value and error equal those of the whole-array
+    estimator bit for bit.
     """
     if not 0.0 <= c_m <= 1.0:
         raise ValueError(f"caching probability must lie in [0,1], got {c_m!r}")

@@ -484,10 +484,10 @@ def grid_search_oracle(
 ) -> tuple[CachingPolicy, float]:
     """Exhaustive simplex scan maximizing the closed-form objective.
 
-    Enumerates every caching vector with entries in {0, step, ..., 1}
-    summing exactly to the cache budget and returns the best (policy,
-    objective). Only meant for small instances: n_files <= 6, step <= 0.05,
-    and at most ~2e7 lattice points.
+    Enumerates every caching vector with entries in {0, 1/p, ..., 1},
+    p = round(1 / step), summing exactly to the cache budget and returns
+    the best (policy, objective). Only meant for small instances:
+    n_files <= 6, step <= 0.05, and at most ~2e7 lattice points.
     """
     if library.n_files > 6:
         raise ValueError("oracle restricted to n_files <= 6")
@@ -520,8 +520,11 @@ def grid_search_oracle(
         remaining = remaining[row_idx] - values
     lattice = np.column_stack([partial, remaining])
 
-    gain_by_level = _k1_gain(np.arange(per_file + 1) * step, cfg.n_bar, compute_Z(cfg))
+    # i / per_file, not i * step: a step a rounding error above 1 / per_file
+    # would put the top level above 1
+    levels = np.arange(per_file + 1) / per_file
+    gain_by_level = _k1_gain(levels, cfg.n_bar, compute_Z(cfg))
     objectives = (gain_by_level[lattice] * library.popularity).sum(axis=1)
     best = int(np.argmax(objectives))
-    best_policy = CachingPolicy(lattice[best].astype(float) * step)
+    best_policy = CachingPolicy(levels[lattice[best]])
     return best_policy, float(objectives[best])

@@ -997,6 +997,26 @@ class TestCoverage:
             CoverageResult(0.5, "magic", 0.0)
 
 
+def _whole_array_t_gamma(k_max, cfg, quad):
+    """t_gamma of the QMC coverage estimator on one Sobol draw of all n rows."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        unit = qmc.Sobol(d=k_max, scramble=True, seed=quad.qmc_seed).random(
+            quad.mc_integration_samples)
+    h = 2.0 * cfg.sigma * np.sqrt(-np.log1p(-np.clip(unit, 1e-16, 1.0 - 1e-16)))
+    return cfg.theta / np.cumsum(h ** (-cfg.alpha), axis=1)
+
+
+def _traced_peak(run) -> int:
+    """Peak bytes that tracemalloc sees while run() runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _whole_array_coverage(c_m, cfg, quad, method):
     """The QMC coverage estimator evaluated on whole arrays: one Sobol draw
     of all n rows, one n x k_max transform, numpy's axis-0 means. Returns
@@ -1004,11 +1024,7 @@ def _whole_array_coverage(c_m, cfg, quad, method):
     mean_k = c_m * cfg.n_bar
     k_max = _poisson_k_max(mean_k, quad.k_max_tail_mass)
     n = quad.mc_integration_samples
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        unit = qmc.Sobol(d=k_max, scramble=True, seed=quad.qmc_seed).random(n)
-    h = 2.0 * cfg.sigma * np.sqrt(-np.log1p(-np.clip(unit, 1e-16, 1.0 - 1e-16)))
-    t_gamma = cfg.theta / np.cumsum(h ** (-cfg.alpha), axis=1)
+    t_gamma = _whole_array_t_gamma(k_max, cfg, quad)
     if method == "exact-tcp":
         fn = laplace_fn_exact(cfg, quad, (float(t_gamma.min()), float(t_gamma.max())))
     else:
@@ -1040,22 +1056,94 @@ class TestStreamedEstimator:
             got = coverage_content(c_m, ref_cfg, quad, method)
             assert (got.value.hex(), got.numerical_error.hex()) == (value.hex(), err.hex())
 
-    def test_peak_memory_is_one_n_by_k_max_array(self, ref_cfg):
-        quad = QuadratureSpec()
-        k_max = _poisson_k_max(ref_cfg.n_bar, quad.k_max_tail_mass)
-        tracemalloc.start()
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 6.0])
+    @pytest.mark.parametrize("k_max", [2, 7, 31])
+    def test_window_is_the_whole_draws_min_and_max(self, ref_cfg, alpha, k_max):
+        # found before any transform, from a few candidate rows
+        cfg = ref_cfg.with_(alpha=alpha)
+        for seed in range(4):
+            quad = QuadratureSpec(mc_integration_samples=20_000, qmc_seed=seed)
+            t_gamma = _whole_array_t_gamma(k_max, cfg, quad)
+            t_lo, t_hi = analytic._t_window(k_max, cfg, quad)
+            assert (t_lo.hex(), t_hi.hex()) == (t_gamma.min().hex(), t_gamma.max().hex())
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_failing_block_raises_without_holding_up_the_rest(self, ref_cfg, monkeypatch,
+                                                              threads):
+        monkeypatch.setattr(analytic, "_QMC_BLOCK_ROWS", 1000)
+        quad = QuadratureSpec(mc_integration_samples=6000)  # blocks 0..5
+        marks = []  # the t_gamma of each block's last row, in block order
+        monkeypatch.setattr(analytic, "_thread_count", lambda: 1)
+        _caterer_means(3, ref_cfg, quad, lambda t: (marks.append(t[-1]), np.ones_like(t))[1])
+        monkeypatch.setattr(analytic, "_thread_count", lambda: threads)
+
+        def fails_in_block_1(t_gamma):
+            if marks[1] in t_gamma:
+                raise ValueError("block 1")
+            return np.ones_like(t_gamma)
+
+        raised = []
+
+        def run():
+            try:
+                _caterer_means(3, ref_cfg, quad, fails_in_block_1)
+            except Exception as exc:
+                raised.append(exc)
+
+        caller = threading.Thread(target=run, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive(), "the estimator hung after a failing block"
+        assert [type(exc) for exc in raised] == [ValueError]
+        assert raised[0].args == ("block 1",)
+
+    @pytest.mark.parametrize("method", ["exact-tcp", "ppp-bound"])
+    def test_draws_and_sums_in_block_order_under_contention(self, ref_cfg, monkeypatch,
+                                                             method):
+        # 715 blocks on more threads than cores, switching as often as the
+        # interpreter allows: a block drawn or added out of order moves bits
+        monkeypatch.setattr(analytic, "_QMC_BLOCK_ROWS", 7)
+        quad = QuadratureSpec(mc_integration_samples=5001)
+        fn = functools.partial(laplace_ppp_bound, cfg=ref_cfg) if method == "ppp-bound" else None
+        monkeypatch.setattr(analytic, "_thread_count", lambda: 1)
+        serial = _caterer_means(7, ref_cfg, quad, fn)
+        monkeypatch.setattr(analytic, "_thread_count", lambda: 8)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            coverage_content(1.0, ref_cfg, quad)
-            _, peak = tracemalloc.get_traced_memory()
+            caller = threading.Thread(
+                target=lambda: results.append(_caterer_means(7, ref_cfg, quad, fn)), daemon=True)
+            caller.start()
+            caller.join(timeout=120)
         finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * quad.mc_integration_samples * k_max * 8
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive(), "the estimator hung"
+        assert _hexes(*results[0]) == _hexes(*serial)
+
+    @pytest.mark.parametrize("method", ["exact-tcp", "ppp-bound"])
+    def test_peak_memory_does_not_grow_with_n(self, ref_cfg, method):
+        def call(n):
+            coverage_content(1.0, ref_cfg, QuadratureSpec(mc_integration_samples=n), method)
+
+        call(800_000)  # untraced: the imports, and every lattice node both calls read
+        small = _traced_peak(lambda: call(200_000))
+        large = _traced_peak(lambda: call(800_000))
+        assert large <= small + 2 * 2**20
+        assert max(small, large) < 20 * 2**20
+
+    def test_cold_default_exact_call_peak(self, ref_cfg):
+        coverage_content(1.0, ref_cfg, QuadratureSpec(mc_integration_samples=1000))  # imports
+        analytic._lattices.cache_clear()  # the call computes its own lattice nodes
+        assert _traced_peak(lambda: coverage_content(1.0, ref_cfg, QUAD)) < 20 * 2**20
 
     def test_peak_memory_bound_holds_on_many_cpus(self, ref_cfg, monkeypatch):
-        # every thread holds its own scratch; their number, not the CPU count,
-        # must bound it
+        # every thread holds its own blocks; their number, not the CPU count,
+        # must bound them
         monkeypatch.setattr(analytic, "_thread_count", lambda: 16)
-        self.test_peak_memory_is_one_n_by_k_max_array(ref_cfg)
+        for method in ("exact-tcp", "ppp-bound"):
+            self.test_peak_memory_does_not_grow_with_n(ref_cfg, method)
+        self.test_cold_default_exact_call_peak(ref_cfg)
 
 
 class TestOffloading:

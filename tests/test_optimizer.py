@@ -421,6 +421,15 @@ class TestGridSearchOracle:
                     best_coarse = max(best_coarse, val)
         assert fine >= best_coarse - 1e-12
 
+    def test_step_a_rounding_error_off_divides_into_the_same_levels(self, ref_cfg):
+        # within the 1e-9 that the step check allows of 1/20: the levels are
+        # i/20, so the top one is 1, not 1.00000000001
+        lib = ContentLibrary.from_zipf(4, 1.0, 1)
+        pol, value = grid_search_oracle(lib, ref_cfg, step=0.05 * (1 + 1e-11))
+        exact_pol, exact_value = grid_search_oracle(lib, ref_cfg, step=0.05)
+        assert pol.probs.tolist() == exact_pol.probs.tolist() and value == exact_value
+        assert pol.probs.max() == 1.0
+
 
 class TestConcavityReport:
     """Curvature of the k = 1 per-file gain: f'' changes sign only at
