@@ -997,6 +997,36 @@ def _caterer_means(k_max: int, cfg: NetworkConfig, quad: QuadratureSpec, laplace
     return total / n, first / half, second / (n - half)
 
 
+@lru_cache(maxsize=64)
+def _caterer_tables(k_max: int, method: str, lambda_p: float, n_bar: float, sigma: float,
+                    alpha: float, theta: float, tolerances: tuple, samples: int, seed: int):
+    cfg = NetworkConfig(lambda_p, n_bar, sigma, alpha, theta=theta)
+    quad = QuadratureSpec(*tolerances, mc_integration_samples=samples, qmc_seed=seed)
+    laplace_fn = partial(laplace_ppp_bound, cfg=cfg) if method == "ppp-bound" else None
+    means = _caterer_means(k_max, cfg, quad, laplace_fn)
+    for array in means:
+        array.flags.writeable = False
+    return means
+
+
+def _caterer_table(k_max: int, cfg: NetworkConfig, quad: QuadratureSpec, method: str):
+    """_caterer_means' three arrays for method's transform (the exact one, or
+    the PPP bound), from a process memo of the 64 most recently used
+    (_caterer_tables), read-only. Its key is what the estimator reads:
+    k_max, the method, lambda_p, n_bar, sigma, alpha and theta of cfg, and
+    quad's mc_integration_samples and qmc_seed, with quad's tolerances and
+    window (rel_tol, abs_tol, v_max_sigma_mult) for the exact route only,
+    whose table reads them. gamma_d cancels and k_max_tail_mass acts only
+    through k_max, so neither is in it; block size and thread count move no
+    bit. So every caching probability of one configuration with the same
+    k_max shares one pass, and a call that raises NumericalError is not
+    kept. An entry is three arrays of k_max floats."""
+    tolerances = ((quad.rel_tol, quad.abs_tol, quad.v_max_sigma_mult)
+                  if method == "exact-tcp" else ())
+    return _caterer_tables(k_max, method, cfg.lambda_p, cfg.n_bar, cfg.sigma, cfg.alpha,
+                           cfg.theta, tolerances, quad.mc_integration_samples, quad.qmc_seed)
+
+
 def _poisson_pmf(k: np.ndarray, mean: float) -> np.ndarray:
     """P(K = k) for K ~ Poisson(mean), as scipy.stats.poisson.pmf computes
     it, bit for bit: exp(xlogy(k, mean) - gammaln(k + 1) - mean)."""
@@ -1042,7 +1072,10 @@ def coverage_content(
     All k share one k_max-dimensional Sobol draw (_caterer_means). Its rows
     are streamed in one pass of blocks, so the call holds a few blocks per
     thread, whatever n is; value and error equal those of the whole-array
-    estimator bit for bit.
+    estimator bit for bit. The per-k means do not depend on c_m, so the
+    process runs that pass once per configuration and distinct k_max
+    (_caterer_table): a later call with the same k_max takes only the
+    Poisson weights, and returns the same bits as a first call.
     """
     if not 0.0 <= c_m <= 1.0:
         raise ValueError(f"caching probability must lie in [0,1], got {c_m!r}")
@@ -1053,8 +1086,7 @@ def coverage_content(
     if k_max == 0:
         return CoverageResult(0.0, method, float(min(1.0, quad.k_max_tail_mass)))
 
-    laplace_fn = partial(laplace_ppp_bound, cfg=cfg) if method == "ppp-bound" else None
-    means, means_a, means_b = _caterer_means(k_max, cfg, quad, laplace_fn)
+    means, means_a, means_b = _caterer_table(k_max, cfg, quad, method)
     pmf = _poisson_pmf(np.arange(1, k_max + 1), mean_k)
     value = float(means @ pmf)
     value_a = float(means_a @ pmf)
@@ -1089,10 +1121,12 @@ def offloading_gain(policy: CachingPolicy, library: ContentLibrary, coverage_fn)
 
     sum_m q_m (c_m + (1 - c_m) coverage_fn(c_m)). coverage_fn maps a caching
     probability to a coverage value (floats and CoverageResult both accepted)
-    and is called once per distinct c_m. The policy needs one entry per
-    file; its box 0 <= c_m <= 1 holds by construction (CachingPolicy), and
-    the budget is the caller's concern, so vectors that miss it (baselines,
-    partial placements) can still be scored.
+    and is called once per distinct c_m; coverage_content runs its QMC pass
+    once per distinct k_max among them, not once per c_m (_caterer_table).
+    The policy needs one entry per file; its box 0 <= c_m <= 1 holds by
+    construction (CachingPolicy), and the budget is the caller's concern, so
+    vectors that miss it (baselines, partial placements) can still be
+    scored.
     """
     c = _checked_probs(policy, library)
     q = library.popularity

@@ -37,7 +37,9 @@ def ref_library():
 
 
 @pytest.fixture(autouse=True)
-def empty_lattice_memo():
-    """Every test starts from an empty exponent-lattice memo, so that no
-    test depends on which tests ran before it."""
+def empty_memos():
+    """Every test starts from an empty exponent-lattice memo and an empty
+    caterer-means memo, so that no test depends on which tests ran before
+    it."""
     analytic._lattices.cache_clear()
+    analytic._caterer_tables.cache_clear()

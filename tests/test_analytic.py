@@ -17,6 +17,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -49,7 +50,12 @@ from d2dcache.analytic import (
     offloading_gain,
     zeta_kernel,
 )
-from d2dcache.model import CachingPolicy, ContentLibrary, NetworkConfig
+from d2dcache.model import (
+    CachingPolicy,
+    ContentLibrary,
+    NetworkConfig,
+    policy_zipf_proportional,
+)
 from d2dcache.simulator import (
     _as_generator,
     _caterer_t,
@@ -902,8 +908,9 @@ class TestThreadCount:
         # 20 blocks: runs of 20, 10 + 10 and 6 + 7 + 7 of them
         monkeypatch.setattr(analytic, "_QMC_BLOCK_ROWS", 1000)
         quad = QuadratureSpec(mc_integration_samples=20_000)
+        # every count runs its own QMC pass, not the memo's
         results = self.at_each_count(
-            monkeypatch, lambda: coverage_content(c_m, ref_cfg, quad, method))
+            monkeypatch, lambda: _fresh_pass(lambda: coverage_content(c_m, ref_cfg, quad, method)))
         hexes = {(r.value.hex(), r.numerical_error.hex()) for r in results}
         assert len(hexes) == 1
 
@@ -1007,6 +1014,15 @@ def _whole_array_t_gamma(k_max, cfg, quad):
     return cfg.theta / np.cumsum(h ** (-cfg.alpha), axis=1)
 
 
+def _fresh_pass(run):
+    """run() on an empty caterer-means memo, checked to run one QMC pass of
+    its own rather than read an earlier call's means."""
+    analytic._caterer_tables.cache_clear()
+    result = run()
+    assert analytic._caterer_tables.cache_info().misses == 1
+    return result
+
+
 def _traced_peak(run) -> int:
     """Peak bytes that tracemalloc sees while run() runs."""
     tracemalloc.start()
@@ -1053,7 +1069,7 @@ class TestStreamedEstimator:
             assert _poisson_k_max(c_m * ref_cfg.n_bar, quad.k_max_tail_mass) == 1
         for rows in (7, 1000, 5001, 8192):
             monkeypatch.setattr(analytic, "_QMC_BLOCK_ROWS", rows)
-            got = coverage_content(c_m, ref_cfg, quad, method)
+            got = _fresh_pass(lambda: coverage_content(c_m, ref_cfg, quad, method))
             assert (got.value.hex(), got.numerical_error.hex()) == (value.hex(), err.hex())
 
     @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 6.0])
@@ -1124,7 +1140,8 @@ class TestStreamedEstimator:
     @pytest.mark.parametrize("method", ["exact-tcp", "ppp-bound"])
     def test_peak_memory_does_not_grow_with_n(self, ref_cfg, method):
         def call(n):
-            coverage_content(1.0, ref_cfg, QuadratureSpec(mc_integration_samples=n), method)
+            _fresh_pass(lambda: coverage_content(
+                1.0, ref_cfg, QuadratureSpec(mc_integration_samples=n), method))
 
         call(800_000)  # untraced: the imports, and every lattice node both calls read
         small = _traced_peak(lambda: call(200_000))
@@ -1135,7 +1152,8 @@ class TestStreamedEstimator:
     def test_cold_default_exact_call_peak(self, ref_cfg):
         coverage_content(1.0, ref_cfg, QuadratureSpec(mc_integration_samples=1000))  # imports
         analytic._lattices.cache_clear()  # the call computes its own lattice nodes
-        assert _traced_peak(lambda: coverage_content(1.0, ref_cfg, QUAD)) < 20 * 2**20
+        cold = _traced_peak(lambda: _fresh_pass(lambda: coverage_content(1.0, ref_cfg, QUAD)))
+        assert cold < 20 * 2**20
 
     def test_peak_memory_bound_holds_on_many_cpus(self, ref_cfg, monkeypatch):
         # every thread holds its own blocks; their number, not the CPU count,
@@ -1144,6 +1162,107 @@ class TestStreamedEstimator:
         for method in ("exact-tcp", "ppp-bound"):
             self.test_peak_memory_does_not_grow_with_n(ref_cfg, method)
         self.test_cold_default_exact_call_peak(ref_cfg)
+
+
+class TestCatererMemo:
+    """coverage_content reads its per-k means from a process memo keyed by
+    what the estimator reads; a hit returns the bits of a fresh pass."""
+
+    QUAD = QuadratureSpec(mc_integration_samples=5001)
+
+    @staticmethod
+    def misses():
+        return analytic._caterer_tables.cache_info().misses
+
+    @pytest.mark.parametrize("method", ["exact-tcp", "ppp-bound"])
+    def test_hit_equals_a_call_on_an_empty_memo(self, ref_cfg, method):
+        first = coverage_content(0.3, ref_cfg, self.QUAD, method)
+        hit = coverage_content(0.3, ref_cfg, self.QUAD, method)
+        assert self.misses() == 1
+        fresh = _fresh_pass(lambda: coverage_content(0.3, ref_cfg, self.QUAD, method))
+        assert (_hexes(first.value, first.numerical_error)
+                == _hexes(hit.value, hit.numerical_error)
+                == _hexes(fresh.value, fresh.numerical_error))
+
+    @pytest.mark.parametrize("method, network, quad", [
+        ("ppp-bound", {"theta": 2.0}, {}),
+        ("ppp-bound", {"sigma": 40.0}, {}),
+        ("ppp-bound", {"lambda_p": 20e-6}, {}),
+        ("ppp-bound", {"n_bar": 4.0}, {}),
+        ("ppp-bound", {"alpha": 3.0}, {}),
+        ("ppp-bound", {}, {"qmc_seed": 1}),
+        ("ppp-bound", {}, {"mc_integration_samples": 5002}),
+        ("exact-tcp", {}, {"rel_tol": 1e-9}),
+        ("exact-tcp", {}, {"abs_tol": 1e-6}),
+        ("exact-tcp", {}, {"v_max_sigma_mult": 9.0}),
+    ])
+    def test_each_key_field_misses(self, ref_cfg, method, network, quad):
+        # at one k_max, so that only the named field differs
+        base = analytic._caterer_table(3, ref_cfg, self.QUAD, method)
+        other = analytic._caterer_table(
+            3, ref_cfg.with_(**network), replace(self.QUAD, **quad), method)
+        assert self.misses() == 2
+        assert _hexes(*other) != _hexes(*base)
+
+    def test_method_misses(self, ref_cfg):
+        analytic._caterer_table(3, ref_cfg, self.QUAD, "ppp-bound")
+        analytic._caterer_table(3, ref_cfg, self.QUAD, "exact-tcp")
+        assert self.misses() == 2
+
+    def test_what_the_estimator_does_not_read_hits(self, ref_cfg, monkeypatch):
+        base = coverage_content(0.3, ref_cfg, self.QUAD, "exact-tcp")
+        k_max = _poisson_k_max(0.3 * ref_cfg.n_bar, self.QUAD.k_max_tail_mass)
+        # another c and another tail mass, each at the same k_max
+        assert _poisson_k_max(0.29 * ref_cfg.n_bar, self.QUAD.k_max_tail_mass) == k_max
+        assert _poisson_k_max(0.3 * ref_cfg.n_bar, 2e-9) == k_max
+        again = [
+            coverage_content(0.3, ref_cfg.with_(gamma_d=5.0), self.QUAD, "exact-tcp"),
+            coverage_content(0.3, ref_cfg, replace(self.QUAD, k_max_tail_mass=2e-9),
+                             "exact-tcp"),
+            coverage_content(0.29, ref_cfg, self.QUAD, "exact-tcp"),
+        ]
+        monkeypatch.setattr(analytic, "_QMC_BLOCK_ROWS", 1000)
+        monkeypatch.setattr(analytic, "_thread_count", lambda: 1)
+        again.append(coverage_content(0.3, ref_cfg, self.QUAD, "exact-tcp"))
+        # the bound reads none of the tolerances
+        coverage_content(0.3, ref_cfg, self.QUAD, "ppp-bound")
+        coverage_content(0.3, ref_cfg, replace(self.QUAD, rel_tol=1e-9), "ppp-bound")
+        assert self.misses() == 2
+        assert again[0] == again[1] == again[3] == base
+
+    def test_numerical_error_is_not_kept(self, ref_cfg, monkeypatch):
+        monkeypatch.setattr(analytic, "laplace_ppp_bound",
+                            lambda t_gamma, cfg: np.full_like(t_gamma, np.nan))
+        for _ in range(2):
+            with pytest.raises(NumericalError):
+                coverage_content(1.0, ref_cfg, self.QUAD, "ppp-bound")
+        info = analytic._caterer_tables.cache_info()
+        assert (info.misses, info.currsize) == (2, 0)
+
+    def test_arrays_are_read_only(self, ref_cfg):
+        for array in analytic._caterer_table(3, ref_cfg, self.QUAD, "ppp-bound"):
+            with pytest.raises(ValueError):
+                array[0] = 0.5
+        assert analytic._caterer_tables.cache_info().maxsize == 64
+
+    def test_one_pass_per_distinct_k_max(self, ref_cfg, monkeypatch):
+        library = ContentLibrary.from_zipf(100, 0.5, 5)
+        policy = policy_zipf_proportional(library)
+        passes = []
+
+        def counted(k_max, *args):
+            passes.append(k_max)
+            return _caterer_means(k_max, *args)
+
+        monkeypatch.setattr(analytic, "_caterer_means", counted)
+        gain = offloading_gain(
+            policy, library, lambda c: coverage_content(c, ref_cfg, self.QUAD))
+        assert sorted(passes) == sorted(set(passes)) and len(passes) == 8
+        assert len(np.unique(policy.probs)) == 100
+        fresh = offloading_gain(
+            policy, library,
+            lambda c: _fresh_pass(lambda: coverage_content(c, ref_cfg, self.QUAD)))
+        assert gain.hex() == fresh.hex()
 
 
 class TestOffloading:
